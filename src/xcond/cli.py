@@ -13,7 +13,13 @@ import sys
 import json
 from dataclasses import dataclass
 
-from .families import biclique_claimed, cw_claimed, path_claimed, verify_claim
+from .families import (
+    biclique_claimed,
+    biclique_fiber_names,
+    cw_claimed,
+    path_claimed,
+    verify_claim,
+)
 from .graphs import (
     Graph,
     biclique_graph,
@@ -33,7 +39,7 @@ from .groebner import (
     initial_ideal,
     reduced_groebner_basis,
 )
-from .rees import componentwise_certificate, rees_ideal, x_condition
+from .rees import componentwise_certificate, default_fiber_names, rees_ideal, x_condition
 from .ring import (
     ParseError,
     VarContext,
@@ -204,7 +210,17 @@ def resolve_graph(config, allow_file=True):
 def cover_presentation(config):
     g = resolve_graph(config)
     gens = minimal_vertex_covers(g).monomials()
-    return rees_ideal(g.context(), gens, config=config.gb_config())
+    if config.biclique is not None:
+        fiber = biclique_fiber_names(*config.biclique)
+    else:
+        fiber = default_fiber_names(len(gens))
+    clash = sorted(set(fiber) & set(g.vertices))
+    if clash:
+        raise InputError(
+            f"vertex names {', '.join(clash)} clash with the fiber variables "
+            f"{fiber[0]}..{fiber[-1]}"
+        )
+    return rees_ideal(g.context(), gens, fiber_names=fiber, config=config.gb_config())
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,7 @@ class ClaimedBasis:
 
     def distinct_polynomials(self):
         """Emission order, exact duplicates across patterns dropped."""
-        seen, out = set(), []
-        for e in self.elements:
-            if e.polynomial not in seen:
-                seen.add(e.polynomial)
-                out.append(e.polynomial)
-        return tuple(out)
+        return tuple(dict.fromkeys(self.polynomials()))
 
     def tag_counts(self):
         counts = {}
@@ -100,15 +95,6 @@ class ClaimedBasis:
             fiber_names=self.fiber_names,
             config=config,
         )
-
-
-def _ordered_distinct(items):
-    seen, out = set(), []
-    for it in items:
-        if it not in seen:
-            seen.add(it)
-            out.append(it)
-    return tuple(out)
 
 
 def _cover_sets(gens):
@@ -227,7 +213,7 @@ def biclique_claimed(p, q, r):
         ext,
         order,
         tuple(elements),
-        _ordered_distinct(e.initial for e in elements),
+        tuple(dict.fromkeys(e.initial for e in elements)),
     )
 
 
@@ -409,7 +395,7 @@ def path_claimed(n):
         ext,
         order,
         tuple(elements),
-        _ordered_distinct(catalogue),
+        tuple(dict.fromkeys(catalogue)),
     )
 
 
@@ -596,7 +582,7 @@ def cw_claimed(graph):
         ext,
         order,
         tuple(elements),
-        _ordered_distinct(e.initial for e in elements),
+        tuple(dict.fromkeys(e.initial for e in elements)),
     )
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .ring import (
-    Monomial,
     OrderSpec,
     Polynomial,
     VarContext,
@@ -306,7 +305,7 @@ def is_spair_closed(elements, order, ctx, config=None):
 
 
 # ---------------------------------------------------------------------------
-# elimination and context transport
+# elimination
 # ---------------------------------------------------------------------------
 
 
@@ -327,25 +326,6 @@ def eliminate(ideal, block, order, config=None):
             raise AssertionError("elimination order produced a mixed tail")
         kept.append(g)
     return Ideal(ctx, tuple(kept))
-
-
-def transport_polynomial(p, src_ctx, dst_ctx, order):
-    """Re-express p in another context, matching variables by name."""
-    mapping = []
-    dst_names = set(dst_ctx.names)
-    for name in src_ctx.names:
-        mapping.append(dst_ctx.index(name) if name in dst_names else None)
-    acc = {}
-    for m, c in p.terms:
-        exps = [0] * dst_ctx.nvars
-        for i, e in enumerate(m.exps):
-            if not e:
-                continue
-            if mapping[i] is None:
-                raise ValueError(f"variable {src_ctx.names[i]!r} absent from target context")
-            exps[mapping[i]] = e
-        acc[Monomial(tuple(exps))] = c
-    return poly_from_dict(acc, compile_order(order, dst_ctx))
 
 
 # ---------------------------------------------------------------------------

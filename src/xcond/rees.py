@@ -2,12 +2,14 @@
 
 A minimal monomial generating set u_1..u_s of an ideal I in the base ring
 S determines a surjection T = K[y_1..y_s, x_1..x_n] -> R(I) sending
-y_j to u_j*t and fixing the x_i.  The kernel J is computed here by
-t-elimination followed by a re-run of Buchberger under a block order that
-compares the fiber variables first.  Everything downstream reads off the
-reduced basis of J: the x-condition, the standard fiber monomials of each
-degree k (which present I^k), the successive colon ideals of their images,
-the closed-form Betti table those colons determine, and the final
+y_j to u_j*t and fixing the x_i.  The kernel J is computed here by a
+single Buchberger run that eliminates t under block(t; fiber; base): by
+the Elimination Theorem the t-free part of that reduced basis is already
+the reduced basis of J under the block order comparing the fiber
+variables first.  Everything downstream reads off the reduced basis of
+J: the x-condition, the standard fiber monomials of each degree k (which
+present I^k), the successive colon ideals of their images, the
+closed-form Betti table those colons determine, and the final
 componentwise-linearity certificate.
 """
 
@@ -19,6 +21,7 @@ from fractions import Fraction
 from .betti import GENERATOR_CAP, BettiTable, betti_numbers, is_componentwise_linear
 from .groebner import (
     GBConfig,
+    GroebnerBasis,
     Ideal,
     MonomialIdeal,
     ScaleExceeded,
@@ -26,11 +29,10 @@ from .groebner import (
     initial_ideal,
     monomial_colon,
     normal_form,
-    reduced_groebner_basis,
-    transport_polynomial,
 )
 from .ring import (
     Monomial,
+    Polynomial,
     VarContext,
     block_order,
     compile_order,
@@ -144,10 +146,11 @@ def _validate_generators(base_ctx, gens):
 def rees_ideal(base_ctx, gens, order=None, fiber_names=None, config=None):
     """Reduced kernel basis of y_j -> u_j*t via t-elimination.
 
-    The elimination pass runs under block(t, fiber, base); the surviving
-    t-free elements are then re-closed under the target order.  Both runs
-    insist on pure binomials, and every final element is checked to vanish
-    under the substitution map.
+    One Buchberger run under block(t; fiber; base) insists on pure
+    binomials.  Its t-free elements, with the t coordinate dropped, are the
+    reduced basis under `order` (Elimination Theorem), already listed in
+    descending order of leading monomial.  Every element is checked to
+    vanish under the substitution map.
     """
     gens = tuple(gens)
     _validate_generators(base_ctx, gens)
@@ -185,8 +188,13 @@ def rees_ideal(base_ctx, gens, order=None, fiber_names=None, config=None):
             )
         )
     contracted = eliminate(Ideal.make(relations, elim_ctx), (ELIM_VAR,), elim_order, cfg)
-    moved = [transport_polynomial(g, elim_ctx, extended, order) for g in contracted.generators]
-    gb = reduced_groebner_basis(Ideal.make(moved, extended), order, cfg)
+    # ELIM_VAR is coordinate 0 of elim_ctx and the rest is `extended`; t-free
+    # terms compare under elim_order exactly as under `order`
+    elements = tuple(
+        Polynomial(tuple((Monomial(m.exps[1:]), c) for m, c in g.terms))
+        for g in contracted.generators
+    )
+    gb = GroebnerBasis(extended, order, elements, True)
     presentation = ReesPresentation(base_ctx, gens, extended, order, gb)
     for g in gb.elements:
         if not kernel_member(g, gens, extended):

@@ -266,24 +266,6 @@ def compile_order(spec, ctx):
     return cached
 
 
-def compare(order, a, b, ctx=None):
-    """Compare monomials under an OrderSpec (or a compiled order)."""
-    if isinstance(order, MonomialOrder):
-        return order.compare(a, b)
-    if ctx is None:
-        raise ValueError("compare with a raw OrderSpec needs the context")
-    return compile_order(order, ctx).compare(a, b)
-
-
-def elimination_scope(spec):
-    """Leading variable set guaranteed to dominate: for a block order the
-    variables of the first part, for a lex order an empty prefix is never
-    useful so the full ranked list is returned one variable at a time."""
-    if spec.kind == "block":
-        return spec.parts[0][1].vars if spec.parts[0][1].kind in ("lex", "revlex") else ()
-    return ()
-
-
 def is_elimination_order(spec, ctx, elim_vars):
     """Structural check that elim_vars dominate every other variable.
 
@@ -352,9 +334,6 @@ class Polynomial:
 
     def lt(self):
         return self.terms[0]
-
-    def num_terms(self):
-        return len(self.terms)
 
     def degree(self):
         if not self.terms:

@@ -118,6 +118,20 @@ class TestRees:
         )
         assert code == 0 and payload["certified"]
 
+    def test_biclique_uses_family_fiber_names(self, capsys):
+        # the biclique's own vertices y1..yq must not collide with the fiber
+        code, payload = run_json(capsys, "rees", "--biclique", "2", "2", "2", "--k", "1")
+        assert code == 0
+        assert payload["generators"] == 6
+        assert payload["certified"] == "quadratic-initial"
+
+    def test_graph_clashing_with_fiber_names(self, capsys, tmp_path):
+        f = tmp_path / "clash.graph"
+        f.write_text("y1 y2\ny2 y3\n")
+        code, out, err = run_cli(capsys, "rees", "--graph", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and "y1, y2" in err
+
 
 class TestXcondCommand:
     def test_path_holds(self, capsys):
@@ -133,6 +147,12 @@ class TestXcondCommand:
     def test_conflicting_specs(self, capsys):
         code, _, err = run_cli(capsys, "xcond", "--path", "5", "--biclique", "1", "1", "1")
         assert code == 2 and "exactly one" in err
+
+    def test_biclique_holds(self, capsys):
+        code, payload = run_json(capsys, "xcond", "--biclique", "2", "2", "2")
+        assert code == 0
+        assert payload["x_condition"] is True
+        assert payload["initial_generators"] == 7
 
 
 class TestPowers:

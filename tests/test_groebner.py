@@ -23,7 +23,6 @@ from xcond.groebner import (
     reduce_basis,
     reduced_groebner_basis,
     s_polynomial,
-    transport_polynomial,
 )
 from xcond.ring import (
     Monomial,
@@ -407,26 +406,6 @@ class TestMonomialIdeal:
             False,
         )
         assert initial_ideal(gb).generators == (mono(ctx2, x1=1),)
-
-
-class TestTransport:
-    def test_round_trip(self):
-        big = VarContext.make(("x1", "x2", "_t"))
-        small = VarContext.make(("x1", "x2"))
-        spec_b = lex_order("x1", "x2", "_t")
-        spec_s = lex_order("x1", "x2")
-        p = parse_polynomial("x1^2 - 3*x2", big, compile_order(spec_b, big))
-        q = transport_polynomial(p, big, small, spec_s)
-        assert render_polynomial(q, small) == "x1^2 - 3*x2"
-        back = transport_polynomial(q, small, big, spec_b)
-        assert back == p
-
-    def test_missing_variable_rejected(self):
-        big = VarContext.make(("x1", "x2", "_t"))
-        small = VarContext.make(("x1", "x2"))
-        p = parse_polynomial("x1*_t", big)
-        with pytest.raises(ValueError):
-            transport_polynomial(p, big, small, lex_order("x1", "x2"))
 
 
 class TestForeignTermOrder:

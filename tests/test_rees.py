@@ -5,13 +5,15 @@ from fractions import Fraction
 import pytest
 
 from xcond.betti import betti_numbers
-from xcond.graphs import biclique_graph, minimal_vertex_covers, path_graph
-from xcond.groebner import MonomialIdeal
+from xcond.families import biclique_claimed, cw_claimed
+from xcond.graphs import biclique_graph, cameron_walker_graph, minimal_vertex_covers, path_graph
+from xcond.groebner import Ideal, MonomialIdeal, reduced_groebner_basis
 from xcond.rees import (
     ascending_degree,
     betti_from_quotients,
     colon_cross_check,
     componentwise_certificate,
+    default_fiber_names,
     default_order,
     extended_context,
     is_minimal_sequence,
@@ -117,6 +119,35 @@ class TestConstruction:
         stranger = parse_polynomial("y1*x2 - y2*x1", ext)
         assert kernel_member(member, pres.gens, ext)
         assert not kernel_member(stranger, pres.gens, ext)
+
+
+class TestOnePass:
+    """The t-free part of the elimination basis is already reduced under
+    the presentation order: re-running Buchberger on it changes nothing,
+    not even the term order inside an element."""
+
+    @staticmethod
+    def assert_closed(pres):
+        again = reduced_groebner_basis(Ideal.make(pres.gb.elements, pres.extended), pres.order)
+        assert [g.terms for g in again.elements] == [g.terms for g in pres.gb.elements]
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_paths(self, n, weighted):
+        g = path_graph(n)
+        gens = minimal_vertex_covers(g).monomials()
+        order = None
+        if weighted:
+            gens = ascending_degree(gens)
+            fiber = default_fiber_names(len(gens))
+            order = weight_order(gens, fiber, lex_order(*g.context().names))
+        self.assert_closed(rees_ideal(g.context(), gens, order=order))
+
+    def test_biclique_232(self):
+        self.assert_closed(biclique_claimed(2, 3, 2).presentation())
+
+    def test_cw_11_1(self):
+        self.assert_closed(cw_claimed(cameron_walker_graph((1, 1), (1,))).presentation())
 
 
 class TestPathEight:
