@@ -39,7 +39,13 @@ from .groebner import (
     initial_ideal,
     reduced_groebner_basis,
 )
-from .rees import componentwise_certificate, default_fiber_names, rees_ideal, x_condition
+from .rees import (
+    ELIM_VAR,
+    componentwise_certificate,
+    default_fiber_names,
+    rees_ideal,
+    x_condition,
+)
 from .ring import (
     ParseError,
     VarContext,
@@ -220,6 +226,8 @@ def cover_presentation(config):
             f"vertex names {', '.join(clash)} clash with the fiber variables "
             f"{fiber[0]}..{fiber[-1]}"
         )
+    if ELIM_VAR in g.vertices:
+        raise InputError(f"vertex name {ELIM_VAR} is reserved for the elimination variable")
     return rees_ideal(g.context(), gens, fiber_names=fiber, config=config.gb_config())
 
 

@@ -1,20 +1,38 @@
 """Groebner bases over Q: division, Buchberger, reduction, elimination.
 
-The engine is deliberately classical: normal pair selection (smallest lcm
-under the working order, ties by generator index pair), the coprime and
-chain criteria, full tail reduction.  Every run is bounded by explicit
-resource caps; exceeding a cap raises ScaleExceeded rather than returning
-a truncated basis.
+Buchberger's algorithm with the installation of Gebauer and Moeller
+(J. Symbolic Comput. 6, 1988).  When an element t is installed, its pairs
+(i, t) with the elements still taking pairs are pruned once, instead of
+every pair being tested when it is popped:
+
+- criterion M drops (i, t) when another new pair's lcm strictly divides
+  lcm(i, t); criterion F keeps one pair per lcm;
+- the product criterion drops a pair whose leading monomials are coprime,
+  and with F its whole lcm class;
+- B_t drops a queued pair (i, j) when lm(t) divides lcm(i, j) and differs
+  from neither lcm(i, t) nor lcm(j, t);
+- elements whose leading monomial lm(t) divides take no further pairs.
+
+GBConfig.use_coprime_criterion switches the product criterion and
+use_chain_criterion switches M, F, B_t and the retirement.  Pairs are
+selected normally: smallest lcm under the working order, ties by index
+pair.  S-polynomials are reduced by normal_form over a Reducers table of
+the elements not retired, built once and updated on each install; the
+final basis is fully tail-reduced.  Every run is bounded by explicit resource caps; exceeding
+a cap raises ScaleExceeded rather than returning a truncated basis.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import add, itemgetter, le, sub
 
 from .ring import (
+    Monomial,
     OrderSpec,
     Polynomial,
     VarContext,
@@ -26,6 +44,8 @@ from .ring import (
 DEFAULT_PAIR_CAP = 200_000
 DEFAULT_DEGREE_CAP = 40
 PAIR_CAP_ENV = "XCOND_PAIR_CAP"
+
+_first = itemgetter(0)
 
 
 class ScaleExceeded(RuntimeError):
@@ -151,19 +171,97 @@ def divide(f, divisors, order):
     return qs, Polynomial(tuple(remainder))
 
 
+def _support_mask(exps):
+    """Bit i is set when variable i occurs in the monomial."""
+    mask = 0
+    for i, e in enumerate(exps):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+def _divides(a, b):
+    return all(map(le, a, b))
+
+
+class Reducers(list):
+    """Divisor table for normal_form: one (lm exponents, lm support mask,
+    lc, element) entry per nonzero divisor, tried in list order.
+
+    A divisor's support must lie in the target's, so the mask test is an
+    exact prefilter before the exponents are compared.
+    """
+
+    def __init__(self, polys=()):
+        super().__init__()
+        for g in polys:
+            self.add(g)
+
+    def add(self, g):
+        if not g.is_zero():
+            m, c = g.terms[0]
+            self.append((m.exps, _support_mask(m.exps), c, g))
+
+    def find(self, exps):
+        """First entry whose leading monomial divides exps, or None."""
+        mask = _support_mask(exps)
+        for entry in self:
+            if not entry[1] & ~mask and _divides(entry[0], exps):
+                return entry
+        return None
+
+
 def normal_form(f, divisors, order):
-    if not divisors:
+    """The remainder of divide(f, divisors, order), without quotients.
+
+    divisors is a polynomial list or a prebuilt Reducers table.  The
+    running polynomial is a list of (key, exponents, coefficient) in
+    ascending key order, so its leading term is popped from the end.
+    """
+    table = divisors if isinstance(divisors, Reducers) else Reducers(divisors)
+    if not table:
         return f
-    _, r = divide(f, divisors, order)
-    return r
+    key = order.exps_key
+    p = [(key(m.exps), m.exps, c) for m, c in reversed(f.terms)]
+    remainder = []
+    while p:
+        k, e, c = p.pop()
+        hit = table.find(e)
+        if hit is None:
+            remainder.append((Monomial(e), c))
+            continue
+        ge, _, gc, g = hit
+        q = tuple(map(sub, e, ge))
+        qc = c / gc
+        for m, a in g.terms[1:]:
+            e2 = tuple(map(add, m.exps, q))
+            k2 = key(e2)
+            c2 = -qc * a
+            i = bisect_left(p, k2, key=_first)
+            if i < len(p) and p[i][0] == k2:
+                c2 += p[i][2]
+                if c2:
+                    p[i] = (k2, e2, c2)
+                else:
+                    del p[i]
+            else:
+                p.insert(i, (k2, e2, c2))
+    return Polynomial(tuple(remainder))
 
 
 def s_polynomial(f, g, order):
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of a zero polynomial")
-    L = f.lm().lcm(g.lm())
-    a = f.term_mul(L.div(f.lm()), 1 / f.lc())
-    return a.sub_mul(g, L.div(g.lm()), 1 / g.lc(), order)
+    L = tuple(map(max, f.lm().exps, g.lm().exps))
+    acc = {}
+    for poly, scale in ((f, 1 / f.lc()), (g, -1 / g.lc())):
+        shift = tuple(map(sub, L, poly.lm().exps))
+        for m, c in poly.terms[1:]:
+            e = tuple(map(add, m.exps, shift))
+            acc[e] = acc.get(e, 0) + scale * c
+    key = order.exps_key
+    terms = sorted(((key(e), e, c) for e, c in acc.items() if c), reverse=True)
+    return Polynomial(tuple((Monomial(e), c) for _, e, c in terms))
 
 
 def _canonical(f, ord_):
@@ -181,12 +279,87 @@ def _canonical(f, ord_):
 
 
 def buchberger(ideal, order, config=None):
-    """S-pair-closed basis of the ideal; elements monic; not tail-reduced."""
+    """S-pair-closed basis of the ideal; elements monic; not tail-reduced.
+
+    Elements are installed one at a time, generators first, each through
+    the Gebauer-Moeller update (see the module docstring); every popped
+    pair is reduced.  The result lists every installed element, retired
+    ones included.
+    """
     cfg = config or GBConfig.from_env()
     ctx = ideal.context
     ord_ = compile_order(order, ctx)
+    key = ord_.exps_key
+    coprime_crit = cfg.use_coprime_criterion
+    chain_crit = cfg.use_chain_criterion
 
     basis = []
+    lead = []  # (lm exponents, lm support mask) of each basis element
+    active = []  # indices not retired: they take new pairs
+    reducers = Reducers()  # the active elements, in installation order
+    heap = []  # (lcm key, i, j, lcm exponents, lcm mask), i < j
+
+    def install(h):
+        t = len(basis)
+        lm_t = h.lm().exps
+        mask_t = _support_mask(lm_t)
+        basis.append(h)
+        lead.append((lm_t, mask_t))
+
+        def lcm_with_t(i):
+            return tuple(map(max, lead[i][0], lm_t))
+
+        def divisible_by_t(exps, mask):
+            return not mask_t & ~mask and _divides(lm_t, exps)
+
+        if chain_crit and heap:
+            # B_t: (i, j) is redundant when lm_t divides its lcm and the
+            # lcms of (i, t) and (j, t) are proper divisors of it
+            kept = [
+                pair
+                for pair in heap
+                if not divisible_by_t(pair[3], pair[4])
+                or lcm_with_t(pair[1]) == pair[3]
+                or lcm_with_t(pair[2]) == pair[3]
+            ]
+            if len(kept) < len(heap):
+                heap[:] = kept
+                heapq.heapify(heap)
+
+        new = {}  # lcm exponents -> partner indices, ascending
+        for i in active:
+            new.setdefault(lcm_with_t(i), []).append(i)
+        minimal = []  # (exponents, mask) of the lcms kept by criterion M
+
+        def coprime(i):
+            return not lead[i][1] & mask_t
+
+        # a proper divisor has a smaller degree, so it is met first
+        for L in sorted(new, key=sum):
+            partners = new[L]
+            mask = lead[partners[0]][1] | mask_t
+            if chain_crit:
+                # M: drop a class whose lcm another new lcm properly divides
+                if any(not m & ~mask and _divides(e, L) for e, m in minimal):
+                    continue
+                minimal.append((L, mask))
+                # product criterion: a coprime pair drops its whole class
+                if coprime_crit and any(map(coprime, partners)):
+                    continue
+                partners = partners[:1]  # F: one pair per lcm
+            elif coprime_crit:
+                partners = [i for i in partners if not coprime(i)]
+            for i in partners:
+                heapq.heappush(heap, (key(L), i, t, L, mask))
+
+        if chain_crit:
+            # every multiple of a retired lm is a multiple of lm_t, so the
+            # retired elements also leave the reducer table
+            active[:] = [i for i in active if not divisible_by_t(*lead[i])]
+            reducers[:] = [entry for entry in reducers if not divisible_by_t(entry[0], entry[1])]
+        active.append(t)
+        reducers.add(h)
+
     seen = set()
     for g in ideal.generators:
         g = _canonical(g, ord_)
@@ -195,50 +368,19 @@ def buchberger(ideal, order, config=None):
         g = g.monic()
         if g not in seen:
             seen.add(g)
-            basis.append(g)
+            install(g)
     if not basis:
         return GroebnerBasis(ctx, order, (), True)
 
-    heap = []
-
-    def push_pairs(t):
-        lm_t = basis[t].lm()
-        for i in range(t):
-            L = basis[i].lm().lcm(lm_t)
-            heapq.heappush(heap, (ord_.key(L), i, t))
-
-    for t in range(1, len(basis)):
-        push_pairs(t)
-
-    done = set()
     popped = 0
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, i, j, _, _ = heapq.heappop(heap)
         popped += 1
         if popped > cfg.pair_cap:
             raise ScaleExceeded(
                 f"S-pair budget of {cfg.pair_cap} exhausted ({len(basis)} basis elements)"
             )
-        done.add((i, j))
-        lm_i, lm_j = basis[i].lm(), basis[j].lm()
-        if cfg.use_coprime_criterion and lm_i.gcd(lm_j).is_one():
-            continue
-        if cfg.use_chain_criterion:
-            L = lm_i.lcm(lm_j)
-            skip = False
-            for k in range(len(basis)):
-                if k == i or k == j:
-                    continue
-                if (
-                    basis[k].lm().divides(L)
-                    and (min(i, k), max(i, k)) in done
-                    and (min(j, k), max(j, k)) in done
-                ):
-                    skip = True
-                    break
-            if skip:
-                continue
-        h = normal_form(s_polynomial(basis[i], basis[j], ord_), basis, ord_)
+        h = normal_form(s_polynomial(basis[i], basis[j], ord_), reducers, ord_)
         if h.is_zero():
             continue
         if h.degree() > cfg.degree_cap:
@@ -250,8 +392,7 @@ def buchberger(ideal, order, config=None):
             raise AssertionError(
                 "binomial purity violated: a toric run produced a non-binomial element"
             )
-        basis.append(h)
-        push_pairs(len(basis) - 1)
+        install(h)
 
     return GroebnerBasis(ctx, order, tuple(basis), False)
 
@@ -268,10 +409,13 @@ def reduce_basis(gb):
     for g in ascending:
         if not any(h.lm().divides(g.lm()) for h in minimal):
             minimal.append(g)
+    # Every term of a tail, and of its reductions, lies below lm(g), so no
+    # lm(g) divides it and g may stay in the table that reduces its tail.
+    table = Reducers(minimal)
     tail_reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        tail_reduced.append(normal_form(g, others, ord_).monic())
+    for g in minimal:
+        tail = normal_form(Polynomial(g.terms[1:]), table, ord_)
+        tail_reduced.append(Polynomial(g.terms[:1] + tail.terms).monic())
     tail_reduced.sort(key=lambda g: ord_.key(g.lm()), reverse=True)
     return GroebnerBasis(gb.context, gb.order, tuple(tail_reduced), True)
 
@@ -290,6 +434,7 @@ def is_spair_closed(elements, order, ctx, config=None):
     cfg = config or GBConfig.from_env()
     ord_ = compile_order(order, ctx)
     elems = [g for g in (_canonical(e, ord_) for e in elements) if not g.is_zero()]
+    table = Reducers(elems)
     checked = 0
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
@@ -299,7 +444,7 @@ def is_spair_closed(elements, order, ctx, config=None):
             if elems[i].lm().gcd(elems[j].lm()).is_one():
                 continue
             s = s_polynomial(elems[i], elems[j], ord_)
-            if not normal_form(s, elems, ord_).is_zero():
+            if not normal_form(s, table, ord_).is_zero():
                 return False
     return True
 

@@ -24,6 +24,7 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     MonomialIdeal,
+    Reducers,
     ScaleExceeded,
     eliminate,
     initial_ideal,
@@ -309,11 +310,12 @@ def standard_rewrites(presentation, k):
     order = presentation.gb.compiled()
     fiber_idx = set(presentation.fiber_indices())
     standard = set(standard_monomials(presentation, k).monomials())
+    reducers = Reducers(presentation.gb.elements)
     out = []
     for w in _fiber_monomials(presentation, k):
         if not any(v.divides(w) for v in blockers):
             continue
-        remainder = normal_form(monomial_poly(w), list(presentation.gb.elements), order)
+        remainder = normal_form(monomial_poly(w), reducers, order)
         for m, _c in remainder.terms:
             part = Monomial.from_pairs(
                 [(i, e) for i, e in enumerate(m.exps) if e and i in fiber_idx],

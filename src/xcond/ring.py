@@ -14,6 +14,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, itemgetter, le, mul, neg, sub
 
 
 class ParseError(ValueError):
@@ -107,7 +108,7 @@ class Monomial:
     exps: tuple
 
     def __post_init__(self):
-        if any(e < 0 for e in self.exps):
+        if min(self.exps, default=0) < 0:
             raise ValueError("negative exponent")
 
     @staticmethod
@@ -137,22 +138,22 @@ class Monomial:
         return sum(self.exps[i] for i in indices)
 
     def mul(self, other):
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(map(add, self.exps, other.exps)))
 
     def divides(self, other):
-        return all(a <= b for a, b in zip(self.exps, other.exps))
+        return all(map(le, self.exps, other.exps))
 
     def div(self, other):
         """Quotient self / other; errors when other does not divide self."""
         if not other.divides(self):
             raise ArithmeticError("monomial quotient does not exist")
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(map(sub, self.exps, other.exps)))
 
     def lcm(self, other):
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(map(max, self.exps, other.exps)))
 
     def gcd(self, other):
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
+        return Monomial(tuple(map(min, self.exps, other.exps)))
 
     def support(self):
         return tuple(i for i, e in enumerate(self.exps) if e)
@@ -199,26 +200,40 @@ def weighted_order(weights, tie):
 
 
 class MonomialOrder:
-    """OrderSpec compiled against a VarContext into a sort key."""
+    """OrderSpec compiled against a VarContext into a sort key.
 
-    __slots__ = ("spec", "context", "_kf", "_nvars")
+    exps_key is the same key taken on a raw exponent tuple, without the
+    length check, for loops that hold exponents instead of Monomials.
+    """
+
+    __slots__ = ("spec", "context", "exps_key", "_nvars")
 
     def __init__(self, spec, context, key_fn):
         self.spec = spec
         self.context = context
-        self._kf = key_fn
+        self.exps_key = key_fn
         self._nvars = context.nvars
 
     def key(self, monomial):
         e = monomial.exps
         if len(e) != self._nvars:
             raise ValueError("monomial does not match the order's context")
-        return self._kf(e)
+        return self.exps_key(e)
 
     def compare(self, a, b):
         """Total comparison: -1, 0, or 1."""
         ka, kb = self.key(a), self.key(b)
         return -1 if ka < kb else (0 if ka == kb else 1)
+
+
+def _picker(idx):
+    """The function e -> tuple(e[i] for i in idx)."""
+    if len(idx) == 1:
+        (i,) = idx
+        return lambda e: (e[i],)
+    if not idx:
+        return lambda e: ()
+    return itemgetter(*idx)
 
 
 def _build_key(spec, ctx, scope):
@@ -227,20 +242,19 @@ def _build_key(spec, ctx, scope):
     if spec.kind == "lex":
         if set(spec.vars) != set(scope) or len(spec.vars) != len(scope):
             raise ValueError("lex order must rank each variable of its scope exactly once")
-        idx = tuple(imap[v] for v in spec.vars)
-        return lambda e: tuple(e[i] for i in idx)
+        return _picker(tuple(imap[v] for v in spec.vars))
     if spec.kind == "revlex":
         if set(spec.vars) != set(scope) or len(spec.vars) != len(scope):
             raise ValueError("revlex order must rank each variable of its scope exactly once")
-        idx = tuple(imap[v] for v in spec.vars)
-        ridx = tuple(reversed(idx))
-        return lambda e: (sum(e[i] for i in idx), tuple(-e[i] for i in ridx))
+        descending = _picker(tuple(imap[v] for v in spec.vars))
+        ascending = _picker(tuple(imap[v] for v in reversed(spec.vars)))
+        return lambda e: (sum(descending(e)), tuple(map(neg, ascending(e))))
     if spec.kind == "block":
         part_names = [bn for bn, _ in spec.parts]
         if sorted(part_names) != sorted(ctx.block_names()):
             raise ValueError("block order must cover every context block exactly once")
         subs = tuple(_build_key(sub, ctx, ctx.block_vars(bn)) for bn, sub in spec.parts)
-        return lambda e: tuple(k(e) for k in subs)
+        return lambda e: tuple([k(e) for k in subs])
     if spec.kind == "weighted":
         scope_idx = tuple(imap[v] for v in ctx.names if v in set(scope))
         if len(spec.weights) != len(scope_idx):
@@ -249,9 +263,9 @@ def _build_key(spec, ctx, scope):
             raise ValueError("weights must be nonnegative")
         if spec.tie is None:
             raise ValueError("weighted order needs a tie-break")
-        wpairs = tuple(zip(spec.weights, scope_idx))
+        weights, scoped = spec.weights, _picker(scope_idx)
         tie_key = _build_key(spec.tie, ctx, scope)
-        return lambda e: (sum(w * e[i] for w, i in wpairs), tie_key(e))
+        return lambda e: (sum(map(mul, weights, scoped(e))), tie_key(e))
     raise ValueError(f"unknown order kind {spec.kind!r}")
 
 

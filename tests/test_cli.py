@@ -132,6 +132,27 @@ class TestRees:
         assert code == 2 and out == ""
         assert err.startswith("input error: ") and "y1, y2" in err
 
+    def test_graph_using_the_elimination_variable(self, capsys, tmp_path):
+        f = tmp_path / "elim.graph"
+        f.write_text("_t a\na b\n")
+        code, out, err = run_cli(capsys, "xcond", "--graph", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and "_t" in err
+
+
+class TestPairCap:
+    """Elimination for P8 pops 407 pairs after the Gebauer-Moeller pruning."""
+
+    def test_cap_below_the_pop_count_fails_loudly(self, capsys):
+        code, out, err = run_cli(capsys, "rees", "--path", "8", "--k", "2", "--pair-cap", "406")
+        assert code == 1 and out == ""
+        assert err.startswith("cap exceeded: S-pair budget of 406 exhausted")
+
+    def test_cap_at_the_pop_count_gives_the_full_answer(self, capsys):
+        code, capped = run_json(capsys, "rees", "--path", "8", "--k", "2", "--pair-cap", "407")
+        assert code == 0
+        assert capped == run_json(capsys, "rees", "--path", "8", "--k", "2")[1]
+
 
 class TestXcondCommand:
     def test_path_holds(self, capsys):

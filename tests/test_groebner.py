@@ -5,12 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xcond import groebner
+from xcond.graphs import minimal_vertex_covers, path_graph
 from xcond.groebner import (
     GBConfig,
     GroebnerBasis,
     Ideal,
     MonomialIdeal,
+    Reducers,
     ScaleExceeded,
     buchberger,
     divide,
@@ -31,9 +36,11 @@ from xcond.ring import (
     compile_order,
     lex_order,
     parse_polynomial,
+    poly_from_dict,
     render_polynomial,
     revlex_order,
 )
+from xcond.rees import rees_ideal
 
 
 def mono(ctx, **powers):
@@ -450,3 +457,135 @@ class TestForeignTermOrder:
         gb = reduced_groebner_basis(Ideal.make(self.gens, self.ctx), self.spec)
         q = parse_polynomial("b*c - a", self.ctx)
         assert membership(q, gb)
+
+
+# ---------------------------------------------------------------------------
+# engine invariants: the pair criteria prune work, never the answer
+# ---------------------------------------------------------------------------
+
+SYSTEMS = {
+    "cyclic4": (
+        ("x1", "x2", "x3", "x4"),
+        revlex_order,
+        (
+            "x1 + x2 + x3 + x4",
+            "x1*x2 + x2*x3 + x3*x4 + x4*x1",
+            "x1*x2*x3 + x2*x3*x4 + x3*x4*x1 + x4*x1*x2",
+            "x1*x2*x3*x4 - 1",
+        ),
+    ),
+    "katsura3": (
+        ("u0", "u1", "u2", "u3"),
+        revlex_order,
+        (
+            "u0 + 2*u1 + 2*u2 + 2*u3 - 1",
+            "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0",
+            "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1",
+            "2*u0*u2 + u1^2 + 2*u1*u3 - u2",
+        ),
+    ),
+}
+CRITERIA = tuple(itertools.product((True, False), repeat=2))  # (coprime, chain)
+
+
+def system(name):
+    names, make_order, texts = SYSTEMS[name]
+    ctx = VarContext.make(names)
+    spec = make_order(*names)
+    ord_ = compile_order(spec, ctx)
+    return Ideal.make([parse_polynomial(t, ctx, ord_) for t in texts], ctx), spec
+
+
+def criteria_config(coprime, chain):
+    return GBConfig(use_coprime_criterion=coprime, use_chain_criterion=chain)
+
+
+def path_kernel(n, config=None):
+    g = path_graph(n)
+    return rees_ideal(g.context(), minimal_vertex_covers(g).monomials(), config=config)
+
+
+class TestEngineInvariants:
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_criteria_agree_on_systems(self, name):
+        ideal, spec = system(name)
+        bases = [
+            [g.terms for g in reduced_groebner_basis(ideal, spec, criteria_config(*c)).elements]
+            for c in CRITERIA
+        ]
+        assert len(bases[0]) > 1
+        assert all(b == bases[0] for b in bases[1:])
+
+    @pytest.mark.parametrize("n", (6, 7))
+    def test_criteria_agree_on_rees_kernels(self, n):
+        bases = [
+            [g.terms for g in path_kernel(n, criteria_config(*c)).gb.elements] for c in CRITERIA
+        ]
+        assert len(bases[0]) == {6: 7, 7: 15}[n]
+        assert all(b == bases[0] for b in bases[1:])
+
+    @pytest.mark.parametrize("criteria", CRITERIA)
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_raw_output_is_spair_closed_on_systems(self, name, criteria):
+        ideal, spec = system(name)
+        gb = buchberger(ideal, spec, criteria_config(*criteria))
+        assert is_spair_closed(gb.elements, spec, ideal.context)
+
+    @pytest.mark.parametrize("criteria", CRITERIA)
+    @pytest.mark.parametrize("n", (6, 7))
+    def test_raw_output_is_spair_closed_on_rees_kernels(self, n, criteria, monkeypatch):
+        raw = []
+
+        def recording(*args, **kwargs):
+            gb = buchberger(*args, **kwargs)
+            raw.append(gb)
+            return gb
+
+        monkeypatch.setattr(groebner, "buchberger", recording)
+        path_kernel(n, criteria_config(*criteria))
+        (gb,) = raw
+        assert len(gb.elements) > {6: 7, 7: 15}[n]
+        assert is_spair_closed(gb.elements, gb.order, gb.context)
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_pair_cap_never_truncates(self, name):
+        """Each cap either raises or returns the uncapped basis."""
+        ideal, spec = system(name)
+        full = buchberger(ideal, spec)
+        cap = 1
+        while True:
+            try:
+                capped = buchberger(ideal, spec, GBConfig(pair_cap=cap))
+            except ScaleExceeded:
+                cap += 1
+                continue
+            break
+        assert cap > 1
+        assert [g.terms for g in capped.elements] == [g.terms for g in full.elements]
+
+
+_CTX3 = VarContext.make(("x1", "x2", "x3"))
+_ORDERS3 = tuple(
+    compile_order(make(*_CTX3.names), _CTX3) for make in (lex_order, revlex_order)
+)
+_polys3 = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3).map(Monomial),
+    st.integers(-3, 3).map(Fraction),
+    max_size=4,
+)
+
+
+class TestQuotientFreeNormalForm:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        f=_polys3,
+        divisors=st.lists(_polys3, max_size=3),
+        which=st.sampled_from(range(len(_ORDERS3))),
+    )
+    def test_matches_division_remainder(self, f, divisors, which):
+        ord_ = _ORDERS3[which]
+        f = poly_from_dict(f, ord_)
+        gs = [poly_from_dict(g, ord_) for g in divisors]
+        _, r = divide(f, gs, ord_)
+        assert normal_form(f, gs, ord_).terms == r.terms
+        assert normal_form(f, Reducers(gs), ord_).terms == r.terms
