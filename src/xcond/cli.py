@@ -4,14 +4,18 @@ certificates, claim verification, and graph/edge-module checks.
 Every command prints one JSON document (sorted keys, compact separators)
 so a fixed invocation is byte-reproducible; --pretty switches stdout to
 an aligned two-column table and --out always receives the machine JSON.
-Exit status: 0 all checks pass, 1 a check failed or a resource cap was
-hit, 2 unusable input.
+The parser is built once per process and each command reads its parsed
+arguments directly.
+
+Exit status: 0 all checks pass; 1 a check failed, or a size cap was hit
+(every size refusal raises ScaleExceeded, reported as "cap exceeded:");
+2 unusable input (InputError or ParseError).  Any other exception is a
+bug and propagates with its traceback.
 """
 
 import argparse
-import sys
 import json
-from dataclasses import dataclass
+import sys
 
 from .families import (
     biclique_claimed,
@@ -21,12 +25,12 @@ from .families import (
     verify_claim,
 )
 from .graphs import (
+    PROFILE_CAP,
     Graph,
     biclique_graph,
     cameron_walker_graph,
     connectivity_profile,
     depth_bound_a,
-    is_chordal,
     is_connected,
     minimal_vertex_covers,
     path_graph,
@@ -60,51 +64,23 @@ from .symalg import (
     EQUIV_CAP,
     RANK_SEED,
     admissible_path_basis,
-    admissible_paths,
     cycle_complex_checks,
     edge_module,
     equivalence_check,
 )
-
-PROFILE_CAP = 16
 
 
 class InputError(Exception):
     """Unusable command input; reported on stderr with exit status 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete description of one invocation; equal configs produce
-    byte-identical output."""
-
-    command: str
-    ideal_file: "str | None" = None
-    graph_file: "str | None" = None
-    path: "int | None" = None
-    biclique: "tuple | None" = None
-    cw: "tuple | None" = None
-    k: int = 1
-    kmax: int = 0
-    r: int = 4
-    check: "str | None" = None
-    order_text: "str | None" = None
-    pretty: bool = False
-    out: "str | None" = None
-    pair_cap: "int | None" = None
-    degree_cap: "int | None" = None
-    seed: int = RANK_SEED
-
-    def gb_config(self):
-        overrides = {}
-        if self.pair_cap is not None:
-            overrides["pair_cap"] = self.pair_cap
-        if self.degree_cap is not None:
-            overrides["degree_cap"] = self.degree_cap
-        try:
-            return GBConfig.from_env(**overrides)
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+def gb_config(args):
+    """Buchberger caps: XCOND_PAIR_CAP as the default, flags winning."""
+    caps = {"pair_cap": args.pair_cap, "degree_cap": args.degree_cap}
+    try:
+        return GBConfig.from_env(**{k: v for k, v in caps.items() if v is not None})
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -191,33 +167,33 @@ def _parse_cw_part(text, prefix):
         raise InputError(f"bad integer list in {text!r}") from None
 
 
-def resolve_graph(config, allow_file=True):
-    picks = [
-        config.path is not None,
-        config.biclique is not None,
-        config.cw is not None,
-        allow_file and config.graph_file is not None,
-    ]
-    if sum(picks) != 1:
+def resolve_graph(args, allow_file=True):
+    """The graph named by exactly one of --path/--biclique/--cw/--graph
+    (allow_file=False: the command has no --graph).  Family graphs carry
+    their parameters in Graph.family."""
+    picks = [args.path, args.biclique, args.cw, args.graph]
+    if sum(p is not None for p in picks) != 1:
         choices = "--path/--biclique/--cw" + ("/--graph" if allow_file else "")
         raise InputError(f"exactly one of {choices} is required")
+    if args.graph is not None:
+        return read_graph_file(args.graph)
     try:
-        if config.path is not None:
-            return path_graph(config.path)
-        if config.biclique is not None:
-            return biclique_graph(*config.biclique)
-        if config.cw is not None:
-            return cameron_walker_graph(*config.cw)
+        if args.path is not None:
+            return path_graph(args.path)
+        if args.biclique is not None:
+            return biclique_graph(*args.biclique)
+        return cameron_walker_graph(
+            _parse_cw_part(args.cw[0], "p"), _parse_cw_part(args.cw[1], "q")
+        )
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    return read_graph_file(config.graph_file)
 
 
-def cover_presentation(config):
-    g = resolve_graph(config)
+def cover_presentation(args):
+    g = resolve_graph(args)
     gens = minimal_vertex_covers(g).monomials()
-    if config.biclique is not None:
-        fiber = biclique_fiber_names(*config.biclique)
+    if g.family and g.family[0] == "biclique":
+        fiber = biclique_fiber_names(*g.family[1:])
     else:
         fiber = default_fiber_names(len(gens))
     clash = sorted(set(fiber) & set(g.vertices))
@@ -228,7 +204,7 @@ def cover_presentation(config):
         )
     if ELIM_VAR in g.vertices:
         raise InputError(f"vertex name {ELIM_VAR} is reserved for the elimination variable")
-    return rees_ideal(g.context(), gens, fiber_names=fiber, config=config.gb_config())
+    return rees_ideal(g.context(), gens, fiber_names=fiber, config=gb_config(args))
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +244,9 @@ def certificate_payload(rep):
 # ---------------------------------------------------------------------------
 
 
-def cmd_gb(config):
-    ctx, spec, polys = read_ideal_file(config.ideal_file, config.order_text)
-    gb = reduced_groebner_basis(Ideal.make(polys, ctx), spec, config.gb_config())
+def cmd_gb(args):
+    ctx, spec, polys = read_ideal_file(args.ideal_file, args.order)
+    gb = reduced_groebner_basis(Ideal.make(polys, ctx), spec, gb_config(args))
     payload = {
         "vars": list(ctx.names),
         "order": render_order_spec(spec),
@@ -281,18 +257,18 @@ def cmd_gb(config):
     return payload, 0
 
 
-def cmd_rees(config):
-    if config.k < 1:
+def cmd_rees(args):
+    if args.k < 1:
         raise InputError("--k must be at least 1")
-    pres = cover_presentation(config)
-    rep = componentwise_certificate(pres, config.k)
+    pres = cover_presentation(args)
+    rep = componentwise_certificate(pres, args.k)
     payload = certificate_payload(rep)
     payload["generators"] = len(pres.gens)
     return payload, 0 if rep.certified else 1
 
 
-def cmd_xcond(config):
-    pres = cover_presentation(config)
+def cmd_xcond(args):
+    pres = cover_presentation(args)
     rep = x_condition(pres)
     payload = {
         "x_condition": rep.holds,
@@ -303,42 +279,36 @@ def cmd_xcond(config):
     return payload, 0 if rep.holds else 1
 
 
-def cmd_powers(config):
-    if config.kmax < 0:
+def cmd_powers(args):
+    if args.kmax < 0:
         raise InputError("--kmax must be nonnegative")
-    pres = cover_presentation(config)
+    pres = cover_presentation(args)
     reports = [
         certificate_payload(componentwise_certificate(pres, k))
-        for k in range(1, config.kmax + 1)
+        for k in range(1, args.kmax + 1)
     ]
     payload = {
-        "kmax": config.kmax,
+        "kmax": args.kmax,
         "generators": len(pres.gens),
         "reports": reports,
     }
     return payload, 0 if all(r["certified"] for r in reports) else 1
 
 
-def _family_claim(config):
+def cmd_verify_family(args):
+    graph = resolve_graph(args, allow_file=False)
+    kind, *params = graph.family
     try:
-        if config.path is not None:
-            return f"path-{config.path}", path_claimed(config.path)
-        if config.biclique is not None:
-            p, q, r = config.biclique
-            return f"biclique-{p}-{q}-{r}", biclique_claimed(p, q, r)
-        if config.cw is not None:
-            p, q = config.cw
-            graph = cameron_walker_graph(p, q)
-            tag = "cw-" + ",".join(map(str, p)) + ";" + ",".join(map(str, q))
-            return tag, cw_claimed(graph)
+        if kind == "path":
+            name, claim = f"path-{params[0]}", path_claimed(*params)
+        elif kind == "biclique":
+            name, claim = "biclique-{}-{}-{}".format(*params), biclique_claimed(*params)
+        else:
+            name = "cw-" + ";".join(",".join(map(str, side)) for side in params)
+            claim = cw_claimed(graph)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    raise InputError("exactly one of --path/--biclique/--cw is required")
-
-
-def cmd_verify_family(config):
-    name, claim = _family_claim(config)
-    gbcfg = config.gb_config()
+    gbcfg = gb_config(args)
     pres = claim.presentation(gbcfg)
     rep = verify_claim(claim, pres, gbcfg)
     payload = {
@@ -359,12 +329,10 @@ def cmd_verify_family(config):
     return payload, 0 if rep.ok else 1
 
 
-def cmd_binomial_edge(config):
-    if config.graph_file is None:
-        raise InputError("--graph is required")
-    g = read_graph_file(config.graph_file)
-    if config.check is not None:
-        rep = equivalence_check(g)
+def cmd_binomial_edge(args):
+    g = read_graph_file(args.graph)
+    if args.check is not None:
+        rep = equivalence_check(g, gb_config(args))
         payload = {
             "vertices": g.n,
             "chordal": rep.chordal,
@@ -383,20 +351,20 @@ def cmd_binomial_edge(config):
     basis = admissible_path_basis(g)
     matches = None
     if g.n <= EQUIV_CAP:
-        matches = basis == reduced_groebner_basis(em.sym_ideal, em.order)
+        matches = basis == reduced_groebner_basis(em.sym_ideal, em.order, gb_config(args))
     payload = {
         "vertices": g.n,
         "edges": len(g.edges),
-        "admissible_paths": len(admissible_paths(g)),
+        "admissible_paths": len(basis.elements),
         "basis": [render_polynomial(p, em.context) for p in basis.elements],
         "matches_computed": matches,
     }
     return payload, 0 if matches in (True, None) else 1
 
 
-def cmd_cycle_complex(config):
+def cmd_cycle_complex(args):
     try:
-        rep = cycle_complex_checks(config.r, config.seed)
+        rep = cycle_complex_checks(args.r, args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     payload = {
@@ -417,8 +385,8 @@ def cmd_cycle_complex(config):
     return payload, 0 if rep.ok else 1
 
 
-def cmd_graph_stats(config):
-    g = resolve_graph(config)
+def cmd_graph_stats(args):
+    g = resolve_graph(args)
     ctx = g.context()
     order = peo(g)
     covers = minimal_vertex_covers(g)
@@ -525,19 +493,16 @@ def build_parser():
     _add_caps(sp)
     _add_output(sp)
 
-    for name, extra in (("rees", "--k"), ("xcond", None), ("powers", "--kmax")):
-        sp = sub.add_parser(
-            name,
-            help={
-                "rees": "single-power linearity certificate for a cover ideal",
-                "xcond": "x-condition of a cover ideal's Rees presentation",
-                "powers": "per-power certificates up to --kmax",
-            }[name],
-        )
+    for name, help_text in (
+        ("rees", "single-power linearity certificate for a cover ideal"),
+        ("xcond", "x-condition of a cover ideal's Rees presentation"),
+        ("powers", "per-power certificates up to --kmax"),
+    ):
+        sp = sub.add_parser(name, help=help_text)
         _add_family(sp)
-        if extra == "--k":
+        if name == "rees":
             sp.add_argument("--k", type=int, default=1)
-        elif extra == "--kmax":
+        elif name == "powers":
             sp.add_argument("--kmax", type=int, required=True)
         _add_caps(sp)
         _add_output(sp)
@@ -567,37 +532,16 @@ def build_parser():
     _add_family(sp)
     _add_output(sp)
 
+    # verify-family has no --graph; resolve_graph reads it everywhere
+    parser.set_defaults(graph=None)
     return parser
 
 
-def config_from_args(args):
-    cw = None
-    if getattr(args, "cw", None) is not None:
-        cw = (_parse_cw_part(args.cw[0], "p"), _parse_cw_part(args.cw[1], "q"))
-    return RunConfig(
-        command=args.command,
-        ideal_file=getattr(args, "ideal_file", None),
-        graph_file=getattr(args, "graph", None),
-        path=getattr(args, "path", None),
-        biclique=tuple(args.biclique) if getattr(args, "biclique", None) else None,
-        cw=cw,
-        k=getattr(args, "k", 1),
-        kmax=getattr(args, "kmax", 0),
-        r=getattr(args, "r", 4),
-        check=getattr(args, "check", None),
-        order_text=getattr(args, "order", None),
-        pretty=getattr(args, "pretty", False),
-        out=getattr(args, "out", None),
-        pair_cap=getattr(args, "pair_cap", None),
-        degree_cap=getattr(args, "degree_cap", None),
-        seed=getattr(args, "seed", RANK_SEED),
-    )
-
-
-def run(config):
-    """Execute one config; print the report and return the exit status."""
+def run(args):
+    """Execute one parsed command line; print the report and return the
+    exit status."""
     try:
-        payload, code = DISPATCH[config.command](config)
+        payload, code = DISPATCH[args.command](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -607,29 +551,23 @@ def run(config):
     except ScaleExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        # scale refusals from the edge-module routines
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 1
     text = render_json(payload)
-    sys.stdout.write(render_pretty(payload) if config.pretty else text)
-    if config.out:
+    sys.stdout.write(render_pretty(payload) if args.pretty else text)
+    if args.out:
         try:
-            with open(config.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"input error: cannot write {config.out}: {exc.strerror}", file=sys.stderr)
+            print(f"input error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
     return code
 
 
+PARSER = build_parser()
+
+
 def main(argv=None):
-    try:
-        args = build_parser().parse_args(argv)
-        return run(config_from_args(args))
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+    return run(PARSER.parse_args(argv))
 
 
 if __name__ == "__main__":

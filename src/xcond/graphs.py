@@ -13,8 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groebner import MonomialIdeal
+from .groebner import MonomialIdeal, ScaleExceeded
 from .ring import Monomial, VarContext
+
+PROFILE_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,7 @@ def has_chordless_cycle(graph):
     """Exhaustive oracle: some vertex subset induces a cycle of length >= 4."""
     n = graph.n
     if n > 8:
-        raise ValueError("exhaustive cycle search is limited to 8 vertices")
+        raise ScaleExceeded("exhaustive cycle search is limited to 8 vertices")
     adj = graph.adjacency()
     for size in range(4, n + 1):
         for subset in itertools.combinations(range(n), size):
@@ -303,8 +305,8 @@ def connectivity_profile(graph):
     """Connectivity extremes over all removal sets A: c(A) counts the
     components surviving in the graph induced on the complement of A."""
     n = graph.n
-    if n > 16:
-        raise ValueError("profile enumeration is limited to 16 vertices")
+    if n > PROFILE_CAP:
+        raise ScaleExceeded(f"profile enumeration is limited to {PROFILE_CAP} vertices")
     adj = graph.adjacency()
     everything = set(range(n))
     dim_sym = None

@@ -49,7 +49,8 @@ _first = itemgetter(0)
 
 
 class ScaleExceeded(RuntimeError):
-    """A computation hit its pair or degree budget; no partial result is returned."""
+    """A computation hit a size cap (its pair or degree budget, or a vertex
+    limit of an exhaustive search); no partial result is returned."""
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,14 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
-from .graphs import back_degrees, connectivity_profile, is_chordal, peo, relabel
-from .groebner import GroebnerBasis, Ideal, initial_ideal, reduced_groebner_basis
+from .graphs import back_degrees, connectivity_profile, peo, relabel
+from .groebner import (
+    GroebnerBasis,
+    Ideal,
+    ScaleExceeded,
+    initial_ideal,
+    reduced_groebner_basis,
+)
 from .ring import (
     Monomial,
     Polynomial,
@@ -118,7 +124,7 @@ def admissible_paths(graph):
     """
     n = graph.n
     if n > SEARCH_CAP:
-        raise ValueError("path search is limited to 10 vertices")
+        raise ScaleExceeded(f"path search is limited to {SEARCH_CAP} vertices")
     adj = graph.adjacency()
     out = []
     for i in range(n):
@@ -221,10 +227,10 @@ def equivalence_check(graph, config=None):
     """Verdicts for one labeling: the input one, or a perfect elimination
     relabeling when the graph is chordal."""
     if graph.n > EQUIV_CAP:
-        raise ValueError("equivalence check is limited to 8 vertices")
-    chordal = is_chordal(graph)
+        raise ScaleExceeded(f"equivalence check is limited to {EQUIV_CAP} vertices")
+    order_used = peo(graph)
+    chordal = order_used is not None
     if chordal:
-        order_used = peo(graph)
         working = relabel(graph, order_used)
     else:
         order_used = tuple(range(graph.n))

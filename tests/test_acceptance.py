@@ -54,7 +54,6 @@ from xcond.rees import (
     rees_ideal,
     standard_monomials,
     weight_order,
-    x_condition,
 )
 from xcond.ring import (
     Monomial,

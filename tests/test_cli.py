@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from xcond import cli
 from xcond.cli import main
 
 
@@ -227,7 +228,7 @@ class TestBinomialEdge:
     def test_basis_listing(self, capsys, c4_file):
         code, payload = run_json(capsys, "binomial-edge", "--graph", c4_file)
         assert code == 0
-        assert payload["admissible_paths"] == 6
+        assert payload["admissible_paths"] == len(payload["basis"]) == 6
         assert payload["matches_computed"] is True
         assert "x1*x4*y3 - x3*x4*y1" in payload["basis"]
 
@@ -242,6 +243,14 @@ class TestBinomialEdge:
         f.write_text("".join(f"v{i:02d} v{i + 1:02d}\n" for i in range(1, 11)))
         code, _, err = run_cli(capsys, "binomial-edge", "--graph", str(f))
         assert code == 1 and "cap exceeded" in err
+
+    @pytest.mark.parametrize("check", [[], ["--check", "mg"]])
+    def test_pair_cap_is_honoured(self, capsys, c4_file, check):
+        code, out, err = run_cli(
+            capsys, "binomial-edge", "--graph", c4_file, *check, "--pair-cap", "1"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("cap exceeded: ")
 
 
 class TestCycleComplex:
@@ -298,6 +307,31 @@ class TestOutput:
         assert all("  " in line for line in lines)
         assert any(line.startswith("chordal") and line.endswith("true") for line in lines)
         assert json.loads(dest.read_text())["chordal"] is True
+
+    def test_shared_parser_keeps_no_state(self, capsys, c4_file):
+        calls = [
+            ("verify-family", "--cw", "p=1", "q=1", "--pair-cap", "100000"),
+            ("graph-stats", "--path", "4", "--pretty"),
+            ("binomial-edge", "--graph", c4_file),
+            ("rees", "--path", "5", "--pair-cap", "2"),
+            ("verify-family", "--path", "5"),
+        ]
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "xcond", *argv], capture_output=True, text=True
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [run_cli(capsys, *argv) for argv in calls] == fresh
+
+    def test_internal_errors_are_not_caps(self, capsys, monkeypatch):
+        def broken(args):
+            raise ValueError("internal bug")
+
+        monkeypatch.setitem(cli.DISPATCH, "graph-stats", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["graph-stats", "--path", "4"])
+        assert capsys.readouterr() == ("", "")
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -1,7 +1,5 @@
 """Rees presentations, the x-condition, and the quotients pipeline."""
 
-from fractions import Fraction
-
 import pytest
 
 from xcond.betti import betti_numbers
@@ -14,7 +12,6 @@ from xcond.rees import (
     colon_cross_check,
     componentwise_certificate,
     default_fiber_names,
-    default_order,
     extended_context,
     is_minimal_sequence,
     kernel_member,

@@ -1,6 +1,5 @@
 """Ring layer: monomial orders, polynomial arithmetic, parsers."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,15 +8,12 @@ from hypothesis import strategies as st
 
 from xcond.ring import (
     Monomial,
-    OrderSpec,
     ParseError,
-    Polynomial,
     VarContext,
     block_order,
     compile_order,
     is_elimination_order,
     lex_order,
-    monomial_poly,
     parse_order_spec,
     parse_polynomial,
     poly_from_terms,

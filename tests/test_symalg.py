@@ -4,7 +4,7 @@ complexes, and depth bounds."""
 import pytest
 
 from xcond.graphs import Graph, all_connected_graphs, path_graph
-from xcond.groebner import reduced_groebner_basis
+from xcond.groebner import ScaleExceeded, reduced_groebner_basis
 from xcond.ring import render_monomial, render_polynomial
 from xcond.symalg import (
     admissible_path_basis,
@@ -90,7 +90,7 @@ class TestAdmissiblePaths:
                 assert not labeled(4, C4).has_edge(p.i, p.j)
 
     def test_search_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScaleExceeded):
             admissible_paths(path_graph(11))
 
     def test_interiors_below_start(self):
@@ -139,7 +139,7 @@ class TestAdmissibleBasis:
 
 class TestEquivalence:
     def test_scale_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScaleExceeded):
             equivalence_check(path_graph(9))
 
     def test_four_cycle(self):
