@@ -94,7 +94,7 @@ def _is_cone(faces):
     return False
 
 
-def _matrix_rank(rows):
+def matrix_rank(rows):
     """Rank over Q by Gaussian elimination; rows are lists of Fractions."""
     if not rows or not rows[0]:
         return 0
@@ -149,7 +149,7 @@ def _reduced_homology_ranks(faces):
             for k in range(len(f)):
                 sub = f[:k] + f[k + 1 :]
                 rows[index[sub]][c] = Fraction(-1 if k % 2 else 1)
-        ranks[d] = _matrix_rank(rows)
+        ranks[d] = matrix_rank(rows)
 
     homology = {}
     for d in range(-1, top + 1):

@@ -75,10 +75,10 @@ class InputError(Exception):
 
 
 def gb_config(args):
-    """Buchberger caps: XCOND_PAIR_CAP as the default, flags winning."""
+    """Buchberger caps: the defaults, unless a flag sets them."""
     caps = {"pair_cap": args.pair_cap, "degree_cap": args.degree_cap}
     try:
-        return GBConfig.from_env(**{k: v for k, v in caps.items() if v is not None})
+        return GBConfig(**{k: v for k, v in caps.items() if v is not None})
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -296,6 +296,10 @@ def cmd_powers(args):
 
 
 def cmd_verify_family(args):
+    if args.path is not None and args.path < 3 and args.biclique is None and args.cw is None:
+        # path_graph refuses --path 1 in its own words; the catalogue starts
+        # at three vertices and refuses every shorter path alike
+        raise InputError("need a path on at least three vertices")
     graph = resolve_graph(args, allow_file=False)
     kind, *params = graph.family
     try:

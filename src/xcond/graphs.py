@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groebner import MonomialIdeal, ScaleExceeded
+from .groebner import ScaleExceeded
 from .ring import Monomial, VarContext
 
 PROFILE_CAP = 16
@@ -179,12 +179,6 @@ def minimal_vertex_covers(graph):
             ), "cover is not minimal"
     covers.sort(key=lambda c: tuple(1 if i in c else 0 for i in range(n)), reverse=True)
     return CoverSet(graph, tuple(covers))
-
-
-def cover_ideal(graph):
-    ideal = MonomialIdeal.make(minimal_vertex_covers(graph).monomials())
-    assert len(ideal.generators) == len(minimal_vertex_covers(graph).covers)
-    return ideal
 
 
 # ---------------------------------------------------------------------------

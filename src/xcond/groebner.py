@@ -25,9 +25,8 @@ a cap raises ScaleExceeded rather than returning a truncated basis.
 from __future__ import annotations
 
 import heapq
-import os
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, le, sub
 
@@ -43,7 +42,6 @@ from .ring import (
 
 DEFAULT_PAIR_CAP = 200_000
 DEFAULT_DEGREE_CAP = 40
-PAIR_CAP_ENV = "XCOND_PAIR_CAP"
 
 _first = itemgetter(0)
 
@@ -64,18 +62,6 @@ class GBConfig:
     def __post_init__(self):
         if self.pair_cap <= 0 or self.degree_cap <= 0:
             raise ValueError("caps must be positive")
-
-    @staticmethod
-    def from_env(**overrides):
-        """Default config, with the pair cap taken from the environment when
-        set; explicit keyword overrides win over both."""
-        cfg = GBConfig()
-        env_cap = os.environ.get(PAIR_CAP_ENV)
-        if env_cap is not None:
-            cfg = replace(cfg, pair_cap=int(env_cap))
-        if overrides:
-            cfg = replace(cfg, **overrides)
-        return cfg
 
 
 @dataclass(frozen=True)
@@ -98,9 +84,6 @@ class GroebnerBasis:
     def compiled(self):
         return compile_order(self.order, self.context)
 
-    def leading_monomials(self):
-        return tuple(g.lm() for g in self.elements)
-
 
 @dataclass(frozen=True)
 class MonomialIdeal:
@@ -122,19 +105,6 @@ class MonomialIdeal:
 
     def contains(self, m):
         return any(u.divides(m) for u in self.generators)
-
-    def colon(self, m):
-        return monomial_colon(self, m)
-
-    def power(self, k):
-        if k < 1:
-            raise ValueError("power must be at least 1")
-        acc = list(self.generators)
-        for _ in range(k - 1):
-            acc = list(
-                MonomialIdeal.make(a.mul(g) for a in acc for g in self.generators).generators
-            )
-        return MonomialIdeal.make(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +133,7 @@ def divide(f, divisors, order):
                 qm = m.div(glm)
                 qc = c / glc
                 quotients[gi][qm] = quotients[gi].get(qm, Fraction(0)) + qc
-                p = p.sub_mul(g, qm, qc, order)
+                p = p.sub(g.term_mul(qm, qc), order)
                 break
         else:
             remainder.append((m, c))
@@ -287,7 +257,7 @@ def buchberger(ideal, order, config=None):
     pair is reduced.  The result lists every installed element, retired
     ones included.
     """
-    cfg = config or GBConfig.from_env()
+    cfg = config or GBConfig()
     ctx = ideal.context
     ord_ = compile_order(order, ctx)
     key = ord_.exps_key
@@ -432,7 +402,7 @@ def membership(f, gb):
 
 def is_spair_closed(elements, order, ctx, config=None):
     """Buchberger criterion re-check: every S-pair reduces to zero."""
-    cfg = config or GBConfig.from_env()
+    cfg = config or GBConfig()
     ord_ = compile_order(order, ctx)
     elems = [g for g in (_canonical(e, ord_) for e in elements) if not g.is_zero()]
     table = Reducers(elems)

@@ -69,9 +69,6 @@ class ReesPresentation:
     order: object
     gb: object
 
-    def fiber_names(self):
-        return self.extended.block_vars(FIBER_BLOCK)
-
     def fiber_indices(self):
         return self.extended.block_indices(FIBER_BLOCK)
 
@@ -87,8 +84,7 @@ def default_fiber_names(count):
 
 
 def extended_context(base_ctx, gens, fiber_names=None):
-    """Fiber block in front of the base block, bidegrees (deg u_j, 1) and
-    (1, 0) respectively."""
+    """Fiber block in front of the base block."""
     gens = tuple(gens)
     if fiber_names is None:
         fiber_names = default_fiber_names(len(gens))
@@ -99,10 +95,7 @@ def extended_context(base_ctx, gens, fiber_names=None):
         raise ValueError("fiber names must be fresh")
     names = fiber_names + base_ctx.names
     blocks = ((FIBER_BLOCK, fiber_names), (BASE_BLOCK, base_ctx.names))
-    bidegrees = tuple((g.degree(), 1) for g in gens) + tuple(
-        (1, 0) for _ in base_ctx.names
-    )
-    return VarContext.make(names, blocks, bidegrees)
+    return VarContext.make(names, blocks)
 
 
 def presentation_order(fiber_spec, base_spec):
@@ -163,12 +156,11 @@ def rees_ideal(base_ctx, gens, order=None, fiber_names=None, config=None):
         BASE_BLOCK,
     ):
         raise ValueError("order must compare the fiber block before the base block")
-    cfg = replace(config or GBConfig.from_env(), expect_binomials=True)
+    cfg = replace(config or GBConfig(), expect_binomials=True)
 
     elim_ctx = VarContext.make(
         (ELIM_VAR,) + extended.names,
         (("elim", (ELIM_VAR,)),) + extended.blocks,
-        ((0, 1),) + extended.bidegrees,
     )
     elim_order = block_order(("elim", lex_order(ELIM_VAR)), *order.parts)
     elim_compiled = compile_order(elim_order, elim_ctx)
@@ -378,10 +370,6 @@ def is_minimal_sequence(monomials):
         for i, a in enumerate(monomials)
         for j, b in enumerate(monomials)
     )
-
-
-def minimality_check(presentation, k):
-    return is_minimal_sequence(standard_monomials(presentation, k).images())
 
 
 def colon_cross_check(presentation, k):

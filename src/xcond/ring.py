@@ -32,29 +32,19 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class VarContext:
-    """Ordered variable universe, partitioned into named blocks.
-
-    bidegrees assigns each variable a pair (a, b); base variables get
-    (1, 0) and fiber variables get (deg u_j, 1) so that binomial
-    relations of a Rees presentation are bihomogeneous.
-    """
+    """Ordered variable universe, partitioned into named blocks."""
 
     names: tuple
     blocks: tuple
-    bidegrees: tuple
 
     @staticmethod
-    def make(names, blocks=None, bidegrees=None):
+    def make(names, blocks=None):
         names = tuple(names)
         if blocks is None:
             blocks = (("main", names),)
         else:
             blocks = tuple((bn, tuple(bv)) for bn, bv in blocks)
-        if bidegrees is None:
-            bidegrees = tuple((1, 0) for _ in names)
-        else:
-            bidegrees = tuple((int(a), int(b)) for a, b in bidegrees)
-        return VarContext(names, blocks, bidegrees)
+        return VarContext(names, blocks)
 
     def __post_init__(self):
         if len(set(self.names)) != len(self.names):
@@ -62,10 +52,6 @@ class VarContext:
         flat = [v for _, vs in self.blocks for v in vs]
         if len(flat) != len(self.names) or set(flat) != set(self.names):
             raise ValueError("blocks must partition the variable set")
-        if len(self.bidegrees) != len(self.names):
-            raise ValueError("bidegrees length mismatch")
-        if any(a < 0 or b < 0 for a, b in self.bidegrees):
-            raise ValueError("bidegrees must be nonnegative")
 
     @property
     def nvars(self):
@@ -220,11 +206,6 @@ class MonomialOrder:
             raise ValueError("monomial does not match the order's context")
         return self.exps_key(e)
 
-    def compare(self, a, b):
-        """Total comparison: -1, 0, or 1."""
-        ka, kb = self.key(a), self.key(b)
-        return -1 if ka < kb else (0 if ka == kb else 1)
-
 
 def _picker(idx):
     """The function e -> tuple(e[i] for i in idx)."""
@@ -354,9 +335,6 @@ class Polynomial:
             return -1
         return max(m.degree() for m, _ in self.terms)
 
-    def monomials(self):
-        return tuple(m for m, _ in self.terms)
-
     def is_binomial_pm1(self):
         """Pure difference binomial u - v (or a single +-1 term)."""
         if len(self.terms) == 1:
@@ -390,14 +368,13 @@ class Polynomial:
         return Polynomial(tuple((m.mul(mono), coeff * c) for m, c in self.terms))
 
     def add(self, other, order):
-        return _merge(self, other, _ONE, Monomial.one(len_of(self, other)), order)
+        acc = dict(self.terms)
+        for m, c in other.terms:
+            acc[m] = acc.get(m, _ZERO) + c
+        return poly_from_dict(acc, order)
 
     def sub(self, other, order):
-        return _merge(self, other, Fraction(-1), Monomial.one(len_of(self, other)), order)
-
-    def sub_mul(self, other, mono, coeff, order):
-        """self - coeff * x^mono * other, by a single sorted merge."""
-        return _merge(self, other, -Fraction(coeff), mono, order)
+        return self.add(other.neg(), order)
 
     def mul(self, other, order):
         acc = {}
@@ -406,45 +383,6 @@ class Polynomial:
                 m = m1.mul(m2)
                 acc[m] = acc.get(m, _ZERO) + c1 * c2
         return poly_from_dict(acc, order)
-
-
-def len_of(f, g):
-    if f.terms:
-        return len(f.terms[0][0].exps)
-    if g.terms:
-        return len(g.terms[0][0].exps)
-    return 0
-
-
-def _merge(f, g, coeff, mono, order):
-    """f + coeff * x^mono * g with both term lists descending under order."""
-    if coeff == 0 or g.is_zero():
-        return f
-    kf = order.key
-    out = []
-    ft, gt = f.terms, g.terms
-    i = j = 0
-    shift_one = mono.is_one()
-    while i < len(ft) and j < len(gt):
-        mf = ft[i][0]
-        mg = gt[j][0] if shift_one else gt[j][0].mul(mono)
-        ka, kb = kf(mf), kf(mg)
-        if ka > kb:
-            out.append(ft[i])
-            i += 1
-        elif ka < kb:
-            out.append((mg, coeff * gt[j][1]))
-            j += 1
-        else:
-            c = ft[i][1] + coeff * gt[j][1]
-            if c != 0:
-                out.append((mf, c))
-            i += 1
-            j += 1
-    out.extend(ft[i:])
-    for m, c in gt[j:]:
-        out.append((m if shift_one else m.mul(mono), coeff * c))
-    return Polynomial(tuple(out))
 
 
 def poly_from_dict(d, order):
@@ -528,6 +466,8 @@ def parse_polynomial(text, ctx, order=None):
                     if kind3 != "num":
                         raise ParseError("expected denominator", pos3)
                     i += 1
+                    if int(val3) == 0:
+                        raise ParseError("zero denominator", pos3)
                     coeff *= Fraction(num, int(val3))
                 else:
                     coeff *= num

@@ -6,9 +6,8 @@ ideal generated by the binomials x_i y_j - x_j y_i.  Under the lex order
 with x_1 > ... > x_n > y_1 > ... > y_n that ideal has a combinatorial
 reduced Groebner basis indexed by admissible paths, and the initial
 ideal is generated in x-degree at most one exactly when the graph is
-chordal.  This module builds both routes to that verdict, the rank and
-minor checks for the length-r cycle resolution complex, and the depth
-bound read off back-neighborhood sizes of a perfect elimination order.
+chordal.  This module builds both routes to that verdict and the rank
+and minor checks for the length-r cycle resolution complex.
 """
 
 import random
@@ -17,7 +16,8 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 
-from .graphs import back_degrees, connectivity_profile, peo, relabel
+from .betti import matrix_rank
+from .graphs import peo, relabel
 from .groebner import (
     GroebnerBasis,
     Ideal,
@@ -87,11 +87,6 @@ def edge_module(graph):
         if image != g:
             raise AssertionError("relation does not match its ideal generator")
     return EdgeModulePresentation(graph, ctx, order, tuple(relations), Ideal.make(gens, ctx))
-
-
-def binomial_edge_ideal(graph):
-    """One generator x_i y_j - x_j y_i per edge {i, j} with i < j."""
-    return edge_module(graph).sym_ideal
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +168,6 @@ def admissible_path_basis(graph):
         elements.append(f.term_mul(path.u_pi))
     elements.sort(key=lambda g: key.key(g.lm()), reverse=True)
     return GroebnerBasis(ctx, order, tuple(elements), True)
-
-
-def interiors_below_start(graph):
-    """Whether every admissible path keeps its interior below the small
-    endpoint; holds for chordal graphs labeled by a perfect elimination
-    order and makes every basis multiplier free of x-variables."""
-    return all(v < p.i for p in admissible_paths(graph) for v in p.interior)
 
 
 # ---------------------------------------------------------------------------
@@ -350,28 +338,6 @@ def _evaluate(poly, point):
     return value
 
 
-def _rank_at(rows, point):
-    mat = [[_evaluate(p, point) for p in row] for row in rows]
-    rank = 0
-    col = 0
-    nrows, ncols = len(mat), len(mat[0])
-    while rank < nrows and col < ncols:
-        pivot = next((s for s in range(rank, nrows) if mat[s][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [c * inv for c in mat[rank]]
-        for s in range(nrows):
-            if s != rank and mat[s][col] != 0:
-                factor = mat[s][col]
-                mat[s] = [a - factor * b for a, b in zip(mat[s], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 @dataclass(frozen=True)
 class CycleComplexReport:
     """Acyclicity evidence for the cycle resolution complex and the Betti
@@ -435,7 +401,7 @@ def cycle_complex_checks(r, seed=RANK_SEED):
 
     rng = random.Random(seed)
     point = [Fraction(rng.randint(2, 1000), rng.randint(1, 50)) for _ in range(r)]
-    evaluated = _rank_at([list(row) for row in cc.phi1], point)
+    evaluated = matrix_rank([[_evaluate(p, point) for p in row] for row in cc.phi1])
     rank_by_evaluation = evaluated == r - 1
     # the symbolic witness minor is the fallback certificate for rank >= r-1
     rank_phi1 = r - 1 if (rank_by_evaluation or minor_matches) and det_phi1_zero else evaluated
@@ -453,37 +419,4 @@ def cycle_complex_checks(r, seed=RANK_SEED):
         rank_by_evaluation,
         (r, r, 1),
         (1, 2, r),
-    )
-
-
-# ---------------------------------------------------------------------------
-# depth bounds
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DepthReport:
-    """Depth lower bound n - max back-neighborhood size, the matching
-    projective dimension of the initial presentation (a direct sum of
-    variable-generated ideals, hence Koszul), and the connectivity
-    profile bounding the limit depth of high symmetric powers."""
-
-    n: int
-    back_neighbor_sizes: tuple
-    depth_lower_bound: int
-    projdim_initial: int
-    profile: dict
-
-
-def depth_bound_report(graph):
-    """Requires the identity labeling to be a perfect elimination order."""
-    labeling = tuple(range(graph.n))
-    degs = back_degrees(graph, labeling)
-    worst = max(degs)
-    return DepthReport(
-        graph.n,
-        degs,
-        graph.n - worst,
-        worst,
-        connectivity_profile(graph),
     )

@@ -59,6 +59,13 @@ class TestGb:
         assert code == 2 and out == ""
         assert "position 6" in err
 
+    def test_zero_denominator(self, capsys, tmp_path):
+        f = tmp_path / "zero.ideal"
+        f.write_text("vars: a, b\nlex[a>b]\na - 1/0*b\n")
+        code, out, err = run_cli(capsys, "gb", str(f))
+        assert code == 2 and out == ""
+        assert err == f"input error: {f}:3: zero denominator (at position 6)\n"
+
     def test_missing_header(self, capsys, tmp_path):
         f = tmp_path / "nohdr.ideal"
         f.write_text("lex[a>b]\na - b\n")
@@ -106,18 +113,6 @@ class TestRees:
         code, out, err = run_cli(capsys, "rees", "--path", "5", "--pair-cap", "2")
         assert code == 1 and out == ""
         assert "cap exceeded" in err
-
-    def test_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("XCOND_PAIR_CAP", "2")
-        code, _, err = run_cli(capsys, "rees", "--path", "5")
-        assert code == 1 and "cap exceeded" in err
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("XCOND_PAIR_CAP", "2")
-        code, payload = run_json(
-            capsys, "rees", "--path", "5", "--pair-cap", "100000"
-        )
-        assert code == 0 and payload["certified"]
 
     def test_biclique_uses_family_fiber_names(self, capsys):
         # the biclique's own vertices y1..yq must not collide with the fiber
@@ -215,6 +210,21 @@ class TestVerifyFamily:
     def test_bad_cw_spec(self, capsys):
         code, _, err = run_cli(capsys, "verify-family", "--cw", "x=1", "q=1")
         assert code == 2 and "p=" in err
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_short_path_is_one_input_error(self, capsys, n):
+        code, out, err = run_cli(capsys, "verify-family", "--path", n)
+        assert (code, out) == (2, "")
+        assert err == "input error: need a path on at least three vertices\n"
+
+    def test_short_path_with_a_second_family(self, capsys):
+        code, _, err = run_cli(capsys, "verify-family", "--path", "1", "--cw", "p=1", "q=1")
+        assert code == 2 and "exactly one" in err
+
+    @pytest.mark.parametrize("argv", [("rees", "--path", "2"), ("graph-stats", "--path", "2")])
+    def test_two_vertex_path_outside_the_catalogue(self, capsys, argv):
+        code, payload = run_json(capsys, *argv)
+        assert code == 0 and payload
 
 
 class TestBinomialEdge:

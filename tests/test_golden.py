@@ -1,0 +1,84 @@
+"""CLI output pinned byte for byte: the exit status and the sha256 of
+stdout for a fixed set of invocations.  A refactor that changes any
+report, even by one character or one key order, fails here.
+
+To refresh a digest after an intended output change, run the command and
+hash its stdout, e.g. `xcond rees --path 6 --k 2 | sha256sum`."""
+
+import hashlib
+
+import pytest
+
+from xcond.cli import main
+
+INPUTS = {
+    "cyclic4.ideal": (
+        "vars: x1, x2, x3, x4\n"
+        "revlex[x1>x2>x3>x4]\n"
+        "x1 + x2 + x3 + x4\n"
+        "x1*x2 + x2*x3 + x3*x4 + x4*x1\n"
+        "x1*x2*x3 + x2*x3*x4 + x3*x4*x1 + x4*x1*x2\n"
+        "x1*x2*x3*x4 - 1\n"
+    ),
+    "katsura3.ideal": (
+        "vars: u0, u1, u2, u3\n"
+        "lex[u0>u1>u2>u3]\n"
+        "u0 + 2*u1 + 2*u2 + 2*u3 - 1\n"
+        "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0\n"
+        "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1\n"
+        "2*u0*u2 + u1^2 + 2*u1*u3 - u2\n"
+    ),
+    "c4.graph": "v1 v2\nv2 v3\nv3 v4\nv1 v4\n",
+    # the fixed eight-vertex graph of the edge-sweep benchmark
+    "g8.graph": (
+        "v1 v3\nv1 v4\nv1 v5\nv1 v6\nv1 v7\nv1 v8\n"
+        "v2 v3\nv2 v5\nv2 v6\nv2 v7\nv2 v8\nv3 v4\n"
+    ),
+}
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+GOLDEN = (
+    ("rees --path 3 --k 2", 0, "623d5ba3b058e3dbe013f0a79dd11ff67ec2cb6d661f556cde71d115d7db79f1"),
+    ("rees --path 4 --k 2", 0, "f05ecf967d799183012769c41c7811f19e22aa343c5a19671c213297916dd2c4"),
+    ("rees --path 5 --k 2", 0, "0047933a29772eef7c5422c1328b9e73a8187f1f1e80002802841d748b1a5d98"),
+    ("rees --path 6 --k 2", 0, "662a4e03ab5bb7a65f9d1523d0744f59f5205246a47b9e4227bb3cf166f41dd2"),
+    ("rees --path 7 --k 2", 0, "5461c852165dabb8bf9811482d77c706ec0eea13e7f921b91a397ae57662863b"),
+    ("rees --path 8 --k 2", 0, "ad210b35904238e8acfbfc66a593d511a251a8a5439f77fe28001dcdb97c9976"),
+    ("rees --biclique 2 2 2 --k 1", 0, "9e21ed691a5120accf0b4679f8f116e4c916745f0199c6057b1116aee23e8c59"),
+    ("rees --cw p=1 q=1 --k 2", 0, "e16d9ef9aeeef2c66196b926743e8eea41d9a89f87b41388002a583596923197"),
+    ("xcond --path 8", 0, "53e84c15e8d62cd39b2fe2543a960d01d10f1167f27f193c0c91b185a2cd34c6"),
+    ("powers --path 6 --kmax 3", 0, "f6ba7d4b51d5a780d5d4c3cde594a4120fefb45b94e4be2fc4b027879e1ab3a8"),
+    ("powers --cw p=2 q=1 --kmax 3", 0, "9fc215f84a5aa4ed474a6b7abf7da8f26228c243b1db7888ff36e54deacd091f"),
+    ("verify-family --path 8", 0, "aa6fc7403a9fd7db8fbe79383fe1152647f81622fb2c86223862c7c3431fe599"),
+    ("verify-family --biclique 2 3 2", 0, "558a51490020acde11093ef8e30b6621133a26369b9ec1d99a778eafe73d6701"),
+    ("verify-family --cw p=1,1 q=1", 0, "6c7cfbb8dacf93062edd3c00dd4105164e68e8b3934ceee79e2780b8904d8ed0"),
+    ("gb cyclic4.ideal", 0, "960ca75244e253e15f04aa4415ea05740e8abd4819ba0f1fa1f22b0ad89bc001"),
+    ("gb katsura3.ideal", 0, "59c5e851337bd99da1db1017984178c0bbabd3728168033b218f293a83464ed3"),
+    ("binomial-edge --graph c4.graph", 0, "85a89df047f91b352ba8cf1eaa37dd9e9c4eb64127035265d14ca3a5acdb837b"),
+    ("binomial-edge --graph c4.graph --check mg", 0, "dbbd19513b3149687dc8d252d291455a6cc83f33828bad7c3ece4e1508193d70"),
+    ("binomial-edge --graph g8.graph", 0, "e3d3bd40984a7355b45e46fadc708fdcd33d450970a169866a803ea4cac6af64"),
+    ("binomial-edge --graph g8.graph --check mg", 0, "8bce94183141fa7bf6208924e4b85081e64471f7801f1b245dcbd3af4f48f5f7"),
+    ("cycle-complex --r 4", 0, "db2ed2bf602107c5ab59eed538ae4963b26574ba3ea4e70b01e5f508022a3da0"),
+    ("cycle-complex --r 5", 0, "2094a7a35f4d1214d1a1c54fb726376ad04507f42731835e8b95906a4d962dd0"),
+    ("cycle-complex --r 6", 0, "5aa8a60baef7f782453d5051f6d8faeb3a63169b0a47d5e506ccff70e31785fe"),
+    ("cycle-complex --r 7", 0, "3b392a04f55164366b9237482a0ecbca72fe3b2786b83722b5133e77343ac9cd"),
+    ("graph-stats --path 4 --pretty", 0, "b585b8da0121562d0f6a83885793fb5e1b532a0041cc4430823ea4bab5a94889"),
+    ("verify-family --path 2", 2, EMPTY),
+    ("rees --path 5 --pair-cap 2", 1, EMPTY),
+    ("cycle-complex --r 3", 2, EMPTY),
+)
+
+
+@pytest.fixture
+def inputs(tmp_path, monkeypatch):
+    for name, text in INPUTS.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_stdout_is_pinned(capsys, inputs, command, code, digest):
+    assert main(command.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -12,7 +12,6 @@ from xcond.graphs import (
     cameron_walker_graph,
     connected_graph_representatives,
     connectivity_profile,
-    cover_ideal,
     depth_bound_a,
     has_chordless_cycle,
     is_chordal,
@@ -22,6 +21,7 @@ from xcond.graphs import (
     peo,
     relabel,
 )
+from xcond.groebner import MonomialIdeal
 from xcond.ring import Monomial
 
 
@@ -147,11 +147,11 @@ class TestCovers:
         assert positions[1] < positions[4]
 
     def test_cover_ideal_p3(self):
-        ideal = cover_ideal(path_graph(3))
+        ideal = MonomialIdeal.make(minimal_vertex_covers(path_graph(3)).monomials())
         assert set(ideal.generators) == {Monomial((0, 1, 0)), Monomial((1, 0, 1))}
 
     def test_cover_ideal_p4(self):
-        ideal = cover_ideal(path_graph(4))
+        ideal = MonomialIdeal.make(minimal_vertex_covers(path_graph(4)).monomials())
         assert set(ideal.generators) == {
             Monomial((1, 0, 1, 0)),
             Monomial((0, 1, 1, 0)),

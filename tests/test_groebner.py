@@ -138,7 +138,7 @@ class TestSPolynomial:
         s = s_polynomial(f, g, ord_)
         L = f.lm().lcm(g.lm())
         assert not s.is_zero()
-        assert ord_.compare(s.lm(), L) < 0
+        assert ord_.key(s.lm()) < ord_.key(L)
 
 
 class TestBuchberger:
@@ -213,13 +213,6 @@ class TestBuchberger:
         with pytest.raises(ScaleExceeded):
             buchberger(Ideal.make(gens, ctx3), spec, GBConfig(pair_cap=1))
 
-    def test_env_cap_pickup(self, ctx3, monkeypatch):
-        monkeypatch.setenv("XCOND_PAIR_CAP", "17")
-        assert GBConfig.from_env().pair_cap == 17
-        assert GBConfig.from_env(pair_cap=99).pair_cap == 99
-        monkeypatch.delenv("XCOND_PAIR_CAP")
-        assert GBConfig.from_env().pair_cap == 200_000
-
     def test_empty_ideal(self, ctx3):
         gb = buchberger(Ideal.make([], ctx3), lex_order("x1", "x2", "x3"))
         assert gb.elements == ()
@@ -245,7 +238,7 @@ class TestReduceBasis:
             parse_polynomial("x1*x2 + x3^2", ctx3, ord_),
         ]
         gb = reduce_basis(buchberger(Ideal.make(gens, ctx3), spec))
-        lms = gb.leading_monomials()
+        lms = [g.lm() for g in gb.elements]
         for a, b in itertools.permutations(lms, 2):
             assert not a.divides(b)
         for g in gb.elements:
@@ -394,11 +387,6 @@ class TestMonomialIdeal:
             fast = monomial_colon(I, m)
             slow = brute_force_colon(I, m, nvars, 10)
             assert fast.generators == slow.generators
-
-    def test_power(self):
-        I = MonomialIdeal.make([Monomial((1, 0)), Monomial((0, 1))])
-        sq = I.power(2)
-        assert set(sq.generators) == {Monomial((2, 0)), Monomial((1, 1)), Monomial((0, 2))}
 
     def test_initial_ideal_minimalizes(self, ctx2):
         spec = lex_order("x1", "x2")

@@ -58,3 +58,76 @@ def test_scanner_flags_only_unreferenced_names():
         "d()\n"
     )
     assert unused_imports(source) == [(2, "os"), (3, "b")]
+
+
+# ---------------------------------------------------------------------------
+# dead definitions: every module-level function or class in the package is
+# referenced somewhere else in the package, or listed here with its reason
+# ---------------------------------------------------------------------------
+
+LIBRARY_ONLY = (
+    ("has_chordless_cycle", "exhaustive chordality oracle for the criterion-6 tests"),
+    ("all_connected_graphs", "labeled enumeration behind criterion 6"),
+    ("connected_graph_representatives", "isomorphism classes behind criterion 6"),
+    ("divide", "textbook division, the oracle for normal_form"),
+    ("standard_rewrites", "the paper's rewrite check for standard monomials"),
+    ("colon_cross_check", "the paper's colon-ideal check of linear quotients"),
+    ("weight_order", "builds the order of the weighted certificate route"),
+    ("ascending_degree", "the weighted certificate route's sort"),
+    ("is_chordal", "wrapped by the benchmark tracer; the oracle for peo"),
+)
+PACKAGE = sorted((ROOT / "src" / "xcond").glob("*.py"))
+
+
+def _referenced(nodes):
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+
+def dead_definitions(sources, allowed=()):
+    """(module, name) of each module-level def or class that nothing but
+    itself or another dead definition references, repeated to a fixpoint."""
+    defs = {}
+    top_level = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef | ast.ClassDef):
+                defs[module, node.name] = set(_referenced([node])) - {node.name}
+            else:
+                top_level.append(node)
+    roots = set(_referenced(top_level)) | set(allowed)
+    dead = set(defs)
+    while True:
+        live = roots.union(*(defs[d] for d in defs if d not in dead))
+        still = {d for d in dead if d[1] not in live}
+        if still == dead:
+            return sorted(dead)
+        dead = still
+
+
+def package_sources():
+    return {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+
+
+def test_no_dead_definitions():
+    assert dead_definitions(package_sources(), [name for name, _ in LIBRARY_ONLY]) == []
+
+
+def test_every_exception_is_needed():
+    # a listed name that the package itself starts to use leaves the list
+    dead = {name for _, name in dead_definitions(package_sources())}
+    assert [name for name, _ in LIBRARY_ONLY if name not in dead] == []
+
+
+def test_dead_scan_follows_chains():
+    sources = {
+        "a": "def used():\n    return helper()\n\ndef helper():\n    return 1\n\nused()\n",
+        "b": "class Report:\n    pass\n\ndef report():\n    return Report()\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n",
+    }
+    assert dead_definitions(sources) == [("b", "Report"), ("b", "recursive"), ("b", "report")]
+    assert dead_definitions(sources, ["report"]) == [("b", "recursive")]

@@ -16,7 +16,6 @@ from xcond.rees import (
     is_minimal_sequence,
     kernel_member,
     linear_quotients,
-    minimality_check,
     quotient_steps,
     rees_ideal,
     standard_monomials,
@@ -101,13 +100,6 @@ class TestConstruction:
         )
         with pytest.raises(ValueError, match="fiber block"):
             rees_ideal(ctx, gens, order=bad)
-
-    def test_bidegrees(self):
-        pres = path_presentation(3)
-        ext = pres.extended
-        assert ext.bidegrees[ext.index("y1")] == (2, 1)
-        assert ext.bidegrees[ext.index("y2")] == (1, 1)
-        assert ext.bidegrees[ext.index("x1")] == (1, 0)
 
     def test_kernel_membership(self):
         pres = path_presentation(3)
@@ -240,7 +232,7 @@ class TestQuotients:
         for n in (5, 6):
             pres = path_presentation(n)
             for k in (1, 2, 3):
-                assert minimality_check(pres, k)
+                assert is_minimal_sequence(standard_monomials(pres, k).images())
                 assert linear_quotients(pres, k).ok
                 assert colon_cross_check(pres, k)
 

@@ -1,7 +1,5 @@
 """Ring layer: monomial orders, polynomial arithmetic, parsers."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,15 +68,15 @@ class TestLexOrder:
     def test_ranking_respected(self, ctx3):
         ord_ = compile_order(lex_order("x", "y", "z"), ctx3)
         x, y, z = (mono(ctx3, **{v: 1}) for v in "xyz")
-        assert ord_.compare(x, y) > 0
-        assert ord_.compare(y, z) > 0
+        assert ord_.key(x) > ord_.key(y)
+        assert ord_.key(y) > ord_.key(z)
         # lex ignores total degree
-        assert ord_.compare(x, mono(ctx3, y=5, z=5)) > 0
+        assert ord_.key(x) > ord_.key(mono(ctx3, y=5, z=5))
 
     def test_permuted_ranking(self, ctx3):
         ord_ = compile_order(lex_order("z", "x", "y"), ctx3)
-        assert ord_.compare(mono(ctx3, z=1), mono(ctx3, x=3)) > 0
-        assert ord_.compare(mono(ctx3, x=1), mono(ctx3, y=3)) > 0
+        assert ord_.key(mono(ctx3, z=1)) > ord_.key(mono(ctx3, x=3))
+        assert ord_.key(mono(ctx3, x=1)) > ord_.key(mono(ctx3, y=3))
 
     def test_scope_must_be_exact(self, ctx3):
         with pytest.raises(ValueError):
@@ -90,21 +88,21 @@ class TestLexOrder:
 class TestRevlexOrder:
     def test_degree_dominates(self, ctx3):
         ord_ = compile_order(revlex_order("x", "y", "z"), ctx3)
-        assert ord_.compare(mono(ctx3, z=2), mono(ctx3, x=1)) > 0
+        assert ord_.key(mono(ctx3, z=2)) > ord_.key(mono(ctx3, x=1))
 
     def test_equal_degree_last_variable_penalized(self, ctx3):
         # Among equal degrees the monomial with the smaller exponent on the
         # least variable wins: x*z < y^2 because z's exponent decides.
         ord_ = compile_order(revlex_order("x", "y", "z"), ctx3)
-        assert ord_.compare(mono(ctx3, y=2), mono(ctx3, x=1, z=1)) > 0
-        assert ord_.compare(mono(ctx3, x=1, y=1), mono(ctx3, y=2)) > 0
+        assert ord_.key(mono(ctx3, y=2)) > ord_.key(mono(ctx3, x=1, z=1))
+        assert ord_.key(mono(ctx3, x=1, y=1)) > ord_.key(mono(ctx3, y=2))
 
     def test_differs_from_graded_lex(self, ctx3):
         # grlex would put x^2*y*z^2 > x*y^3*z ; grevlex reverses it.
         ord_ = compile_order(revlex_order("x", "y", "z"), ctx3)
         a = mono(ctx3, x=2, y=1, z=2)
         b = mono(ctx3, x=1, y=3, z=1)
-        assert ord_.compare(a, b) < 0
+        assert ord_.key(a) < ord_.key(b)
 
 
 class TestBlockOrder:
@@ -117,8 +115,8 @@ class TestBlockOrder:
         # any positive fiber degree beats any pure-base monomial
         big_base = mono(ctx_xy, x1=3)
         small_fiber = mono(ctx_xy, y2=1)
-        assert ord_.compare(small_fiber, big_base) > 0
-        assert ord_.compare(mono(ctx_xy, y3=1), mono(ctx_xy, y2=4)) > 0
+        assert ord_.key(small_fiber) > ord_.key(big_base)
+        assert ord_.key(mono(ctx_xy, y3=1)) > ord_.key(mono(ctx_xy, y2=4))
 
     def test_base_breaks_fiber_ties(self, ctx_xy):
         spec = block_order(
@@ -128,7 +126,7 @@ class TestBlockOrder:
         ord_ = compile_order(spec, ctx_xy)
         a = mono(ctx_xy, y1=1, x1=1)
         b = mono(ctx_xy, y1=1, x2=2)
-        assert ord_.compare(a, b) > 0
+        assert ord_.key(a) > ord_.key(b)
 
     def test_all_blocks_required(self, ctx_xy):
         with pytest.raises(ValueError):
@@ -140,9 +138,9 @@ class TestWeightedOrder:
         spec = weighted_order((2, 3, 1), lex_order("x", "y", "z"))
         ord_ = compile_order(spec, ctx3)
         # w(y^1)=3 > w(x^1)=2
-        assert ord_.compare(mono(ctx3, y=1), mono(ctx3, x=1)) > 0
+        assert ord_.key(mono(ctx3, y=1)) > ord_.key(mono(ctx3, x=1))
         # w(x^3)=6 vs w(y^2)=6: lex tie-break picks x^3
-        assert ord_.compare(mono(ctx3, x=3), mono(ctx3, y=2)) > 0
+        assert ord_.key(mono(ctx3, x=3)) > ord_.key(mono(ctx3, y=2))
 
     def test_weight_length_checked(self, ctx3):
         with pytest.raises(ValueError):
@@ -184,16 +182,15 @@ def test_order_axioms(a, b, c, spec_i):
     ctx = VarContext.make(("x", "y", "z"))
     ord_ = compile_order(ORDER_SPECS[spec_i], ctx)
     ma, mb, mc = Monomial(a), Monomial(b), Monomial(c)
-    ca = ord_.compare(ma, mb)
-    assert ca == -ord_.compare(mb, ma)
-    assert (ca == 0) == (a == b)
-    if ord_.compare(ma, mb) >= 0 and ord_.compare(mb, mc) >= 0:
-        assert ord_.compare(ma, mc) >= 0
-    one = Monomial.one(3)
+    ka, kb, kc = ord_.key(ma), ord_.key(mb), ord_.key(mc)
+    assert (ka == kb) == (a == b)
+    if ka >= kb and kb >= kc:
+        assert ka >= kc
     if not ma.is_one():
-        assert ord_.compare(ma, one) > 0
+        assert ka > ord_.key(Monomial.one(3))
     # multiplicativity
-    assert ord_.compare(ma.mul(mc), mb.mul(mc)) == ca
+    kac, kbc = ord_.key(ma.mul(mc)), ord_.key(mb.mul(mc))
+    assert (kac < kbc, kac == kbc) == (ka < kb, ka == kb)
 
 
 class TestPolynomialArithmetic:
@@ -216,15 +213,6 @@ class TestPolynomialArithmetic:
         f = parse_polynomial("x + y", ctx3, ord_)
         g = parse_polynomial("x - y", ctx3, ord_)
         assert f.mul(g, ord_) == parse_polynomial("x^2 - y^2", ctx3, ord_)
-
-    def test_sub_mul_matches_expanded(self, ctx3):
-        ord_ = compile_order(lex_order("x", "y", "z"), ctx3)
-        f = parse_polynomial("x^2*y + x*z - 3", ctx3, ord_)
-        g = parse_polynomial("x*y - z", ctx3, ord_)
-        m = mono(ctx3, x=1)
-        direct = f.sub_mul(g, m, Fraction(2), ord_)
-        expanded = f.sub(g.term_mul(m, Fraction(2)), ord_)
-        assert direct == expanded
 
     def test_monic(self, ctx3):
         ord_ = compile_order(lex_order("x", "y", "z"), ctx3)
@@ -264,6 +252,9 @@ def test_ring_axioms(fp, gp, hp):
     assert f.mul(g, ord_) == g.mul(f, ord_)
     assert f.mul(g.add(h, ord_), ord_) == f.mul(g, ord_).add(f.mul(h, ord_), ord_)
     assert f.sub(f, ord_).is_zero()
+    for p in (f.add(g, ord_), f.sub(g, ord_)):
+        keys = [ord_.key(m) for m, _ in p.terms]
+        assert keys == sorted(keys, reverse=True) and all(c for _, c in p.terms)
     if not f.is_zero() and not g.is_zero():
         assert f.mul(g, ord_).lm() == f.lm().mul(g.lm())
 
@@ -293,7 +284,7 @@ class TestPolynomialParser:
         assert ei.value.position == 4
 
     def test_malformed(self, ctx3):
-        for bad in ("", "x +", "^2", "x^", "x*", "3/", "x y"):
+        for bad in ("", "x +", "^2", "x^", "x*", "3/", "x y", "x - 1/0*y"):
             with pytest.raises(ParseError):
                 parse_polynomial(bad, ctx3)
 

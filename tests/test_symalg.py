@@ -1,21 +1,25 @@
 """Edge modules, admissible paths, the chordality equivalence, cycle
-complexes, and depth bounds."""
+complexes, and the depth bound graph-stats reports."""
 
 import pytest
 
-from xcond.graphs import Graph, all_connected_graphs, path_graph
+from xcond.graphs import (
+    Graph,
+    all_connected_graphs,
+    back_degrees,
+    connectivity_profile,
+    depth_bound_a,
+    path_graph,
+)
 from xcond.groebner import ScaleExceeded, reduced_groebner_basis
 from xcond.ring import render_monomial, render_polynomial
 from xcond.symalg import (
     admissible_path_basis,
     admissible_paths,
-    binomial_edge_ideal,
     cycle_complex,
     cycle_complex_checks,
-    depth_bound_report,
     edge_module,
     equivalence_check,
-    interiors_below_start,
     pair_context,
 )
 
@@ -31,14 +35,14 @@ C5 = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
 
 class TestEdgeModule:
     def test_single_edge(self):
-        ideal = binomial_edge_ideal(labeled(2, [(1, 2)]))
+        ideal = edge_module(labeled(2, [(1, 2)])).sym_ideal
         assert [render_polynomial(g, ideal.context) for g in ideal.generators] == [
             "x1*y2 - x2*y1"
         ]
 
     def test_one_generator_per_edge(self):
-        assert len(binomial_edge_ideal(labeled(3, [(1, 2), (2, 3)])).generators) == 2
-        assert len(binomial_edge_ideal(labeled(4, C4)).generators) == 4
+        assert len(edge_module(labeled(3, [(1, 2), (2, 3)])).sym_ideal.generators) == 2
+        assert len(edge_module(labeled(4, C4)).sym_ideal.generators) == 4
 
     def test_relations_mirror_generators(self):
         em = edge_module(labeled(3, [(1, 2), (1, 3)]))
@@ -94,9 +98,16 @@ class TestAdmissiblePaths:
             admissible_paths(path_graph(11))
 
     def test_interiors_below_start(self):
-        assert interiors_below_start(path_graph(5))
-        assert interiors_below_start(labeled(3, [(1, 2), (1, 3), (2, 3)]))
-        assert not interiors_below_start(labeled(4, C4))
+        # every interior vertex lies below i or above j, so the interiors
+        # all lie below i exactly when no multiplier has an x-variable
+        for g, below in (
+            (path_graph(5), True),
+            (labeled(3, [(1, 2), (1, 3), (2, 3)]), True),
+            (labeled(4, C4), False),
+        ):
+            paths = admissible_paths(g)
+            assert all(v < p.i for p in paths for v in p.interior) == below
+            assert all(not any(p.u_pi.exps[: g.n]) for p in paths) == below
 
 
 class TestAdmissibleBasis:
@@ -226,35 +237,36 @@ class TestCycleComplex:
 
 
 class TestDepthBounds:
+    """The graph-stats depth bound on the identity labeling, which must be
+    a perfect elimination order."""
+
     def test_path(self):
-        rep = depth_bound_report(path_graph(5))
-        assert rep.depth_lower_bound == 4
-        assert rep.projdim_initial == 1
-        assert rep.back_neighbor_sizes == (0, 1, 1, 1, 1)
+        g = path_graph(5)
+        assert depth_bound_a(g, range(5)) == 4
+        assert back_degrees(g, range(5)) == (0, 1, 1, 1, 1)
 
     def test_complete_graph(self):
         k4 = labeled(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
-        rep = depth_bound_report(k4)
-        assert rep.depth_lower_bound == 1
-        assert rep.projdim_initial == 3
+        assert depth_bound_a(k4, range(4)) == 1
+        assert max(back_degrees(k4, range(4))) == 3
 
     def test_star_center_first(self):
         star = labeled(5, [(1, 2), (1, 3), (1, 4), (1, 5)])
-        rep = depth_bound_report(star)
-        assert rep.depth_lower_bound == 4
-        assert rep.back_neighbor_sizes == (0, 1, 1, 1, 1)
+        assert depth_bound_a(star, range(5)) == 4
+        assert back_degrees(star, range(5)) == (0, 1, 1, 1, 1)
 
     def test_rejects_non_elimination_labeling(self):
         star_center_last = labeled(4, [(1, 4), (2, 4), (3, 4)])
         with pytest.raises(ValueError):
-            depth_bound_report(star_center_last)
+            back_degrees(star_center_last, range(4))
 
     def test_bound_complements_projdim(self):
+        # the initial presentation is Koszul with projdim max back degree
         for g in (path_graph(4), path_graph(6)):
-            rep = depth_bound_report(g)
-            assert rep.depth_lower_bound + rep.projdim_initial == rep.n
+            labeling = range(g.n)
+            assert depth_bound_a(g, labeling) + max(back_degrees(g, labeling)) == g.n
 
     def test_profile_bundled(self):
-        rep = depth_bound_report(path_graph(4))
-        assert rep.profile["dim_sym"] >= rep.n
-        assert rep.profile["limit_upper_printed"] >= 1
+        profile = connectivity_profile(path_graph(4))
+        assert profile["dim_sym"] >= 4
+        assert profile["limit_upper_printed"] >= 1
