@@ -6,16 +6,22 @@ for a multidegree b, the complex has a face tau (a subset of supp(b))
 exactly when x^(b-tau) still lies in the ideal, and beta_{i,b} is the
 rank of the (i-1)-st reduced homology.  Only multidegrees that are lcms
 of generator subsets can contribute, so the oracle enumerates those.
+Each generator g dividing x^b spans the facet {v : g_v < b_v}, held as a
+bitmask over the variables, and the complex is every subset of a facet.
+Boundary ranks come from fraction-free (Bareiss) elimination over the
+integers.
 
 Every call cross-checks itself against the Hilbert series numerator
-obtained by inclusion-exclusion; a mismatch is a bug, not data.
+obtained by Bigatti's pivot recursion; a mismatch is a bug, not data.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import reduce
+from operator import and_, le
 
 from .groebner import MonomialIdeal, ScaleExceeded
 from .ring import Monomial
@@ -59,137 +65,136 @@ def _check_cap(generators):
 
 
 def _subset_lcms(generators):
-    """All lcms of nonempty generator subsets, deduplicated incrementally."""
+    """All lcms of nonempty subsets of the exponent tuples, deduplicated
+    incrementally."""
     acc = set()
     for g in generators:
-        acc |= {g} | {m.lcm(g) for m in acc}
+        acc |= {g} | {tuple(map(max, m, g)) for m in acc}
     return acc
 
 
-def _koszul_faces(ideal, b):
-    """Faces of the upper Koszul complex at multidegree b, as index tuples."""
-    supp = b.support()
-    faces = []
-    for size in range(len(supp) + 1):
-        for tau in itertools.combinations(supp, size):
-            exps = list(b.exps)
-            for v in tau:
-                exps[v] -= 1
-            if ideal.contains(Monomial(tuple(exps))):
-                faces.append(tau)
-    return faces
-
-
-def _is_cone(faces):
-    """A vertex contained in every maximal face makes the complex contractible."""
-    if not faces:
-        return False
-    face_set = set(faces)
-    vertices = set()
-    for f in faces:
-        vertices.update(f)
-    for v in vertices:
-        if all(tuple(sorted(set(f) | {v})) in face_set for f in faces):
-            return True
-    return False
+def _koszul_facets(generators, b):
+    """Facets of the upper Koszul complex at b as bitmasks: the maximal
+    sets {v : g_v < b_v} over the generators g dividing x^b."""
+    masks = set()
+    for g in generators:
+        if all(map(le, g, b)):
+            masks.add(sum(1 << v for v, (e, f) in enumerate(zip(g, b)) if e < f))
+    facets = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        if all(m & f != m for f in facets):
+            facets.append(m)
+    return facets
 
 
 def matrix_rank(rows):
-    """Rank over Q by Gaussian elimination; rows are lists of Fractions."""
-    if not rows or not rows[0]:
-        return 0
-    m = [list(r) for r in rows]
-    ncols = len(m[0])
+    """Rank over Q by fraction-free (Bareiss) elimination over int.
+
+    Entries are ints or Fractions; each row is first scaled by the lcm of
+    its denominators, which leaves the rank unchanged."""
+    m = []
+    for r in rows:
+        den = math.lcm(*(e.denominator for e in r))
+        m.append([e.numerator * (den // e.denominator) for e in r])
     rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, len(m)):
-            if m[r][col] != 0:
-                factor = m[r][col] / pv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[row])]
+    prev = 1
+    while m := [r for r in m if any(r)]:
+        top = m.pop()
+        col = next(c for c, x in enumerate(top) if x)
+        p = top[col]
+        # each entry stays a minor of the input, so the division is exact
+        m = [[(p * x - r[col] * y) // prev for x, y in zip(r, top)] for r in m]
+        prev = p
         rank += 1
-        row += 1
-        if row == len(m):
-            break
     return rank
 
 
-def _reduced_homology_ranks(faces):
-    """Ranks of reduced homology H~_d for d = -1 .. top, over Q.
+def _reduced_homology_ranks(facets):
+    """Ranks of reduced homology H~_d for d = -1 .. top, over Q, of the
+    complex of all subsets of the facet bitmasks."""
+    faces = set()
+    for f in facets:
+        sub = f
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & f
+    top = max(f.bit_count() for f in facets) - 1
+    by_size = [[] for _ in range(top + 2)]
+    for f in sorted(faces):
+        by_size[f.bit_count()].append(f)
 
-    faces must include the empty face and be closed under subsets.
-    """
-    by_dim = {}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    for fs in by_dim.values():
-        fs.sort()
-    top = max(by_dim)
-    dims = {d: len(by_dim.get(d, ())) for d in range(-1, top + 1)}
-
-    ranks = {}
+    # ranks[d + 1] is the rank of the boundary map from dimension d to d - 1
+    ranks = [0] * (top + 3)
     for d in range(0, top + 1):
-        lower = by_dim.get(d - 1, [])
-        upper = by_dim.get(d, [])
-        if not lower or not upper:
-            ranks[d] = 0
-            continue
+        lower, upper = by_size[d], by_size[d + 1]
         index = {f: i for i, f in enumerate(lower)}
-        rows = [[Fraction(0)] * len(upper) for _ in lower]
-        for c, f in enumerate(upper):
-            for k in range(len(f)):
-                sub = f[:k] + f[k + 1 :]
-                rows[index[sub]][c] = Fraction(-1 if k % 2 else 1)
-        ranks[d] = matrix_rank(rows)
-
-    homology = {}
-    for d in range(-1, top + 1):
-        homology[d] = dims[d] - ranks.get(d, 0) - ranks.get(d + 1, 0)
-    return homology
+        rows = []
+        for f in upper:
+            row = [0] * len(lower)
+            rest = f
+            while rest:
+                bit = rest & -rest
+                row[index[f ^ bit]] = -1 if (f & (bit - 1)).bit_count() % 2 else 1
+                rest ^= bit
+            rows.append(row)
+        ranks[d + 1] = matrix_rank(rows)
+    return {d: len(by_size[d + 1]) - ranks[d + 1] - ranks[d + 2] for d in range(-1, top + 1)}
 
 
 def multigraded_betti(ideal):
     """beta_{i,b} of the ideal for every contributing multidegree b."""
     _check_cap(ideal.generators)
+    gens = [g.exps for g in ideal.generators]
     out = {}
-    for b in sorted(_subset_lcms(ideal.generators), key=lambda m: (m.degree(), m.exps)):
-        faces = _koszul_faces(ideal, b)
-        if _is_cone(faces):
+    for b in sorted(_subset_lcms(gens), key=lambda e: (sum(e), e)):
+        facets = _koszul_facets(gens, b)
+        # a vertex in every facet makes the complex a cone, hence acyclic
+        if reduce(and_, facets):
             continue
-        homology = _reduced_homology_ranks(faces)
-        for d, rank in homology.items():
+        for d, rank in _reduced_homology_ranks(facets).items():
             if rank:
-                out[(d + 1, b)] = rank
+                out[(d + 1, Monomial(b))] = rank
     return out
 
 
+def _minimalize(exps):
+    kept = []
+    for e in sorted(set(exps), key=lambda e: (sum(e), e)):
+        if not any(all(map(le, u, e)) for u in kept):
+            kept.append(e)
+    return kept
+
+
+def _numerator(gens):
+    """Coefficient list of the numerator N(I) for minimal exponent tuples:
+    N(I) = N(I + (x_v)) + t * N(I : x_v), pivoting on the variable in the
+    most generators; pairwise coprime generators give prod (1 - t^deg g)."""
+    counts = [sum(1 for g in gens if g[v]) for v in range(len(gens[0]))] if gens else []
+    v = max(range(len(counts)), key=counts.__getitem__, default=None)
+    if v is None or counts[v] <= 1:
+        poly = [1]
+        for g in gens:
+            d = sum(g)
+            shifted = [0] * d + poly
+            poly = [a - b for a, b in itertools.zip_longest(poly, shifted, fillvalue=0)]
+        return poly
+    xv = tuple(int(i == v) for i in range(len(counts)))
+    plus = [g for g in gens if not g[v]] + [xv]
+    colon = _minimalize([g[:v] + (g[v] - 1,) + g[v + 1 :] if g[v] else g for g in gens])
+    return [
+        a + b
+        for a, b in itertools.zip_longest(_numerator(plus), [0] + _numerator(colon), fillvalue=0)
+    ]
+
+
 def hilbert_numerator(ideal):
-    """Numerator of the Hilbert series of S/I over (1-t)^n, by
-    inclusion-exclusion on generator subsets.  Returned as {degree: coeff}."""
+    """Numerator of the Hilbert series of S/I over (1-t)^n, by Bigatti's
+    pivot recursion.  Returned as {degree: coeff}."""
     _check_cap(ideal.generators)
-    gens = ideal.generators
-    coeffs = {}
-
-    def rec(i, current, sign):
-        if i == len(gens):
-            deg = 0 if current is None else current.degree()
-            coeffs[deg] = coeffs.get(deg, 0) + sign
-            return
-        rec(i + 1, current, sign)
-        nxt = gens[i] if current is None else current.lcm(gens[i])
-        rec(i + 1, nxt, -sign)
-
-    rec(0, None, 1)
-    return {d: c for d, c in coeffs.items() if c}
+    coeffs = _numerator([g.exps for g in ideal.generators])
+    return {d: c for d, c in enumerate(coeffs) if c}
 
 
 def _euler_check(table, ideal):
@@ -203,7 +208,7 @@ def _euler_check(table, ideal):
     if from_betti != numerator:
         raise AssertionError(
             f"Euler/Hilbert consistency failed: betti gives {from_betti}, "
-            f"inclusion-exclusion gives {numerator}"
+            f"the pivot recursion gives {numerator}"
         )
 
 
@@ -227,6 +232,10 @@ def betti_numbers(ideal):
     return table
 
 
+def _is_linear(table, d):
+    return all(j == i + d for (i, j), _ in table.entries)
+
+
 def has_linear_resolution(ideal, d=None):
     """True when beta_{i,j} vanishes for all j != i + d, where d is the
     common degree of the minimal generators."""
@@ -238,8 +247,7 @@ def has_linear_resolution(ideal, d=None):
     gen_deg = degrees.pop()
     if d is not None and d != gen_deg:
         raise ValueError(f"generators have degree {gen_deg}, not {d}")
-    table = betti_numbers(ideal)
-    return all(j == i + gen_deg for (i, j), _ in table.entries)
+    return _is_linear(betti_numbers(ideal), gen_deg)
 
 
 def degree_component(ideal, d, nvars):
@@ -257,13 +265,17 @@ def degree_component(ideal, d, nvars):
     return MonomialIdeal.make(slice_gens)
 
 
-def is_componentwise_linear(ideal):
+def is_componentwise_linear(ideal, table=None):
     """Check d-linearity of every degree component from the least generator
     degree up to the regularity; higher components are multiples of the
-    regularity component by the maximal ideal and stay linear."""
+    regularity component by the maximal ideal and stay linear.
+
+    table, when given, must be betti_numbers(ideal); a component equal to
+    the ideal is judged by it instead of a second computation."""
     if ideal.is_zero():
         return True
-    table = betti_numbers(ideal)
+    if table is None:
+        table = betti_numbers(ideal)
     nvars = len(ideal.generators[0].exps)
     dmin = min(g.degree() for g in ideal.generators)
     for d in range(dmin, table.regularity + 1):
@@ -274,6 +286,9 @@ def is_componentwise_linear(ideal):
             raise ScaleExceeded(
                 f"degree-{d} component has {len(component.generators)} generators"
             )
-        if not has_linear_resolution(component, d):
+        if component == ideal:
+            if not _is_linear(table, d):
+                return False
+        elif not has_linear_resolution(component, d):
             return False
     return True

@@ -449,12 +449,5 @@ def eliminate(ideal, block, order, config=None):
 # ---------------------------------------------------------------------------
 
 
-def monomial_colon(ideal, m):
-    """(I : m) for a monomial ideal I and monomial m."""
-    if m.is_one():
-        return ideal
-    return MonomialIdeal.make(u.lcm(m).div(m) for u in ideal.generators)
-
-
 def initial_ideal(gb):
     return MonomialIdeal.make(g.lm() for g in gb.elements)

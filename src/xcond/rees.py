@@ -28,7 +28,6 @@ from .groebner import (
     ScaleExceeded,
     eliminate,
     initial_ideal,
-    monomial_colon,
     normal_form,
 )
 from .ring import (
@@ -350,7 +349,7 @@ def quotient_steps(images):
     steps = []
     ok = True
     for j, h in enumerate(images, start=1):
-        colon = monomial_colon(MonomialIdeal.make(images[: j - 1]), h)
+        colon = MonomialIdeal.make(u.lcm(h).div(h) for u in images[: j - 1])
         steps.append(QuotientStep(j, colon, len(colon.generators), h.degree()))
         if any(g.is_one() for g in colon.generators):
             continue
@@ -472,10 +471,11 @@ def componentwise_certificate(presentation, k):
     oracle_match = None
     power = MonomialIdeal.make(images)
     if len(power.generators) <= GENERATOR_CAP:
+        power_table = betti_numbers(power)
         if table is not None and minimal:
-            oracle_match = betti_numbers(power) == table
+            oracle_match = power_table == table
         try:
-            oracle_verdict = is_componentwise_linear(power)
+            oracle_verdict = is_componentwise_linear(power, power_table)
         except ScaleExceeded:
             pass
 

@@ -3,8 +3,11 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xcond.betti import (
     BettiTable,
@@ -13,6 +16,7 @@ from xcond.betti import (
     has_linear_resolution,
     hilbert_numerator,
     is_componentwise_linear,
+    matrix_rank,
     multigraded_betti,
 )
 from xcond.groebner import MonomialIdeal, ScaleExceeded
@@ -21,6 +25,81 @@ from xcond.ring import Monomial
 
 def I(*gens):
     return MonomialIdeal.make([Monomial(g) for g in gens])
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: the straightforward algorithms the fast ones replace
+# ---------------------------------------------------------------------------
+
+
+def reference_numerator(ideal):
+    """Hilbert numerator of S/I by inclusion-exclusion over all 2^r
+    generator subsets: sum of (-1)^|A| t^deg lcm(A)."""
+    coeffs = {}
+    for size in range(len(ideal.generators) + 1):
+        for subset in itertools.combinations(ideal.generators, size):
+            deg = sum(max(column) for column in zip(*(g.exps for g in subset)))
+            coeffs[deg] = coeffs.get(deg, 0) + (-1) ** size
+    return {d: c for d, c in coeffs.items() if c}
+
+
+def fraction_rank(rows):
+    """Rank over Q by plain Gaussian elimination on Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            factor = m[r][col] / m[rank][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def reference_multigraded_betti(ideal):
+    """beta_{i,b} from the upper Koszul complex at every lcm b, its faces
+    tau found by testing x^(b - tau) for membership one subset at a time."""
+    lcms = set()
+    for g in ideal.generators:
+        lcms |= {g} | {m.lcm(g) for m in lcms}
+    out = {}
+    for b in lcms:
+        supp = b.support()
+        faces = [
+            tau
+            for size in range(len(supp) + 1)
+            for tau in itertools.combinations(supp, size)
+            if ideal.contains(
+                Monomial(tuple(e - (v in tau) for v, e in enumerate(b.exps)))
+            )
+        ]
+        top = max(len(f) for f in faces) - 1
+        by_dim = {d: [f for f in faces if len(f) == d + 1] for d in range(-1, top + 1)}
+        ranks = {}
+        for d in range(top + 1):
+            index = {f: i for i, f in enumerate(by_dim[d - 1])}
+            rows = [[0] * len(by_dim[d]) for _ in by_dim[d - 1]]
+            for c, f in enumerate(by_dim[d]):
+                for k in range(len(f)):
+                    rows[index[f[:k] + f[k + 1 :]]][c] = (-1) ** k
+            ranks[d] = fraction_rank(rows)
+        for d in range(-1, top + 1):
+            rank = len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+            if rank:
+                out[(d + 1, b)] = rank
+    return out
+
+
+# up to 8 generators in up to 5 variables, exponents at most 3; an empty
+# list is the zero ideal and an all-zero generator the unit ideal
+random_ideals = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple), max_size=8
+    ).map(lambda gens: MonomialIdeal.make(Monomial(g) for g in gens))
+)
 
 
 class TestBettiNumbers:
@@ -90,6 +169,59 @@ class TestBettiNumbers:
                 d = g.degree()
                 expected[d] = expected.get(d, 0) + 1
             assert t.generator_degrees() == expected
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(random_ideals)
+    @example(I())
+    @example(I((0, 0, 0)))
+    @example(I((1, 1, 0), (0, 1, 1), (1, 0, 1)))
+    def test_hilbert_numerator(self, ideal):
+        assert hilbert_numerator(ideal) == reference_numerator(ideal)
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_ideals)
+    @example(I())
+    @example(I((0, 0, 0)))
+    @example(I((2, 1, 0), (1, 2, 1), (0, 1, 2), (1, 1, 1)))
+    def test_multigraded_betti(self, ideal):
+        assert multigraded_betti(ideal) == reference_multigraded_betti(ideal)
+
+
+@st.composite
+def matrices(draw):
+    """A product of an nrows x r and an r x ncols factor, so of rank at
+    most r, with integer or Fraction entries and some columns zeroed."""
+    nrows, ncols, r = draw(st.integers(0, 7)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    numbers = draw(
+        st.sampled_from(
+            [st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))]
+        )
+    )
+    left = [[draw(numbers) for _ in range(r)] for _ in range(nrows)]
+    right = [[draw(numbers) for _ in range(ncols)] for _ in range(r)]
+    zeroed = draw(st.sets(st.integers(0, 6), max_size=2))
+    return [
+        [0 if c in zeroed else sum(row[t] * right[t][c] for t in range(r)) for c in range(ncols)]
+        for row in left
+    ]
+
+
+class TestMatrixRank:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    @example([])
+    @example([[]])
+    @example([[0, 0], [0, 0]])
+    @example([[Fraction(1, 2), Fraction(1, 3)], [3, 2]])
+    def test_against_fraction_elimination(self, rows):
+        assert matrix_rank(rows) == fraction_rank(rows)
+
+    def test_full_and_deficient(self):
+        assert matrix_rank([[1, 0], [0, 1]]) == 2
+        assert matrix_rank([[2, 4], [1, 2]]) == 1
+        assert matrix_rank([[0, 1, 0], [0, 2, 0]]) == 1
 
 
 class TestHilbertNumerator:

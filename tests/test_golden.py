@@ -50,6 +50,13 @@ GOLDEN = (
     ("xcond --path 8", 0, "53e84c15e8d62cd39b2fe2543a960d01d10f1167f27f193c0c91b185a2cd34c6"),
     ("powers --path 6 --kmax 3", 0, "f6ba7d4b51d5a780d5d4c3cde594a4120fefb45b94e4be2fc4b027879e1ab3a8"),
     ("powers --cw p=2 q=1 --kmax 3", 0, "9fc215f84a5aa4ed474a6b7abf7da8f26228c243b1db7888ff36e54deacd091f"),
+    ("powers --path 5 --kmax 3", 0, "4f450511c25baaf6b82a390ab210ac4af678907d911f86df10f43328b776f2cd"),
+    ("powers --path 7 --kmax 3", 0, "0e4ad226e53dc62a03542dd60d4a59b3950bda49f7483b93c6a87c4a01ba5c7e"),
+    ("powers --path 8 --kmax 3", 0, "4eededb61928f1f72a9dc10733b30de78326e772b26c473f1505db467704f801"),
+    ("powers --cw p=1 q=1 --kmax 3", 0, "7bba110860dab3de8f6c6f65ec7f0223d6bff682151acc1c71da61b6ab047bd1"),
+    # exit 1: no power up to k = 3 is certified
+    ("powers --cw p=1,1 q=0 --kmax 3", 1, "d5ce00853dedea5fa7fae3e1d49c684b08f817dce1505c44345989934a213dcf"),
+    ("powers --biclique 2 2 2 --kmax 3", 0, "bcd69e27fd566e1eb8519856928f3c23a25edca3deaa9b9c285cc07b602da422"),
     ("verify-family --path 8", 0, "aa6fc7403a9fd7db8fbe79383fe1152647f81622fb2c86223862c7c3431fe599"),
     ("verify-family --biclique 2 3 2", 0, "558a51490020acde11093ef8e30b6621133a26369b9ec1d99a778eafe73d6701"),
     ("verify-family --cw p=1,1 q=1", 0, "6c7cfbb8dacf93062edd3c00dd4105164e68e8b3934ceee79e2780b8904d8ed0"),

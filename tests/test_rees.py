@@ -1,8 +1,11 @@
 """Rees presentations, the x-condition, and the quotients pipeline."""
 
+from collections import Counter
+
 import pytest
 
-from xcond.betti import betti_numbers
+from xcond import betti
+from xcond.betti import betti_numbers, is_componentwise_linear
 from xcond.families import biclique_claimed, cw_claimed
 from xcond.graphs import biclique_graph, cameron_walker_graph, minimal_vertex_covers, path_graph
 from xcond.groebner import Ideal, MonomialIdeal, reduced_groebner_basis
@@ -284,6 +287,33 @@ class TestCertificate:
         assert cert.x_condition and cert.quadratic and cert.minimal
         assert cert.linear_quotients
         assert cert.oracle_betti_match is True
+
+    @pytest.mark.parametrize(
+        "graph", [path_graph(5), cameron_walker_graph((1,), (1,))], ids=["P5", "cw p=1 q=1"]
+    )
+    def test_one_betti_table_per_power(self, monkeypatch, graph):
+        pres = rees_ideal(graph.context(), minimal_vertex_covers(graph).monomials())
+        original = betti.multigraded_betti
+        runs = Counter()
+
+        def counted(ideal):
+            runs[ideal.generators] += 1
+            return original(ideal)
+
+        monkeypatch.setattr(betti, "multigraded_betti", counted)
+        reports = []
+        for k in (1, 2, 3):
+            runs.clear()
+            reports.append(componentwise_certificate(pres, k))
+            assert max(runs.values(), default=0) <= 1, k
+        assert any(rep.oracle_componentwise is not None for rep in reports)
+        monkeypatch.undo()
+        for rep in reports:
+            power = MonomialIdeal.make(standard_monomials(pres, rep.k).images())
+            if rep.oracle_betti_match is not None:
+                assert rep.oracle_betti_match == (betti_numbers(power) == rep.betti)
+            if rep.oracle_componentwise is not None:
+                assert rep.oracle_componentwise == is_componentwise_linear(power)
 
     def test_degenerate_sequence_withholds_certificate(self):
         # quotients pass but the images are redundant and degrees dip
