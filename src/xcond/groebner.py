@@ -20,6 +20,16 @@ pair.  S-polynomials are reduced by normal_form over a Reducers table of
 the elements not retired, built once and updated on each install; the
 final basis is fully tail-reduced.  Every run is bounded by explicit resource caps; exceeding
 a cap raises ScaleExceeded rather than returning a truncated basis.
+
+Coefficients are Fractions only at the boundary.  Each divisor is held
+in its primitive integer form (denominators cleared, content divided out,
+leading coefficient positive), S-polynomials are formed fraction-free
+from two such forms, and the reduction loop runs on ints, rescaling the
+running polynomial only when a reducer's leading coefficient does not
+divide the coefficient it cancels (never for the +-1 binomials).
+normal_form clears its input's denominators on entry and returns
+Fractions; installed elements are made monic once, from their integer
+form.  divide stays the Fraction textbook oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +38,8 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import gcd, lcm
 from operator import add, itemgetter, le, sub
 
 from .ring import (
@@ -155,9 +167,30 @@ def _divides(a, b):
     return all(map(le, a, b))
 
 
+def _integer_form(g, monic=False):
+    """(lm exponents, lm support mask, lc, tail, element) of a nonzero
+    polynomial g.  lc and the tail [(exponents, int)] are the primitive
+    integer multiple of g: denominators cleared, content divided out,
+    leading coefficient positive.  element is g, or g made monic."""
+    terms = g.terms
+    den = lcm(*(c.denominator for _, c in terms))
+    ints = [c.numerator * (den // c.denominator) for _, c in terms]
+    content = gcd(*ints)
+    if ints[0] < 0:
+        content = -content
+    if content != 1:
+        ints = [c // content for c in ints]
+    lc = ints[0]
+    if monic:
+        g = Polynomial(tuple((m, Fraction(c, lc)) for (m, _), c in zip(terms, ints)))
+    exps = terms[0][0].exps
+    tail = [(m.exps, c) for (m, _), c in zip(terms[1:], ints[1:])]
+    return (exps, _support_mask(exps), lc, tail, g)
+
+
 class Reducers(list):
-    """Divisor table for normal_form: one (lm exponents, lm support mask,
-    lc, element) entry per nonzero divisor, tried in list order.
+    """Divisor table for normal_form: one _integer_form entry per nonzero
+    divisor, tried in list order.
 
     A divisor's support must lie in the target's, so the mask test is an
     exact prefilter before the exponents are compared.
@@ -166,12 +199,8 @@ class Reducers(list):
     def __init__(self, polys=()):
         super().__init__()
         for g in polys:
-            self.add(g)
-
-    def add(self, g):
-        if not g.is_zero():
-            m, c = g.terms[0]
-            self.append((m.exps, _support_mask(m.exps), c, g))
+            if not g.is_zero():
+                self.append(_integer_form(g))
 
     def find(self, exps):
         """First entry whose leading monomial divides exps, or None."""
@@ -182,32 +211,38 @@ class Reducers(list):
         return None
 
 
-def normal_form(f, divisors, order):
-    """The remainder of divide(f, divisors, order), without quotients.
+def _reduce(p, table, key):
+    """Reduce p, an ascending list of (key, exponents, int), by the table.
 
-    divisors is a polynomial list or a prebuilt Reducers table.  The
-    running polynomial is a list of (key, exponents, coefficient) in
-    ascending key order, so its leading term is popped from the end.
+    Returns (remainder, factor): remainder is a descending list of
+    (exponents, int) with no term divisible by a table leading monomial,
+    and factor * p - remainder lies in the ideal of the table.  Each step
+    cancels the leading term c x^e with an entry of leading coefficient
+    gc: when gc does not divide c, p and the remainder so far are first
+    multiplied by a = gc / gcd(c, gc), and so is factor.
     """
-    table = divisors if isinstance(divisors, Reducers) else Reducers(divisors)
-    if not table:
-        return f
-    key = order.exps_key
-    p = [(key(m.exps), m.exps, c) for m, c in reversed(f.terms)]
     remainder = []
+    factor = 1
     while p:
-        k, e, c = p.pop()
+        _, e, c = p.pop()
         hit = table.find(e)
         if hit is None:
-            remainder.append((Monomial(e), c))
+            remainder.append((e, c))
             continue
-        ge, _, gc, g = hit
+        ge, _, gc, tail, _ = hit
+        if gc != 1:
+            g = gcd(c, gc)
+            a = gc // g
+            if a != 1:
+                factor *= a
+                p = [(k2, e2, a * c2) for k2, e2, c2 in p]
+                remainder = [(e2, a * c2) for e2, c2 in remainder]
+            c //= g
         q = tuple(map(sub, e, ge))
-        qc = c / gc
-        for m, a in g.terms[1:]:
-            e2 = tuple(map(add, m.exps, q))
+        for m, b in tail:
+            e2 = tuple(map(add, m, q))
             k2 = key(e2)
-            c2 = -qc * a
+            c2 = -c * b
             i = bisect_left(p, k2, key=_first)
             if i < len(p) and p[i][0] == k2:
                 c2 += p[i][2]
@@ -217,18 +252,43 @@ def normal_form(f, divisors, order):
                     del p[i]
             else:
                 p.insert(i, (k2, e2, c2))
-    return Polynomial(tuple(remainder))
+    return remainder, factor
 
 
-def s_polynomial(f, g, order):
-    if f.is_zero() or g.is_zero():
-        raise ValueError("S-polynomial of a zero polynomial")
-    L = tuple(map(max, f.lm().exps, g.lm().exps))
+def normal_form(f, divisors, order):
+    """The remainder of divide(f, divisors, order), without quotients.
+
+    divisors is a polynomial list or a prebuilt Reducers table.  f's
+    denominators are cleared and _reduce runs on integers; the remainder's
+    coefficients come back as Fractions.
+    """
+    table = divisors if isinstance(divisors, Reducers) else Reducers(divisors)
+    if not table or f.is_zero():
+        return f
+    key = order.exps_key
+    den = lcm(*(c.denominator for _, c in f.terms))
+    p = [
+        (key(m.exps), m.exps, c.numerator * (den // c.denominator))
+        for m, c in reversed(f.terms)
+    ]
+    remainder, factor = _reduce(p, table, key)
+    den *= factor
+    return Polynomial(tuple((Monomial(e), Fraction(c, den)) for e, c in remainder))
+
+
+def _s_polynomial(fi, fj, order):
+    """S-polynomial of two integer forms, kept integral:
+    (lc_j/g) x^(L-lm_i) f_i - (lc_i/g) x^(L-lm_j) f_j, where L is the lcm
+    of the leading monomials and g = gcd(lc_i, lc_j).  It is
+    lcm(lc_i, lc_j) times the S-polynomial of the monic elements, returned
+    as a Polynomial with int coefficients."""
+    L = tuple(map(max, fi[0], fj[0]))
+    g = gcd(fi[2], fj[2])
     acc = {}
-    for poly, scale in ((f, 1 / f.lc()), (g, -1 / g.lc())):
-        shift = tuple(map(sub, L, poly.lm().exps))
-        for m, c in poly.terms[1:]:
-            e = tuple(map(add, m.exps, shift))
+    for (lm, _, _, tail, _), scale in ((fi, fj[2] // g), (fj, -(fi[2] // g))):
+        shift = tuple(map(sub, L, lm))
+        for e, c in tail:
+            e = tuple(map(add, e, shift))
             acc[e] = acc.get(e, 0) + scale * c
     key = order.exps_key
     terms = sorted(((key(e), e, c) for e, c in acc.items() if c), reverse=True)
@@ -240,7 +300,7 @@ def _canonical(f, ord_):
     terms may have been built under a different one."""
     acc = {}
     for m, c in f.terms:
-        acc[m] = acc.get(m, 0) + c
+        acc[m] = acc[m] + c if m in acc else c
     return poly_from_dict(acc, ord_)
 
 
@@ -264,21 +324,18 @@ def buchberger(ideal, order, config=None):
     coprime_crit = cfg.use_coprime_criterion
     chain_crit = cfg.use_chain_criterion
 
-    basis = []
-    lead = []  # (lm exponents, lm support mask) of each basis element
+    forms = []  # _integer_form of each basis element, element monic
     active = []  # indices not retired: they take new pairs
-    reducers = Reducers()  # the active elements, in installation order
+    reducers = Reducers()  # forms of the active elements, in installation order
     heap = []  # (lcm key, i, j, lcm exponents, lcm mask), i < j
 
-    def install(h):
-        t = len(basis)
-        lm_t = h.lm().exps
-        mask_t = _support_mask(lm_t)
-        basis.append(h)
-        lead.append((lm_t, mask_t))
+    def install(form):
+        t = len(forms)
+        lm_t, mask_t = form[0], form[1]
+        forms.append(form)
 
         def lcm_with_t(i):
-            return tuple(map(max, lead[i][0], lm_t))
+            return tuple(map(max, forms[i][0], lm_t))
 
         def divisible_by_t(exps, mask):
             return not mask_t & ~mask and _divides(lm_t, exps)
@@ -303,12 +360,12 @@ def buchberger(ideal, order, config=None):
         minimal = []  # (exponents, mask) of the lcms kept by criterion M
 
         def coprime(i):
-            return not lead[i][1] & mask_t
+            return not forms[i][1] & mask_t
 
         # a proper divisor has a smaller degree, so it is met first
         for L in sorted(new, key=sum):
             partners = new[L]
-            mask = lead[partners[0]][1] | mask_t
+            mask = forms[partners[0]][1] | mask_t
             if chain_crit:
                 # M: drop a class whose lcm another new lcm properly divides
                 if any(not m & ~mask and _divides(e, L) for e, m in minimal):
@@ -326,21 +383,21 @@ def buchberger(ideal, order, config=None):
         if chain_crit:
             # every multiple of a retired lm is a multiple of lm_t, so the
             # retired elements also leave the reducer table
-            active[:] = [i for i in active if not divisible_by_t(*lead[i])]
+            active[:] = [i for i in active if not divisible_by_t(forms[i][0], forms[i][1])]
             reducers[:] = [entry for entry in reducers if not divisible_by_t(entry[0], entry[1])]
         active.append(t)
-        reducers.add(h)
+        reducers.append(form)
 
     seen = set()
     for g in ideal.generators:
         g = _canonical(g, ord_)
         if g.is_zero():
             continue
-        g = g.monic()
-        if g not in seen:
-            seen.add(g)
-            install(g)
-    if not basis:
+        form = _integer_form(g, monic=True)
+        if form[4] not in seen:
+            seen.add(form[4])
+            install(form)
+    if not forms:
         return GroebnerBasis(ctx, order, (), True)
 
     popped = 0
@@ -349,23 +406,23 @@ def buchberger(ideal, order, config=None):
         popped += 1
         if popped > cfg.pair_cap:
             raise ScaleExceeded(
-                f"S-pair budget of {cfg.pair_cap} exhausted ({len(basis)} basis elements)"
+                f"S-pair budget of {cfg.pair_cap} exhausted ({len(forms)} basis elements)"
             )
-        h = normal_form(s_polynomial(basis[i], basis[j], ord_), reducers, ord_)
+        h = normal_form(_s_polynomial(forms[i], forms[j], ord_), reducers, ord_)
         if h.is_zero():
             continue
         if h.degree() > cfg.degree_cap:
             raise ScaleExceeded(
                 f"degree budget of {cfg.degree_cap} exceeded (element of degree {h.degree()})"
             )
-        h = h.monic()
-        if cfg.expect_binomials and not h.is_binomial_pm1():
+        form = _integer_form(h, monic=True)
+        if cfg.expect_binomials and not form[4].is_binomial_pm1():
             raise AssertionError(
                 "binomial purity violated: a toric run produced a non-binomial element"
             )
-        install(h)
+        install(form)
 
-    return GroebnerBasis(ctx, order, tuple(basis), False)
+    return GroebnerBasis(ctx, order, tuple(form[4] for form in forms), False)
 
 
 def reduce_basis(gb):
@@ -404,19 +461,17 @@ def is_spair_closed(elements, order, ctx, config=None):
     """Buchberger criterion re-check: every S-pair reduces to zero."""
     cfg = config or GBConfig()
     ord_ = compile_order(order, ctx)
-    elems = [g for g in (_canonical(e, ord_) for e in elements) if not g.is_zero()]
-    table = Reducers(elems)
+    table = Reducers(_canonical(e, ord_) for e in elements)
     checked = 0
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            checked += 1
-            if checked > cfg.pair_cap:
-                raise ScaleExceeded(f"S-pair budget of {cfg.pair_cap} exhausted")
-            if elems[i].lm().gcd(elems[j].lm()).is_one():
-                continue
-            s = s_polynomial(elems[i], elems[j], ord_)
-            if not normal_form(s, table, ord_).is_zero():
-                return False
+    for fi, fj in combinations(table, 2):
+        checked += 1
+        if checked > cfg.pair_cap:
+            raise ScaleExceeded(f"S-pair budget of {cfg.pair_cap} exhausted")
+        if not fi[1] & fj[1]:
+            continue
+        s = _s_polynomial(fi, fj, ord_)
+        if not normal_form(s, table, ord_).is_zero():
+            return False
     return True
 
 

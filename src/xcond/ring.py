@@ -356,12 +356,14 @@ class Polynomial:
         return Polynomial(tuple((m, c * a) for m, a in self.terms))
 
     def monic(self):
-        if self.is_zero():
+        if self.is_zero() or self.lc() == 1:
             return self
         return self.scale(1 / self.lc())
 
     def term_mul(self, mono, coeff=_ONE):
         """Multiply by coeff * x^mono; preserves the descending term order."""
+        if coeff == 1:
+            return Polynomial(tuple((m.mul(mono), c) for m, c in self.terms))
         coeff = Fraction(coeff)
         if coeff == 0:
             return Polynomial(())

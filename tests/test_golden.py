@@ -28,6 +28,32 @@ INPUTS = {
         "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1\n"
         "2*u0*u2 + u1^2 + 2*u1*u3 - u2\n"
     ),
+    "cyclic5.ideal": (
+        "vars: x1, x2, x3, x4, x5\n"
+        "revlex[x1>x2>x3>x4>x5]\n"
+        "x1 + x2 + x3 + x4 + x5\n"
+        "x1*x2 + x2*x3 + x3*x4 + x4*x5 + x5*x1\n"
+        "x1*x2*x3 + x2*x3*x4 + x3*x4*x5 + x4*x5*x1 + x5*x1*x2\n"
+        "x1*x2*x3*x4 + x2*x3*x4*x5 + x3*x4*x5*x1 + x4*x5*x1*x2 + x5*x1*x2*x3\n"
+        "x1*x2*x3*x4*x5 - 1\n"
+    ),
+    "katsura4.ideal": (
+        "vars: u0, u1, u2, u3, u4\n"
+        "revlex[u0>u1>u2>u3>u4]\n"
+        "u0 + 2*u1 + 2*u2 + 2*u3 + 2*u4 - 1\n"
+        "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 + 2*u4^2 - u0\n"
+        "2*u0*u1 + 2*u1*u2 + 2*u2*u3 + 2*u3*u4 - u1\n"
+        "2*u0*u2 + u1^2 + 2*u1*u3 + 2*u2*u4 - u2\n"
+        "2*u0*u3 + 2*u1*u2 + 2*u1*u4 - u3\n"
+    ),
+    # dense quadrics with fractional, non-unit leading coefficients
+    "dense_frac.ideal": (
+        "vars: a, b, c, d\n"
+        "revlex[a>b>c>d]\n"
+        "3/2*a^2 - 7*a*b + 2/3*b*c - 5*c^2 + 4*a*d - 1/5*d^2 + 9\n"
+        "-4*a*b + 5/7*b^2 + 3*a*c - 8*c*d + 1/2*b*d - 6\n"
+        "7/3*a*c - 2*b^2 + 6/5*b*d - 9*c^2 + d^2 - 3/4*a + 2\n"
+    ),
     "c4.graph": "v1 v2\nv2 v3\nv3 v4\nv1 v4\n",
     # the fixed eight-vertex graph of the edge-sweep benchmark
     "g8.graph": (
@@ -62,6 +88,9 @@ GOLDEN = (
     ("verify-family --cw p=1,1 q=1", 0, "6c7cfbb8dacf93062edd3c00dd4105164e68e8b3934ceee79e2780b8904d8ed0"),
     ("gb cyclic4.ideal", 0, "960ca75244e253e15f04aa4415ea05740e8abd4819ba0f1fa1f22b0ad89bc001"),
     ("gb katsura3.ideal", 0, "59c5e851337bd99da1db1017984178c0bbabd3728168033b218f293a83464ed3"),
+    ("gb cyclic5.ideal", 0, "87f40c7b4bc0a00dd2f243c3066d28166677f180732f09be285b54da3ffd39cb"),
+    ("gb katsura4.ideal", 0, "da5642380b527e113dd7b0af9522938a8ccfe39bc6b6572679c987acc8d8ab08"),
+    ("gb dense_frac.ideal", 0, "27eef2dfe4f423be361656fe6ee451978a3fbb33498536311307721f95177607"),
     ("binomial-edge --graph c4.graph", 0, "85a89df047f91b352ba8cf1eaa37dd9e9c4eb64127035265d14ca3a5acdb837b"),
     ("binomial-edge --graph c4.graph --check mg", 0, "dbbd19513b3149687dc8d252d291455a6cc83f33828bad7c3ece4e1508193d70"),
     ("binomial-edge --graph g8.graph", 0, "e3d3bd40984a7355b45e46fadc708fdcd33d450970a169866a803ea4cac6af64"),

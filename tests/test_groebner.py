@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xcond import groebner
@@ -26,7 +26,6 @@ from xcond.groebner import (
     normal_form,
     reduce_basis,
     reduced_groebner_basis,
-    s_polynomial,
 )
 from xcond.ring import (
     Monomial,
@@ -117,27 +116,58 @@ class TestDivision:
         assert render_polynomial(r21, ctx2) == "x2^2"
 
 
+def textbook_s_polynomial(f, g, ord_):
+    """x^(L - lm f) f / lc f - x^(L - lm g) g / lc g in Fractions."""
+    L = f.lm().lcm(g.lm())
+    return f.term_mul(L.div(f.lm()), 1 / f.lc()).sub(
+        g.term_mul(L.div(g.lm()), 1 / g.lc()), ord_
+    )
+
+
+def integer_s_polynomial(f, g, ord_):
+    """The engine's S-polynomial, checked to be a nonzero integer multiple
+    of the textbook one."""
+    fi, fj = Reducers([f, g])
+    s = groebner._s_polynomial(fi, fj, ord_)
+    want = textbook_s_polynomial(f, g, ord_)
+    assert all(type(c) is int for _, c in s.terms)
+    assert s.is_zero() == want.is_zero()
+    if not s.is_zero():
+        ratio = s.lc() / want.lc()
+        assert ratio.denominator == 1
+        assert s.terms == want.scale(ratio).terms
+    return s
+
+
 class TestSPolynomial:
     def test_self_pair_vanishes(self, ctx2):
         ord_ = compile_order(lex_order("x1", "x2"), ctx2)
         f = parse_polynomial("x1^2 - x2", ctx2, ord_)
-        assert s_polynomial(f, f, ord_).is_zero()
+        assert integer_s_polynomial(f, f, ord_).is_zero()
 
     def test_monomial_pair_vanishes(self, ctx2):
         ord_ = compile_order(lex_order("x1", "x2"), ctx2)
         f = parse_polynomial("x1^2*x2", ctx2, ord_)
         g = parse_polynomial("x1*x2^2", ctx2, ord_)
-        assert s_polynomial(f, g, ord_).is_zero()
+        assert integer_s_polynomial(f, g, ord_).is_zero()
 
     def test_leading_terms_cancel(self):
         ctx = VarContext.make(("x1", "x2", "x3", "y1", "y2", "y3"))
         ord_ = compile_order(lex_order("x1", "x2", "x3", "y1", "y2", "y3"), ctx)
         f = parse_polynomial("x1*y2 - x2*y1", ctx, ord_)
         g = parse_polynomial("x2*y3 - x3*y2", ctx, ord_)
-        s = s_polynomial(f, g, ord_)
+        s = integer_s_polynomial(f, g, ord_)
         L = f.lm().lcm(g.lm())
         assert not s.is_zero()
         assert ord_.key(s.lm()) < ord_.key(L)
+
+    def test_non_unit_leading_coefficients(self, ctx2):
+        ord_ = compile_order(lex_order("x1", "x2"), ctx2)
+        f = parse_polynomial("4*x1^2 - 2/3*x2", ctx2, ord_)
+        g = parse_polynomial("6*x1*x2 + 5/2*x2^2 - 1", ctx2, ord_)
+        s = integer_s_polynomial(f, g, ord_)
+        # primitive forms 6*x1^2 - x2 and 12*x1*x2 + 5*x2^2 - 2: lcm(6, 12) = 12
+        assert s.lc() / textbook_s_polynomial(f, g, ord_).lc() == 12
 
 
 class TestBuchberger:
@@ -565,6 +595,11 @@ _polys3 = st.dictionaries(
     st.integers(-3, 3).map(Fraction),
     max_size=4,
 )
+_rational_polys3 = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3).map(Monomial),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    max_size=4,
+)
 
 
 class TestQuotientFreeNormalForm:
@@ -581,3 +616,27 @@ class TestQuotientFreeNormalForm:
         _, r = divide(f, gs, ord_)
         assert normal_form(f, gs, ord_).terms == r.terms
         assert normal_form(f, Reducers(gs), ord_).terms == r.terms
+
+    @settings(max_examples=200, deadline=None)
+    # x1^3 goes to the remainder before 2*x2 + x3^2 rescales the rest
+    @example(
+        f={Monomial((3, 0, 0)): Fraction(1), Monomial((0, 1, 1)): Fraction(1)},
+        divisors=[{Monomial((0, 1, 0)): Fraction(2), Monomial((0, 0, 2)): Fraction(1)}],
+        which=0,
+    )
+    @given(
+        f=_rational_polys3,
+        divisors=st.lists(_rational_polys3, max_size=3),
+        which=st.sampled_from(range(len(_ORDERS3))),
+    )
+    def test_matches_division_remainder_over_rationals(self, f, divisors, which):
+        """Non-unit leading coefficients: the integer loop clears
+        denominators and rescales, and the remainder is still divide's."""
+        ord_ = _ORDERS3[which]
+        f = poly_from_dict(f, ord_)
+        gs = [poly_from_dict(g, ord_) for g in divisors]
+        _, r = divide(f, gs, ord_)
+        for table in (gs, Reducers(gs)):
+            got = normal_form(f, table, ord_)
+            assert got.terms == r.terms
+            assert all(type(c) is Fraction for _, c in got.terms)

@@ -4,6 +4,8 @@ Skipped when sympy is absent.  Bases are compared as sets of monic
 polynomials, since sympy scales its elements to integer coefficients.
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -107,3 +109,45 @@ def test_rees_kernel_matches_sympy(n, size):
     }
     assert len(pres.gb.elements) == size
     assert xcond_basis(pres.gb.elements, key) == t_free
+
+
+def dense_polys(nvars, degree, count, rng, denominators=(1,)):
+    """count polynomials with every monomial of degree <= `degree`, each
+    coefficient a nonzero integer in [-9, 9] over a denominator drawn from
+    `denominators`; exponent dicts."""
+    monomials = [
+        e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree
+    ]
+    nonzero = [v for v in range(-9, 10) if v]
+    return [
+        {e: Fraction(rng.choice(nonzero), rng.choice(denominators)) for e in monomials}
+        for _ in range(count)
+    ]
+
+
+DENSE = (
+    # (count, nvars, degree, seed, denominators)
+    (3, 4, 2, 1, (1,)),
+    (3, 4, 2, 2, (1,)),
+    (3, 3, 3, 1, (1,)),
+    (3, 3, 3, 2, (1,)),
+    (3, 4, 2, 3, (1, 2, 3, 5, 7)),
+)
+
+
+@pytest.mark.parametrize("count,nvars,degree,seed,denominators", DENSE)
+def test_dense_reduced_basis_matches_sympy(count, nvars, degree, seed, denominators):
+    """Dense ideals whose elements have non-unit leading coefficients, as
+    in the gb-dense benchmark workload."""
+    polys = dense_polys(nvars, degree, count, random.Random(seed), denominators)
+    names = tuple(f"x{i}" for i in range(1, nvars + 1))
+    ctx = VarContext.make(names)
+    spec = revlex_order(*names)
+    ord_ = compile_order(spec, ctx)
+    ideal = Ideal.make(
+        [poly_from_dict({Monomial(e): c for e, c in p.items()}, ord_) for p in polys], ctx
+    )
+    ours = reduced_groebner_basis(ideal, spec).elements
+    key = ord_.exps_key
+    assert len(ours) > count
+    assert xcond_basis(ours, key) == sympy_basis(polys, names, "grevlex", key)
