@@ -4,6 +4,8 @@ certificates, claim verification, and graph/edge-module checks.
 Every command prints one JSON document (sorted keys, compact separators)
 so a fixed invocation is byte-reproducible; --pretty switches stdout to
 an aligned two-column table and --out always receives the machine JSON.
+A report command's JSON is its report's dataclass fields and verdict
+properties (report_payload), plus the command's own counts.
 The parser is built once per process and each command reads its parsed
 arguments directly.
 
@@ -16,7 +18,9 @@ bug and propagates with its traceback.
 import argparse
 import json
 import sys
+from dataclasses import fields
 
+from .betti import BettiTable
 from .families import (
     biclique_claimed,
     biclique_fiber_names,
@@ -213,8 +217,6 @@ def cover_presentation(args):
 
 
 def betti_payload(table):
-    if table is None:
-        return None
     return {
         "entries": [[i, j, b] for (i, j), b in table.entries],
         "projdim": table.projdim,
@@ -222,21 +224,20 @@ def betti_payload(table):
     }
 
 
-def certificate_payload(rep):
-    return {
-        "k": rep.k,
-        "x_condition": rep.x_condition,
-        "quadratic": rep.quadratic,
-        "minimal": rep.minimal,
-        "linear_quotients": rep.linear_quotients,
-        "nondecreasing": rep.nondecreasing,
-        "weighted": rep.weighted,
-        "certified": rep.certified,
-        "betti_route": rep.betti_route,
-        "betti": betti_payload(rep.betti),
-        "oracle_componentwise": rep.oracle_componentwise,
-        "oracle_betti_match": rep.oracle_betti_match,
-    }
+def _field_payload(value):
+    if isinstance(value, BettiTable):
+        return betti_payload(value)
+    return list(value) if isinstance(value, tuple) else value
+
+
+def report_payload(rep):
+    """A report's JSON: every dataclass field and every verdict property
+    (ok, routes_agree, ...), tuples as lists, Betti tables via betti_payload."""
+    payload = {f.name: _field_payload(getattr(rep, f.name)) for f in fields(rep)}
+    for name, attr in vars(type(rep)).items():
+        if isinstance(attr, property):
+            payload[name] = getattr(rep, name)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +263,7 @@ def cmd_rees(args):
         raise InputError("--k must be at least 1")
     pres = cover_presentation(args)
     rep = componentwise_certificate(pres, args.k)
-    payload = certificate_payload(rep)
-    payload["generators"] = len(pres.gens)
-    return payload, 0 if rep.certified else 1
+    return report_payload(rep) | {"generators": len(pres.gens)}, 0 if rep.certified else 1
 
 
 def cmd_xcond(args):
@@ -283,16 +282,13 @@ def cmd_powers(args):
     if args.kmax < 0:
         raise InputError("--kmax must be nonnegative")
     pres = cover_presentation(args)
-    reports = [
-        certificate_payload(componentwise_certificate(pres, k))
-        for k in range(1, args.kmax + 1)
-    ]
+    reports = [componentwise_certificate(pres, k) for k in range(1, args.kmax + 1)]
     payload = {
         "kmax": args.kmax,
         "generators": len(pres.gens),
-        "reports": reports,
+        "reports": [report_payload(rep) for rep in reports],
     }
-    return payload, 0 if all(r["certified"] for r in reports) else 1
+    return payload, 0 if all(rep.certified for rep in reports) else 1
 
 
 def cmd_verify_family(args):
@@ -320,15 +316,7 @@ def cmd_verify_family(args):
         "claimed": len(claim.distinct_polynomials()),
         "computed": len(pres.gb.elements),
         "tags": claim.tag_counts(),
-        "membership_ok": rep.membership_ok,
-        "spair_ok": rep.spair_ok,
-        "initial_match": rep.initial_match,
-        "reduced_match": rep.reduced_match,
-        "missing": list(rep.missing),
-        "extra": list(rep.extra),
-        "initial_missing": list(rep.initial_missing),
-        "initial_extra": list(rep.initial_extra),
-        "ok": rep.ok,
+        **report_payload(rep),
     }
     return payload, 0 if rep.ok else 1
 
@@ -337,20 +325,7 @@ def cmd_binomial_edge(args):
     g = read_graph_file(args.graph)
     if args.check is not None:
         rep = equivalence_check(g, gb_config(args))
-        payload = {
-            "vertices": g.n,
-            "chordal": rep.chordal,
-            "labeling": list(rep.labeling),
-            "x_condition": rep.x_condition,
-            "violations": list(rep.violations),
-            "basis_x_condition": rep.basis_x_condition,
-            "basis_matches": rep.basis_matches,
-            "colon_route_linear": rep.colon_route_linear,
-            "back_edges_match": rep.back_edges_match,
-            "routes_agree": rep.routes_agree,
-            "equivalence_ok": rep.equivalence_ok,
-        }
-        return payload, 0 if rep.equivalence_ok else 1
+        return report_payload(rep) | {"vertices": g.n}, 0 if rep.equivalence_ok else 1
     em = edge_module(g)
     basis = admissible_path_basis(g)
     matches = None
@@ -371,22 +346,7 @@ def cmd_cycle_complex(args):
         rep = cycle_complex_checks(args.r, args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    payload = {
-        "r": rep.r,
-        "product_zero": rep.product_zero,
-        "witness_minor": rep.witness_minor,
-        "minor_matches": rep.minor_matches,
-        "gcd_one": rep.gcd_one,
-        "det_phi1_zero": rep.det_phi1_zero,
-        "rank_phi1": rep.rank_phi1,
-        "rank_phi2": rep.rank_phi2,
-        "rank_by_evaluation": rep.rank_by_evaluation,
-        "betti": list(rep.betti),
-        "shifts": list(rep.shifts),
-        "linear_resolution": rep.linear_resolution,
-        "ok": rep.ok,
-    }
-    return payload, 0 if rep.ok else 1
+    return report_payload(rep), 0 if rep.ok else 1
 
 
 def cmd_graph_stats(args):

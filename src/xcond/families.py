@@ -647,7 +647,7 @@ def verify_claim(claim, presentation, config=None):
         render_monomial(u, ext) for u in claimed_ini.generators if u not in true_gens
     )
 
-    reduced = reduce_basis(GroebnerBasis(ext, claim.order, polys, False))
+    reduced = reduce_basis(GroebnerBasis(ext, claim.order, polys))
     rset = set(reduced.elements)
     cset = set(presentation.gb.elements)
     reduced_match = rset == cset

@@ -50,6 +50,7 @@ from .ring import (
     compile_order,
     is_elimination_order,
     poly_from_dict,
+    poly_from_terms,
 )
 
 DEFAULT_PAIR_CAP = 200_000
@@ -91,7 +92,6 @@ class GroebnerBasis:
     context: VarContext
     order: OrderSpec
     elements: tuple
-    reduced: bool
 
     def compiled(self):
         return compile_order(self.order, self.context)
@@ -295,15 +295,6 @@ def _s_polynomial(fi, fj, order):
     return Polynomial(tuple((Monomial(e), c) for _, e, c in terms))
 
 
-def _canonical(f, ord_):
-    """Re-sort a caller-supplied polynomial under the working order; its
-    terms may have been built under a different one."""
-    acc = {}
-    for m, c in f.terms:
-        acc[m] = acc[m] + c if m in acc else c
-    return poly_from_dict(acc, ord_)
-
-
 # ---------------------------------------------------------------------------
 # Buchberger
 # ---------------------------------------------------------------------------
@@ -390,7 +381,7 @@ def buchberger(ideal, order, config=None):
 
     seen = set()
     for g in ideal.generators:
-        g = _canonical(g, ord_)
+        g = poly_from_terms(g.terms, ord_)
         if g.is_zero():
             continue
         form = _integer_form(g, monic=True)
@@ -398,7 +389,7 @@ def buchberger(ideal, order, config=None):
             seen.add(form[4])
             install(form)
     if not forms:
-        return GroebnerBasis(ctx, order, (), True)
+        return GroebnerBasis(ctx, order, ())
 
     popped = 0
     while heap:
@@ -422,16 +413,16 @@ def buchberger(ideal, order, config=None):
             )
         install(form)
 
-    return GroebnerBasis(ctx, order, tuple(form[4] for form in forms), False)
+    return GroebnerBasis(ctx, order, tuple(form[4] for form in forms))
 
 
 def reduce_basis(gb):
     """The unique reduced basis: minimal leading monomials, monic elements,
     every tail in normal form with respect to the others."""
     if not gb.elements:
-        return GroebnerBasis(gb.context, gb.order, (), True)
+        return GroebnerBasis(gb.context, gb.order, ())
     ord_ = gb.compiled()
-    elems = [g for g in (_canonical(e, ord_) for e in gb.elements) if not g.is_zero()]
+    elems = [g for g in (poly_from_terms(e.terms, ord_) for e in gb.elements) if not g.is_zero()]
     ascending = sorted(elems, key=lambda g: ord_.key(g.lm()))
     minimal = []
     for g in ascending:
@@ -445,7 +436,7 @@ def reduce_basis(gb):
         tail = normal_form(Polynomial(g.terms[1:]), table, ord_)
         tail_reduced.append(Polynomial(g.terms[:1] + tail.terms).monic())
     tail_reduced.sort(key=lambda g: ord_.key(g.lm()), reverse=True)
-    return GroebnerBasis(gb.context, gb.order, tuple(tail_reduced), True)
+    return GroebnerBasis(gb.context, gb.order, tuple(tail_reduced))
 
 
 def reduced_groebner_basis(ideal, order, config=None):
@@ -454,14 +445,14 @@ def reduced_groebner_basis(ideal, order, config=None):
 
 def membership(f, gb):
     ord_ = gb.compiled()
-    return normal_form(_canonical(f, ord_), list(gb.elements), ord_).is_zero()
+    return normal_form(poly_from_terms(f.terms, ord_), list(gb.elements), ord_).is_zero()
 
 
 def is_spair_closed(elements, order, ctx, config=None):
     """Buchberger criterion re-check: every S-pair reduces to zero."""
     cfg = config or GBConfig()
     ord_ = compile_order(order, ctx)
-    table = Reducers(_canonical(e, ord_) for e in elements)
+    table = Reducers(poly_from_terms(e.terms, ord_) for e in elements)
     checked = 0
     for fi, fj in combinations(table, 2):
         checked += 1

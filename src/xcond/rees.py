@@ -186,7 +186,7 @@ def rees_ideal(base_ctx, gens, order=None, fiber_names=None, config=None):
         Polynomial(tuple((Monomial(m.exps[1:]), c) for m, c in g.terms))
         for g in contracted.generators
     )
-    gb = GroebnerBasis(extended, order, elements, True)
+    gb = GroebnerBasis(extended, order, elements)
     presentation = ReesPresentation(base_ctx, gens, extended, order, gb)
     for g in gb.elements:
         if not kernel_member(g, gens, extended):
@@ -356,10 +356,6 @@ def quotient_steps(images):
         if not all(g.degree() == 1 for g in colon.generators):
             ok = False
     return QuotientReport(tuple(steps), ok)
-
-
-def linear_quotients(presentation, k):
-    return quotient_steps(standard_monomials(presentation, k).images())
 
 
 def is_minimal_sequence(monomials):

@@ -394,9 +394,12 @@ def poly_from_dict(d, order):
 
 
 def poly_from_terms(pairs, order):
+    """Merge equal monomials, drop zero sums and sort under order; the
+    pairs may come in any order, e.g. from a polynomial sorted under
+    another one."""
     acc = {}
     for m, c in pairs:
-        acc[m] = acc.get(m, _ZERO) + Fraction(c)
+        acc[m] = acc[m] + c if m in acc else Fraction(c)
     return poly_from_dict(acc, order)
 
 

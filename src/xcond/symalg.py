@@ -167,7 +167,7 @@ def admissible_path_basis(graph):
         f = poly_from_terms([(lead, 1), (tail, -1)], key)
         elements.append(f.term_mul(path.u_pi))
     elements.sort(key=lambda g: key.key(g.lm()), reverse=True)
-    return GroebnerBasis(ctx, order, tuple(elements), True)
+    return GroebnerBasis(ctx, order, tuple(elements))
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +181,11 @@ class EquivalenceReport:
 
     x_condition: minimal generators of the computed initial ideal have
     x-degree at most one.  basis_x_condition: the same verdict read off
-    admissible-path multipliers alone.  colon_route_linear: generators of
-    the initial ideal that are linear in y have a single-variable x-part,
-    so the one-generator-at-a-time colon ideals are variable-generated.
+    the admissible-path basis alone: every leading monomial u_pi * x_i y_j
+    has x-degree one, so no multiplier u_pi carries an x.
+    colon_route_linear: generators of the initial ideal that are linear in
+    y have a single-variable x-part, so the one-generator-at-a-time colon
+    ideals are variable-generated.
     back_edges_match: the bidegree (1,1) generators are exactly x_i y_j
     over edges {i, j} with i < j.
     """
@@ -238,9 +240,9 @@ def equivalence_check(graph, config=None):
     )
     x_condition = not violations
 
-    paths = admissible_paths(working)
-    basis_x_condition = all(p.u_pi.degree_on(x_idx) == 0 for p in paths)
-    basis_matches = admissible_path_basis(working) == gb
+    basis = admissible_path_basis(working)
+    basis_x_condition = all(g.lm().degree_on(x_idx) == 1 for g in basis.elements)
+    basis_matches = basis == gb
 
     colon_route_linear = all(
         m.degree_on(x_idx) <= 1 for m in gens if m.degree_on(y_idx) == 1

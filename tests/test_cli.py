@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import pytest
 
 from xcond import cli
+from xcond.betti import BettiTable
 from xcond.cli import main
 
 
@@ -306,6 +308,25 @@ class TestOutput:
         code, out, _ = run_cli(capsys, "cycle-complex", "--r", "4", "--out", str(dest))
         assert code == 0
         assert dest.read_text() == out
+
+    def test_report_payload_reads_fields_and_verdicts(self):
+        @dataclass(frozen=True)
+        class Report:
+            labels: tuple
+            betti: object
+            route: object
+
+            @property
+            def ok(self):
+                return not self.labels
+
+        table = BettiTable.from_dict({(0, 2): 3, (1, 3): 2})
+        assert cli.report_payload(Report(("a", "b"), table, None)) == {
+            "labels": ["a", "b"],
+            "betti": {"entries": [[0, 2, 3], [1, 3, 2]], "projdim": 1, "regularity": 2},
+            "route": None,
+            "ok": False,
+        }
 
     def test_pretty_is_a_table(self, capsys, tmp_path):
         dest = tmp_path / "p.json"

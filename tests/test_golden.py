@@ -100,6 +100,11 @@ GOLDEN = (
     ("cycle-complex --r 6", 0, "5aa8a60baef7f782453d5051f6d8faeb3a63169b0a47d5e506ccff70e31785fe"),
     ("cycle-complex --r 7", 0, "3b392a04f55164366b9237482a0ecbca72fe3b2786b83722b5133e77343ac9cd"),
     ("graph-stats --path 4 --pretty", 0, "b585b8da0121562d0f6a83885793fb5e1b532a0041cc4430823ea4bab5a94889"),
+    ("rees --path 6 --k 2 --pretty", 0, "0efaef93637d5e12598b88bd9b16b9dd003a6e93e1d692d302d69bf348bf901e"),
+    ("powers --path 5 --kmax 2 --pretty", 0, "2640436da0448beb6e6e374b96311a01d93c75a73af085674400a9b705677fd0"),
+    ("verify-family --biclique 2 3 2 --pretty", 0, "0d23cd19033a2865c89a0e3386e150bc0072cd8c5a441f416ae687e4bbbb7c28"),
+    ("binomial-edge --graph c4.graph --check mg --pretty", 0, "04e09b4455532cdd84682c7edc03808e100ae31a0540febfb10b506390569f8d"),
+    ("cycle-complex --r 5 --pretty", 0, "8aa742f46fae663c66229957977d284647c3380d200c5a91495a015b7ffc4a6f"),
     ("verify-family --path 2", 2, EMPTY),
     ("rees --path 5 --pair-cap 2", 1, EMPTY),
     ("cycle-complex --r 3", 2, EMPTY),

@@ -432,7 +432,6 @@ class TestMonomialIdeal:
                 parse_polynomial("x1 - x2", ctx2, ord_),
                 parse_polynomial("x1^2 - 2", ctx2, ord_),
             ),
-            False,
         )
         assert initial_ideal(gb).generators == (mono(ctx2, x1=1),)
 

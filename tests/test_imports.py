@@ -80,9 +80,11 @@ PACKAGE = sorted((ROOT / "src" / "xcond").glob("*.py"))
 
 
 def _referenced(nodes):
+    """Names read by the nodes; a name only bound (an assignment target, a
+    dataclass field) is not a use."""
     for node in nodes:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 yield sub.id
             elif isinstance(sub, ast.Attribute):
                 yield sub.attr
@@ -131,3 +133,10 @@ def test_dead_scan_follows_chains():
     }
     assert dead_definitions(sources) == [("b", "Report"), ("b", "recursive"), ("b", "report")]
     assert dead_definitions(sources, ["report"]) == [("b", "recursive")]
+    # a field or an assignment only binds the name: the function stays dead
+    sources["c"] = (
+        "class Verdict:\n    checked: bool\n\ndef checked():\n    return 1\n\n"
+        "Verdict(checked=True)\nchecked = 2\n"
+    )
+    assert ("c", "checked") in dead_definitions(sources)
+    assert ("c", "Verdict") not in dead_definitions(sources)
