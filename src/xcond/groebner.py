@@ -16,20 +16,33 @@ every pair being tested when it is popped:
 GBConfig.use_coprime_criterion switches the product criterion and
 use_chain_criterion switches M, F, B_t and the retirement.  Pairs are
 selected normally: smallest lcm under the working order, ties by index
-pair.  S-polynomials are reduced by normal_form over a Reducers table of
-the elements not retired, built once and updated on each install; the
-final basis is fully tail-reduced.  Every run is bounded by explicit resource caps; exceeding
-a cap raises ScaleExceeded rather than returning a truncated basis.
+pair.  S-polynomials are reduced over a Reducers table of the elements
+not retired, built once and updated on each install; the final basis is
+fully tail-reduced.  Every run is bounded by explicit resource caps;
+exceeding a cap raises ScaleExceeded rather than returning a truncated
+basis.
+
+Exponent vectors are packed ints inside the loop (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007).  Each variable has a fixed-width field whose top
+bit is a guard bit; the width is chosen per run from the largest input
+exponent, at least 32 bits.  A product of monomials is one int add,
+divisibility is ((b | guard) - a) & guard == guard, and the lcm is a
+fieldwise max computed the same way.  The order is an additive int key
+taken from its matrix (Packing), so a new term's key is an add and
+comparing two terms is one int compare.  An exponent that carries into
+a guard bit raises ScaleExceeded; nothing wraps.
 
 Coefficients are Fractions only at the boundary.  Each divisor is held
 in its primitive integer form (denominators cleared, content divided out,
 leading coefficient positive), S-polynomials are formed fraction-free
 from two such forms, and the reduction loop runs on ints, rescaling the
 running polynomial only when a reducer's leading coefficient does not
-divide the coefficient it cancels (never for the +-1 binomials).
-normal_form clears its input's denominators on entry and returns
-Fractions; installed elements are made monic once, from their integer
-form.  divide stays the Fraction textbook oracle.
+divide the coefficient it cancels (never for the +-1 binomials).  An
+S-pair's remainder becomes a primitive form directly.  Tuples, Monomials
+and Fractions appear only at the boundary: the generators, normal_form's
+input and result, and the monic element built once per install.  divide
+stays the Fraction textbook oracle.
 """
 
 from __future__ import annotations
@@ -38,9 +51,11 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, compress
 from math import gcd, lcm
-from operator import add, itemgetter, le, sub
+from operator import mul
+from struct import Struct
 
 from .ring import (
     Monomial,
@@ -55,8 +70,6 @@ from .ring import (
 
 DEFAULT_PAIR_CAP = 200_000
 DEFAULT_DEGREE_CAP = 40
-
-_first = itemgetter(0)
 
 
 class ScaleExceeded(RuntimeError):
@@ -154,145 +167,233 @@ def divide(f, divisors, order):
     return qs, Polynomial(tuple(remainder))
 
 
-def _support_mask(exps):
-    """Bit i is set when variable i occurs in the monomial."""
-    mask = 0
-    for i, e in enumerate(exps):
-        if e:
-            mask |= 1 << i
-    return mask
+# ---------------------------------------------------------------------------
+# packed exponents
+# ---------------------------------------------------------------------------
+
+HEADROOM_BITS = 16  # spare bits above an input's largest exponent
+_STRUCT_CODES = {32: "I", 64: "Q"}  # fields that struct packs in C
 
 
-def _divides(a, b):
-    return all(map(le, a, b))
+class Packing:
+    """Exponent vectors of one order held as ints.
+
+    Field i of a packed vector is e_i in `width` bits, the top one a guard
+    bit that stays clear, so a product of monomials is a sum of ints and
+    a | b is ((b | guard) - a) & guard == guard.  The key
+    K(e) = sum_r (M_r . e) * 2^(S * (R - 1 - r)) over the R rows of the
+    order's matrix sorts exactly as the order's key and is additive,
+    K(e + f) = K(e) + K(f).  S holds a sign bit and any row on fields
+    below 2^width, so a sum of two guard-free vectors, exact but perhaps
+    carried into a guard bit, still has its true key.
+    """
+
+    __slots__ = ("nvars", "width", "guard", "units", "_struct")
+
+    def __init__(self, order, width):
+        n = order.context.nvars
+        rows = order.matrix
+        shift = width + max((sum(map(abs, row)) for row in rows), default=0).bit_length() + 1
+        top = len(rows) - 1
+        self.nvars = n
+        self.width = width
+        self.guard = sum(1 << (width * i + width - 1) for i in range(n))
+        self.units = tuple(
+            sum(row[i] << (shift * (top - r)) for r, row in enumerate(rows)) for i in range(n)
+        )
+        code = _STRUCT_CODES.get(width)
+        self._struct = Struct(f"<{n}{code}") if code else None
+
+    def pack(self, e):
+        if max(e, default=0) >> (self.width - 1):
+            raise ScaleExceeded(f"exponent {max(e)} does not fit a {self.width}-bit field")
+        if self._struct:
+            return int.from_bytes(self._struct.pack(*e), "little")
+        return sum(x << (self.width * i) for i, x in enumerate(e))
+
+    def unpack(self, p):
+        if self._struct:
+            return self._struct.unpack(p.to_bytes(self._struct.size, "little"))
+        mask = (1 << self.width) - 1
+        return tuple((p >> (self.width * i)) & mask for i in range(self.nvars))
+
+    def key(self, e):
+        """K of an exponent tuple, summed over its nonzero entries."""
+        return sum(map(mul, compress(self.units, e), filter(None, e)))
+
+    def lcm(self, a, b):
+        """Fieldwise max of two guard-free vectors; a and b have disjoint
+        supports exactly when it equals a + b."""
+        ge = ((a | self.guard) - b) & self.guard  # guard bit set where a_i >= b_i
+        take_a = ge - (ge >> (self.width - 1))  # the value bits of those fields
+        return b ^ ((a ^ b) & take_a)
+
+    def form(self, g, monic=False):
+        """Entry (lm, K(lm), lc, tail, element) of a nonzero polynomial g:
+        lc and the tail ((key, packed exponents, int), ...) are the
+        primitive integer multiple of g (denominators cleared, content
+        divided out, leading coefficient positive); element is g, or g
+        made monic."""
+        terms = g.terms
+        den = lcm(*(c.denominator for _, c in terms))
+        ints = _primitive([c.numerator * (den // c.denominator) for _, c in terms])
+        if monic:
+            g = Polynomial(tuple((m, Fraction(c, ints[0])) for (m, _), c in zip(terms, ints)))
+        keyed = [(self.key(m.exps), self.pack(m.exps)) for m, _ in terms]
+        return _entry(keyed, ints, g)
+
+    def remainder_form(self, remainder):
+        """The entry of a nonzero remainder of _reduce, element monic."""
+        ints = _primitive([c for _, _, c in remainder])
+        element = Polynomial(
+            tuple(
+                (Monomial(self.unpack(e)), Fraction(c, ints[0]))
+                for (_, e, _), c in zip(remainder, ints)
+            )
+        )
+        return _entry([(k, e) for k, e, _ in remainder], ints, element)
 
 
-def _integer_form(g, monic=False):
-    """(lm exponents, lm support mask, lc, tail, element) of a nonzero
-    polynomial g.  lc and the tail [(exponents, int)] are the primitive
-    integer multiple of g: denominators cleared, content divided out,
-    leading coefficient positive.  element is g, or g made monic."""
-    terms = g.terms
-    den = lcm(*(c.denominator for _, c in terms))
-    ints = [c.numerator * (den // c.denominator) for _, c in terms]
+@lru_cache(maxsize=None)
+def _packing(order, width):
+    return Packing(order, width)
+
+
+def packing_for(order, top):
+    """The order's packing whose fields hold exponents up to top with
+    HEADROOM_BITS to spare, at least 32 bits wide with the guard."""
+    width = top.bit_length() + HEADROOM_BITS + 1
+    return _packing(order, 32 if width <= 32 else 64 if width <= 64 else width)
+
+
+def _max_exponent(polys):
+    return max((max(m.exps, default=0) for g in polys for m, _ in g.terms), default=0)
+
+
+def _primitive(ints):
+    """ints divided by their content, signed so that the first is positive."""
     content = gcd(*ints)
     if ints[0] < 0:
         content = -content
-    if content != 1:
-        ints = [c // content for c in ints]
-    lc = ints[0]
-    if monic:
-        g = Polynomial(tuple((m, Fraction(c, lc)) for (m, _), c in zip(terms, ints)))
-    exps = terms[0][0].exps
-    tail = [(m.exps, c) for (m, _), c in zip(terms[1:], ints[1:])]
-    return (exps, _support_mask(exps), lc, tail, g)
+    return ints if content == 1 else [c // content for c in ints]
+
+
+def _entry(keyed, ints, element):
+    (key, lm), *rest = keyed
+    tail = tuple((k, e, c) for (k, e), c in zip(rest, ints[1:]))
+    return (lm, key, ints[0], tail, element)
 
 
 class Reducers(list):
-    """Divisor table for normal_form: one _integer_form entry per nonzero
-    divisor, tried in list order.
+    """Divisor table: one Packing.form entry per nonzero divisor, tried in
+    list order, with the packing its entries use."""
 
-    A divisor's support must lie in the target's, so the mask test is an
-    exact prefilter before the exponents are compared.
-    """
-
-    def __init__(self, polys=()):
+    def __init__(self, polys, order, packing=None):
         super().__init__()
-        for g in polys:
-            if not g.is_zero():
-                self.append(_integer_form(g))
+        polys = [g for g in polys if not g.is_zero()]
+        self.packing = packing or packing_for(order, _max_exponent(polys))
+        self.extend(map(self.packing.form, polys))
 
-    def find(self, exps):
-        """First entry whose leading monomial divides exps, or None."""
-        mask = _support_mask(exps)
+    def find(self, e):
+        """First entry whose leading monomial divides the packed e, or None."""
+        guard = self.packing.guard
+        e |= guard
         for entry in self:
-            if not entry[1] & ~mask and _divides(entry[0], exps):
+            if (e - entry[0]) & guard == guard:
                 return entry
         return None
 
 
-def _reduce(p, table, key):
-    """Reduce p, an ascending list of (key, exponents, int), by the table.
+def _reduce(p, table):
+    """Reduce p, an ascending list of (key, packed exponents, int), by the
+    table.
 
     Returns (remainder, factor): remainder is a descending list of
-    (exponents, int) with no term divisible by a table leading monomial,
-    and factor * p - remainder lies in the ideal of the table.  Each step
-    cancels the leading term c x^e with an entry of leading coefficient
-    gc: when gc does not divide c, p and the remainder so far are first
-    multiplied by a = gc / gcd(c, gc), and so is factor.
+    (key, packed exponents, int) with no term divisible by a table leading
+    monomial, and factor * p - remainder lies in the ideal of the table.
+    Each step cancels the leading term c x^e with an entry of leading
+    coefficient gc: when gc does not divide c, p and the remainder so far
+    are first multiplied by a = gc / gcd(c, gc), and so is factor.  A term
+    whose exponent has carried into a guard bit raises ScaleExceeded when
+    it leads.
     """
+    guard = table.packing.guard
+    find = table.find
     remainder = []
     factor = 1
     while p:
-        _, e, c = p.pop()
-        hit = table.find(e)
+        k, e, c = p.pop()
+        if e & guard:
+            raise ScaleExceeded(f"an exponent outgrew its {table.packing.width}-bit field")
+        hit = find(e)
         if hit is None:
-            remainder.append((e, c))
+            remainder.append((k, e, c))
             continue
-        ge, _, gc, tail, _ = hit
+        ge, gk, gc, tail, _ = hit
         if gc != 1:
             g = gcd(c, gc)
             a = gc // g
             if a != 1:
                 factor *= a
                 p = [(k2, e2, a * c2) for k2, e2, c2 in p]
-                remainder = [(e2, a * c2) for e2, c2 in remainder]
+                remainder = [(k2, e2, a * c2) for k2, e2, c2 in remainder]
             c //= g
-        q = tuple(map(sub, e, ge))
-        for m, b in tail:
-            e2 = tuple(map(add, m, q))
-            k2 = key(e2)
+        q = e - ge
+        dk = k - gk
+        for k2, m, b in tail:
+            k2 += dk
             c2 = -c * b
-            i = bisect_left(p, k2, key=_first)
+            i = bisect_left(p, (k2,))
             if i < len(p) and p[i][0] == k2:
                 c2 += p[i][2]
                 if c2:
-                    p[i] = (k2, e2, c2)
+                    p[i] = (k2, p[i][1], c2)
                 else:
                     del p[i]
             else:
-                p.insert(i, (k2, e2, c2))
+                p.insert(i, (k2, m + q, c2))
     return remainder, factor
 
 
 def normal_form(f, divisors, order):
     """The remainder of divide(f, divisors, order), without quotients.
 
-    divisors is a polynomial list or a prebuilt Reducers table.  f's
-    denominators are cleared and _reduce runs on integers; the remainder's
-    coefficients come back as Fractions.
+    divisors is a polynomial list or a prebuilt Reducers table.  f is
+    packed with its denominators cleared and _reduce runs on integers; the
+    remainder's coefficients come back as Fractions.
     """
-    table = divisors if isinstance(divisors, Reducers) else Reducers(divisors)
+    if isinstance(divisors, Reducers):
+        table = divisors
+    else:
+        divisors = list(divisors)
+        table = Reducers(divisors, order, packing_for(order, _max_exponent([f, *divisors])))
     if not table or f.is_zero():
         return f
-    key = order.exps_key
+    pk = table.packing
     den = lcm(*(c.denominator for _, c in f.terms))
     p = [
-        (key(m.exps), m.exps, c.numerator * (den // c.denominator))
+        (pk.key(m.exps), pk.pack(m.exps), c.numerator * (den // c.denominator))
         for m, c in reversed(f.terms)
     ]
-    remainder, factor = _reduce(p, table, key)
+    remainder, factor = _reduce(p, table)
     den *= factor
-    return Polynomial(tuple((Monomial(e), Fraction(c, den)) for e, c in remainder))
+    return Polynomial(tuple((Monomial(pk.unpack(e)), Fraction(c, den)) for _, e, c in remainder))
 
 
-def _s_polynomial(fi, fj, order):
-    """S-polynomial of two integer forms, kept integral:
-    (lc_j/g) x^(L-lm_i) f_i - (lc_i/g) x^(L-lm_j) f_j, where L is the lcm
-    of the leading monomials and g = gcd(lc_i, lc_j).  It is
-    lcm(lc_i, lc_j) times the S-polynomial of the monic elements, returned
-    as a Polynomial with int coefficients."""
-    L = tuple(map(max, fi[0], fj[0]))
+def _s_polynomial(fi, fj, L, key):
+    """S-polynomial of two entries whose leading monomials have lcm L, of
+    key K(L), kept integral: (lc_j/g) x^(L-lm_i) f_i - (lc_i/g) x^(L-lm_j) f_j
+    with g = gcd(lc_i, lc_j).  It is lcm(lc_i, lc_j) times the S-polynomial
+    of the monic elements, returned as _reduce's ascending input."""
     g = gcd(fi[2], fj[2])
     acc = {}
-    for (lm, _, _, tail, _), scale in ((fi, fj[2] // g), (fj, -(fi[2] // g))):
-        shift = tuple(map(sub, L, lm))
-        for e, c in tail:
-            e = tuple(map(add, e, shift))
-            acc[e] = acc.get(e, 0) + scale * c
-    key = order.exps_key
-    terms = sorted(((key(e), e, c) for e, c in acc.items() if c), reverse=True)
-    return Polynomial(tuple((Monomial(e), c) for _, e, c in terms))
+    for (lm, k, _, tail, _), scale in ((fi, fj[2] // g), (fj, -(fi[2] // g))):
+        shift, dk = L - lm, key - k
+        for k2, e, c in tail:
+            k2 += dk
+            hit = acc.get(k2)
+            acc[k2] = (e + shift, scale * c) if hit is None else (hit[0], hit[1] + scale * c)
+    return sorted((k, e, c) for k, (e, c) in acc.items() if c)
 
 
 # ---------------------------------------------------------------------------
@@ -311,25 +412,28 @@ def buchberger(ideal, order, config=None):
     cfg = config or GBConfig()
     ctx = ideal.context
     ord_ = compile_order(order, ctx)
-    key = ord_.exps_key
     coprime_crit = cfg.use_coprime_criterion
     chain_crit = cfg.use_chain_criterion
 
-    forms = []  # _integer_form of each basis element, element monic
+    gens = [poly_from_terms(g.terms, ord_) for g in ideal.generators]
+    gens = [g for g in gens if not g.is_zero()]
+    packing = packing_for(ord_, _max_exponent(gens))
+    guard, lcm_of, key, unpack = packing.guard, packing.lcm, packing.key, packing.unpack
+    forms = []  # Packing.form of each basis element, element monic
     active = []  # indices not retired: they take new pairs
-    reducers = Reducers()  # forms of the active elements, in installation order
-    heap = []  # (lcm key, i, j, lcm exponents, lcm mask), i < j
+    reducers = Reducers((), ord_, packing)  # forms of the active elements, in installation order
+    heap = []  # (K(lcm), i, j, packed lcm), i < j
 
     def install(form):
         t = len(forms)
-        lm_t, mask_t = form[0], form[1]
+        lm_t = form[0]
         forms.append(form)
 
         def lcm_with_t(i):
-            return tuple(map(max, forms[i][0], lm_t))
+            return lcm_of(forms[i][0], lm_t)
 
-        def divisible_by_t(exps, mask):
-            return not mask_t & ~mask and _divides(lm_t, exps)
+        def divisible_by_t(e):
+            return ((e | guard) - lm_t) & guard == guard
 
         if chain_crit and heap:
             # B_t: (i, j) is redundant when lm_t divides its lcm and the
@@ -337,7 +441,7 @@ def buchberger(ideal, order, config=None):
             kept = [
                 pair
                 for pair in heap
-                if not divisible_by_t(pair[3], pair[4])
+                if not divisible_by_t(pair[3])
                 or lcm_with_t(pair[1]) == pair[3]
                 or lcm_with_t(pair[2]) == pair[3]
             ]
@@ -345,46 +449,43 @@ def buchberger(ideal, order, config=None):
                 heap[:] = kept
                 heapq.heapify(heap)
 
-        new = {}  # lcm exponents -> partner indices, ascending
+        new = {}  # packed lcm -> partner indices, ascending
         for i in active:
             new.setdefault(lcm_with_t(i), []).append(i)
-        minimal = []  # (exponents, mask) of the lcms kept by criterion M
+        minimal = []  # the lcms kept by criterion M
 
-        def coprime(i):
-            return not forms[i][1] & mask_t
-
-        # a proper divisor has a smaller degree, so it is met first
-        for L in sorted(new, key=sum):
+        # a proper divisor has a smaller packed value, so it is met first
+        for L in sorted(new):
             partners = new[L]
-            mask = forms[partners[0]][1] | mask_t
             if chain_crit:
                 # M: drop a class whose lcm another new lcm properly divides
-                if any(not m & ~mask and _divides(e, L) for e, m in minimal):
+                above = L | guard
+                if any((above - e) & guard == guard for e in minimal):
                     continue
-                minimal.append((L, mask))
-                # product criterion: a coprime pair drops its whole class
-                if coprime_crit and any(map(coprime, partners)):
+                minimal.append(L)
+                # product criterion: a coprime pair drops its whole class;
+                # coprime leading monomials have their product as lcm
+                if coprime_crit and any(L == forms[i][0] + lm_t for i in partners):
                     continue
                 partners = partners[:1]  # F: one pair per lcm
             elif coprime_crit:
-                partners = [i for i in partners if not coprime(i)]
-            for i in partners:
-                heapq.heappush(heap, (key(L), i, t, L, mask))
+                partners = [i for i in partners if L != forms[i][0] + lm_t]
+            if partners:
+                k = key(unpack(L))
+                for i in partners:
+                    heapq.heappush(heap, (k, i, t, L))
 
         if chain_crit:
             # every multiple of a retired lm is a multiple of lm_t, so the
             # retired elements also leave the reducer table
-            active[:] = [i for i in active if not divisible_by_t(forms[i][0], forms[i][1])]
-            reducers[:] = [entry for entry in reducers if not divisible_by_t(entry[0], entry[1])]
+            active[:] = [i for i in active if not divisible_by_t(forms[i][0])]
+            reducers[:] = [entry for entry in reducers if not divisible_by_t(entry[0])]
         active.append(t)
         reducers.append(form)
 
     seen = set()
-    for g in ideal.generators:
-        g = poly_from_terms(g.terms, ord_)
-        if g.is_zero():
-            continue
-        form = _integer_form(g, monic=True)
+    for g in gens:
+        form = packing.form(g, monic=True)
         if form[4] not in seen:
             seen.add(form[4])
             install(form)
@@ -393,21 +494,22 @@ def buchberger(ideal, order, config=None):
 
     popped = 0
     while heap:
-        _, i, j, _, _ = heapq.heappop(heap)
+        k, i, j, L = heapq.heappop(heap)
         popped += 1
         if popped > cfg.pair_cap:
             raise ScaleExceeded(
                 f"S-pair budget of {cfg.pair_cap} exhausted ({len(forms)} basis elements)"
             )
-        h = normal_form(_s_polynomial(forms[i], forms[j], ord_), reducers, ord_)
-        if h.is_zero():
+        remainder, _ = _reduce(_s_polynomial(forms[i], forms[j], L, k), reducers)
+        if not remainder:
             continue
+        form = packing.remainder_form(remainder)
+        h = form[4]
         if h.degree() > cfg.degree_cap:
             raise ScaleExceeded(
                 f"degree budget of {cfg.degree_cap} exceeded (element of degree {h.degree()})"
             )
-        form = _integer_form(h, monic=True)
-        if cfg.expect_binomials and not form[4].is_binomial_pm1():
+        if cfg.expect_binomials and not h.is_binomial_pm1():
             raise AssertionError(
                 "binomial purity violated: a toric run produced a non-binomial element"
             )
@@ -430,7 +532,7 @@ def reduce_basis(gb):
             minimal.append(g)
     # Every term of a tail, and of its reductions, lies below lm(g), so no
     # lm(g) divides it and g may stay in the table that reduces its tail.
-    table = Reducers(minimal)
+    table = Reducers(minimal, ord_)
     tail_reduced = []
     for g in minimal:
         tail = normal_form(Polynomial(g.terms[1:]), table, ord_)
@@ -452,16 +554,17 @@ def is_spair_closed(elements, order, ctx, config=None):
     """Buchberger criterion re-check: every S-pair reduces to zero."""
     cfg = config or GBConfig()
     ord_ = compile_order(order, ctx)
-    table = Reducers(poly_from_terms(e.terms, ord_) for e in elements)
+    table = Reducers([poly_from_terms(e.terms, ord_) for e in elements], ord_)
+    pk = table.packing
     checked = 0
     for fi, fj in combinations(table, 2):
         checked += 1
         if checked > cfg.pair_cap:
             raise ScaleExceeded(f"S-pair budget of {cfg.pair_cap} exhausted")
-        if not fi[1] & fj[1]:
+        L = pk.lcm(fi[0], fj[0])
+        if L == fi[0] + fj[0]:  # coprime leading monomials
             continue
-        s = _s_polynomial(fi, fj, ord_)
-        if not normal_form(s, table, ord_).is_zero():
+        if _reduce(_s_polynomial(fi, fj, L, pk.key(pk.unpack(L))), table)[0]:
             return False
     return True
 

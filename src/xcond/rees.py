@@ -301,7 +301,7 @@ def standard_rewrites(presentation, k):
     order = presentation.gb.compiled()
     fiber_idx = set(presentation.fiber_indices())
     standard = set(standard_monomials(presentation, k).monomials())
-    reducers = Reducers(presentation.gb.elements)
+    reducers = Reducers(presentation.gb.elements, order)
     out = []
     for w in _fiber_monomials(presentation, k):
         if not any(v.divides(w) for v in blockers):

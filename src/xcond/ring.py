@@ -5,7 +5,9 @@ Variables live in a VarContext that partitions them into named blocks
 are declarative OrderSpec values: pure lex, graded reverse lex, block
 orders that compare one block before the next, and weight-first orders
 with a tie-break.  Each spec compiles to a key function so comparisons
-reduce to tuple comparisons.  All values are immutable.
+reduce to tuple comparisons, and to the matrix of integer rows whose dot
+products with an exponent vector are that key, flattened.  All values
+are immutable.
 """
 
 from __future__ import annotations
@@ -190,14 +192,18 @@ class MonomialOrder:
 
     exps_key is the same key taken on a raw exponent tuple, without the
     length check, for loops that hold exponents instead of Monomials.
+    matrix holds one row of integer weights per entry of the flattened
+    key: exps_key(e), flattened, is the tuple of the dot products row . e,
+    so every order here is a matrix order.
     """
 
-    __slots__ = ("spec", "context", "exps_key", "_nvars")
+    __slots__ = ("spec", "context", "exps_key", "matrix", "_nvars")
 
-    def __init__(self, spec, context, key_fn):
+    def __init__(self, spec, context, key_fn, matrix):
         self.spec = spec
         self.context = context
         self.exps_key = key_fn
+        self.matrix = matrix
         self._nvars = context.nvars
 
     def key(self, monomial):
@@ -217,25 +223,39 @@ def _picker(idx):
     return itemgetter(*idx)
 
 
+def _unit(i, n, value=1):
+    row = [0] * n
+    row[i] = value
+    return tuple(row)
+
+
 def _build_key(spec, ctx, scope):
-    """Compile spec to a key on raw exponent tuples; scope = variable names covered."""
+    """Compile spec to (key on raw exponent tuples, matrix rows of the
+    flattened key); scope = variable names covered."""
     imap = _index_map(ctx)
+    n = ctx.nvars
     if spec.kind == "lex":
         if set(spec.vars) != set(scope) or len(spec.vars) != len(scope):
             raise ValueError("lex order must rank each variable of its scope exactly once")
-        return _picker(tuple(imap[v] for v in spec.vars))
+        idx = tuple(imap[v] for v in spec.vars)
+        return _picker(idx), tuple(_unit(i, n) for i in idx)
     if spec.kind == "revlex":
         if set(spec.vars) != set(scope) or len(spec.vars) != len(scope):
             raise ValueError("revlex order must rank each variable of its scope exactly once")
-        descending = _picker(tuple(imap[v] for v in spec.vars))
-        ascending = _picker(tuple(imap[v] for v in reversed(spec.vars)))
-        return lambda e: (sum(descending(e)), tuple(map(neg, ascending(e))))
+        idx = tuple(imap[v] for v in spec.vars)
+        descending = _picker(idx)
+        ascending = _picker(idx[::-1])
+        degree = tuple(int(i in idx) for i in range(n))
+        rows = (degree,) + tuple(_unit(i, n, -1) for i in idx[::-1])
+        return lambda e: (sum(descending(e)), tuple(map(neg, ascending(e)))), rows
     if spec.kind == "block":
         part_names = [bn for bn, _ in spec.parts]
         if sorted(part_names) != sorted(ctx.block_names()):
             raise ValueError("block order must cover every context block exactly once")
-        subs = tuple(_build_key(sub, ctx, ctx.block_vars(bn)) for bn, sub in spec.parts)
-        return lambda e: tuple([k(e) for k in subs])
+        compiled = [_build_key(sub, ctx, ctx.block_vars(bn)) for bn, sub in spec.parts]
+        subs = tuple(k for k, _ in compiled)
+        rows = tuple(row for _, sub_rows in compiled for row in sub_rows)
+        return lambda e: tuple([k(e) for k in subs]), rows
     if spec.kind == "weighted":
         scope_idx = tuple(imap[v] for v in ctx.names if v in set(scope))
         if len(spec.weights) != len(scope_idx):
@@ -245,8 +265,14 @@ def _build_key(spec, ctx, scope):
         if spec.tie is None:
             raise ValueError("weighted order needs a tie-break")
         weights, scoped = spec.weights, _picker(scope_idx)
-        tie_key = _build_key(spec.tie, ctx, scope)
-        return lambda e: (sum(map(mul, weights, scoped(e))), tie_key(e))
+        tie_key, tie_rows = _build_key(spec.tie, ctx, scope)
+        row = [0] * n
+        for i, w in zip(scope_idx, weights):
+            row[i] = w
+        return (
+            lambda e: (sum(map(mul, weights, scoped(e))), tie_key(e)),
+            (tuple(row),) + tie_rows,
+        )
     raise ValueError(f"unknown order kind {spec.kind!r}")
 
 
@@ -256,7 +282,7 @@ _ORDER_CACHE = {}
 def compile_order(spec, ctx):
     cached = _ORDER_CACHE.get((spec, ctx))
     if cached is None:
-        cached = MonomialOrder(spec, ctx, _build_key(spec, ctx, ctx.names))
+        cached = MonomialOrder(spec, ctx, *_build_key(spec, ctx, ctx.names))
         _ORDER_CACHE[(spec, ctx)] = cached
     return cached
 

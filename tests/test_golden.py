@@ -6,6 +6,7 @@ To refresh a digest after an intended output change, run the command and
 hash its stdout, e.g. `xcond rees --path 6 --k 2 | sha256sum`."""
 
 import hashlib
+import shlex
 
 import pytest
 
@@ -54,6 +55,14 @@ INPUTS = {
         "-4*a*b + 5/7*b^2 + 3*a*c - 8*c*d + 1/2*b*d - 6\n"
         "7/3*a*c - 2*b^2 + 6/5*b*d - 9*c^2 + d^2 - 3/4*a + 2\n"
     ),
+    # a lex basis whose last element is a degree-18 polynomial in z
+    "lexpow.ideal": (
+        "vars: x, y, z\n"
+        "lex[x>y>z]\n"
+        "x^2*y - z^3 + 2\n"
+        "x*y^2 - 3*x*z + y^3\n"
+        "x*z^2 - y^2 + z\n"
+    ),
     "c4.graph": "v1 v2\nv2 v3\nv3 v4\nv1 v4\n",
     # the fixed eight-vertex graph of the edge-sweep benchmark
     "g8.graph": (
@@ -91,6 +100,12 @@ GOLDEN = (
     ("gb cyclic5.ideal", 0, "87f40c7b4bc0a00dd2f243c3066d28166677f180732f09be285b54da3ffd39cb"),
     ("gb katsura4.ideal", 0, "da5642380b527e113dd7b0af9522938a8ccfe39bc6b6572679c987acc8d8ab08"),
     ("gb dense_frac.ideal", 0, "27eef2dfe4f423be361656fe6ee451978a3fbb33498536311307721f95177607"),
+    (
+        'gb cyclic4.ideal --order "weighted(w=[3,1,2,1]; tie=revlex[x1>x2>x3>x4])"',
+        0,
+        "d839b713e4982886158b8c1314a935caca29bbabd1289e67bdf67ea1603b51d2",
+    ),
+    ("gb lexpow.ideal", 0, "66dc7386b6e59eac1f26e4f0dc4bfece1012eb59929d82749e89bee0bb827d77"),
     ("binomial-edge --graph c4.graph", 0, "85a89df047f91b352ba8cf1eaa37dd9e9c4eb64127035265d14ca3a5acdb837b"),
     ("binomial-edge --graph c4.graph --check mg", 0, "dbbd19513b3149687dc8d252d291455a6cc83f33828bad7c3ece4e1508193d70"),
     ("binomial-edge --graph g8.graph", 0, "e3d3bd40984a7355b45e46fadc708fdcd33d450970a169866a803ea4cac6af64"),
@@ -120,6 +135,6 @@ def inputs(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_stdout_is_pinned(capsys, inputs, command, code, digest):
-    assert main(command.split()) == code
+    assert main(shlex.split(command)) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest

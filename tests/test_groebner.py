@@ -29,16 +29,26 @@ from xcond.groebner import (
 )
 from xcond.ring import (
     Monomial,
+    Polynomial,
     VarContext,
     block_order,
     compile_order,
     lex_order,
+    monomial_poly,
+    parse_order_spec,
     parse_polynomial,
     poly_from_dict,
     render_polynomial,
     revlex_order,
 )
-from xcond.rees import quotient_steps, rees_ideal
+from xcond.rees import (
+    ELIM_VAR,
+    default_order,
+    extended_context,
+    quotient_steps,
+    rees_ideal,
+    weight_order,
+)
 
 
 def mono(ctx, **powers):
@@ -127,8 +137,13 @@ def textbook_s_polynomial(f, g, ord_):
 def integer_s_polynomial(f, g, ord_):
     """The engine's S-polynomial, checked to be a nonzero integer multiple
     of the textbook one."""
-    fi, fj = Reducers([f, g])
-    s = groebner._s_polynomial(fi, fj, ord_)
+    table = Reducers([f, g], ord_)
+    pk = table.packing
+    fi, fj = table
+    L = pk.lcm(fi[0], fj[0])
+    packed = groebner._s_polynomial(fi, fj, L, pk.key(pk.unpack(L)))
+    assert packed == sorted(packed)
+    s = Polynomial(tuple((Monomial(pk.unpack(e)), c) for _, e, c in reversed(packed)))
     want = textbook_s_polynomial(f, g, ord_)
     assert all(type(c) is int for _, c in s.terms)
     assert s.is_zero() == want.is_zero()
@@ -614,7 +629,7 @@ class TestQuotientFreeNormalForm:
         gs = [poly_from_dict(g, ord_) for g in divisors]
         _, r = divide(f, gs, ord_)
         assert normal_form(f, gs, ord_).terms == r.terms
-        assert normal_form(f, Reducers(gs), ord_).terms == r.terms
+        assert normal_form(f, Reducers(gs, ord_), ord_).terms == r.terms
 
     @settings(max_examples=200, deadline=None)
     # x1^3 goes to the remainder before 2*x2 + x3^2 rescales the rest
@@ -635,7 +650,124 @@ class TestQuotientFreeNormalForm:
         f = poly_from_dict(f, ord_)
         gs = [poly_from_dict(g, ord_) for g in divisors]
         _, r = divide(f, gs, ord_)
-        for table in (gs, Reducers(gs)):
+        for table in (gs, Reducers(gs, ord_)):
             got = normal_form(f, table, ord_)
             assert got.terms == r.terms
             assert all(type(c) is Fraction for _, c in got.terms)
+
+
+# ---------------------------------------------------------------------------
+# packed exponents: the int forms agree with the tuple ones
+# ---------------------------------------------------------------------------
+
+
+def _rees_orders():
+    """rees_ideal's t-elimination order around the default order, and the
+    weighted certificate order, both on the cover ideal of P4."""
+    g = path_graph(4)
+    base = g.context()
+    gens = minimal_vertex_covers(g).monomials()
+    extended = extended_context(base, gens)
+    default = default_order(extended)
+    elim_ctx = VarContext.make(
+        (ELIM_VAR,) + extended.names, (("elim", (ELIM_VAR,)),) + extended.blocks
+    )
+    elim = block_order(("elim", lex_order(ELIM_VAR)), *default.parts)
+    weighted = weight_order(gens, extended.block_vars("fiber"), lex_order(*base.names))
+    return [compile_order(elim, elim_ctx), compile_order(weighted, extended)]
+
+
+_CTX4 = VarContext.make(("a", "b", "c", "d"), blocks=(("p", ("a", "b")), ("q", ("c", "d"))))
+PACKED_ORDERS = [
+    compile_order(lex_order("c", "a", "d", "b"), _CTX4),
+    compile_order(revlex_order("a", "b", "c", "d"), _CTX4),
+    compile_order(block_order(("q", lex_order("d", "c")), ("p", revlex_order("b", "a"))), _CTX4),
+    compile_order(
+        parse_order_spec("weighted(w=[3,1,2,1]; tie=revlex[a>b>c>d])", _CTX4), _CTX4
+    ),
+    compile_order(
+        parse_order_spec(
+            "weighted(w=[100000000000000000000,0,7,1]; tie=lex[d>c>b>a])", _CTX4
+        ),
+        _CTX4,
+    ),
+    *_rees_orders(),
+]
+
+
+@st.composite
+def exponent_pairs(draw):
+    """An order of PACKED_ORDERS and two exponent vectors for it, small
+    entries mixed with ones near the top of a 32-bit field."""
+    order = draw(st.sampled_from(PACKED_ORDERS))
+    entry = st.one_of(st.integers(0, 3), st.integers(0, (1 << 30) - 1))
+    vec = st.tuples(*[entry] * order.context.nvars)
+    return order, draw(vec), draw(vec)
+
+
+class TestPackedExponents:
+    @settings(max_examples=300, deadline=None)
+    @given(case=exponent_pairs())
+    def test_key_sorts_as_the_order_and_adds(self, case):
+        order, a, b = case
+        pk = groebner.packing_for(order, 1 << 14)
+        assert pk.width == 32
+        ka, kb = order.exps_key(a), order.exps_key(b)
+        assert (pk.key(a) < pk.key(b)) == (ka < kb)
+        assert (pk.key(a) == pk.key(b)) == (ka == kb)
+        ab = tuple(x + y for x, y in zip(a, b))
+        assert pk.key(a) + pk.key(b) == pk.key(ab)
+        # a product of two packed vectors is their sum, guard bits included
+        assert pk.pack(a) + pk.pack(b) == sum(x << (32 * i) for i, x in enumerate(ab))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=exponent_pairs(), width=st.sampled_from((32, 64, 40, 77)))
+    def test_divides_lcm_and_support_match_tuples(self, case, width):
+        order, a, b = case
+        pk = groebner.Packing(order, width)
+        pa, pb = pk.pack(a), pk.pack(b)
+        assert pk.unpack(pa) == a
+        table = Reducers([monomial_poly(Monomial(a))], order, pk)
+        assert (table.find(pb) is not None) == all(x <= y for x, y in zip(a, b))
+        assert table.find(pa) is table[0]
+        lcm = pk.lcm(pa, pb)
+        assert pk.unpack(lcm) == tuple(map(max, a, b))
+        assert (lcm == pa + pb) == (not set(Monomial(a).support()) & set(Monomial(b).support()))
+
+    def test_width_leaves_headroom(self):
+        order = PACKED_ORDERS[0]
+        assert groebner.packing_for(order, 0).width == 32
+        assert groebner.packing_for(order, (1 << 15) - 1).width == 32
+        assert groebner.packing_for(order, 1 << 15).width == 64
+        assert groebner.packing_for(order, 1 << 50).width == 68
+
+    def test_guard_overflow_raises(self, ctx2):
+        order = compile_order(lex_order("x1", "x2"), ctx2)
+        pk = groebner.Packing(order, 4)  # three value bits: exponents up to 7
+        assert pk.unpack(pk.pack((7, 5))) == (7, 5)
+        with pytest.raises(ScaleExceeded):
+            pk.pack((8, 0))
+        # x1^2 -> x1*x2^4 -> x2^8: the last product carries into a guard bit
+        g = parse_polynomial("x1 - x2^4", ctx2, order)
+        table = Reducers([g], order, pk)
+        f = parse_polynomial("x1^2", ctx2, order)
+        with pytest.raises(ScaleExceeded):
+            normal_form(f, table, order)
+        # the default width reduces the same input
+        assert render_polynomial(normal_form(f, [g], order), ctx2) == "x2^8"
+
+    def test_exponents_beyond_a_64_bit_field(self, ctx2):
+        """Inputs with huge exponents get a wider field, not a refusal."""
+        spec = lex_order("x2", "x1")
+        order = compile_order(spec, ctx2)
+        big = 1 << 50
+        gens = [
+            parse_polynomial(f"x2 - x1^{big}", ctx2, order),
+            parse_polynomial("x1*x2 - 1", ctx2, order),
+        ]
+        config = GBConfig(degree_cap=1 << 52)
+        gb = reduced_groebner_basis(Ideal.make(gens, ctx2), spec, config)
+        assert [render_polynomial(g, ctx2) for g in gb.elements] == [
+            f"x2 - x1^{big}",
+            f"x1^{big + 1} - 1",
+        ]

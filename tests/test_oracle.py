@@ -151,3 +151,36 @@ def test_dense_reduced_basis_matches_sympy(count, nvars, degree, seed, denominat
     key = ord_.exps_key
     assert len(ours) > count
     assert xcond_basis(ours, key) == sympy_basis(polys, names, "grevlex", key)
+
+
+def sparse_polys(nvars, degree, count, terms, rng):
+    """count polynomials of `terms` terms, each with one term of degree
+    `degree` and the others of degree <= `degree`, coefficients nonzero
+    integers in [-9, 9]; exponent dicts."""
+    monomials = [
+        e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree
+    ]
+    nonzero = [v for v in range(-9, 10) if v]
+    polys = []
+    for _ in range(count):
+        top = rng.choice([e for e in monomials if sum(e) == degree])
+        chosen = {top} | set(rng.sample(monomials, terms - 1))
+        polys.append({e: Fraction(rng.choice(nonzero)) for e in chosen})
+    return polys
+
+
+def test_lex_basis_with_large_exponents_matches_sympy():
+    """Three quartic trinomials in three variables under lex: the reduced
+    basis reaches exponent 22, where the dense cases stay below 4."""
+    polys = sparse_polys(3, 4, 3, 3, random.Random(4))
+    names = ("x1", "x2", "x3")
+    ctx = VarContext.make(names)
+    spec = lex_order(*names)
+    ord_ = compile_order(spec, ctx)
+    ideal = Ideal.make(
+        [poly_from_dict({Monomial(e): c for e, c in p.items()}, ord_) for p in polys], ctx
+    )
+    ours = reduced_groebner_basis(ideal, spec).elements
+    key = ord_.exps_key
+    assert max(max(m.exps) for g in ours for m, _ in g.terms) == 22
+    assert xcond_basis(ours, key) == sympy_basis(polys, names, "lex", key)
