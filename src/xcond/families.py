@@ -23,9 +23,12 @@ from .graphs import biclique_graph, minimal_vertex_covers, path_graph
 from .groebner import (
     GroebnerBasis,
     MonomialIdeal,
+    Reducers,
     initial_ideal,
     is_spair_closed,
+    max_exponent,
     membership,
+    packing_for,
     reduce_basis,
 )
 from .rees import (
@@ -629,9 +632,12 @@ def verify_claim(claim, presentation, config=None):
     ext = claim.extended
     polys = claim.distinct_polynomials()
 
+    # one table for every claimed element, its fields sized for all of them
+    order = compile_order(claim.order, ext)
+    basis = presentation.gb.elements
+    table = Reducers(basis, order, packing_for(order, max_exponent([*basis, *polys])))
     membership_ok = all(
-        kernel_member(g, presentation.gens, ext) and membership(g, presentation.gb)
-        for g in polys
+        kernel_member(g, presentation.gens, ext) and membership(g, table, order) for g in polys
     )
     spair_ok = is_spair_closed(polys, claim.order, ext, config)
 

@@ -6,7 +6,11 @@ Buchberger's algorithm with the installation of Gebauer and Moeller
 every pair being tested when it is popped:
 
 - criterion M drops (i, t) when another new pair's lcm strictly divides
-  lcm(i, t); criterion F keeps one pair per lcm;
+  lcm(i, t).  It compares the colon quotients lcm(i, t) / lm(t): a kept
+  quotient that is one variable x_v enters a mask of guard bits, which
+  drops every later quotient that x_v divides with one add and one and,
+  and only the other kept quotients are scanned.  Criterion F keeps one
+  pair per lcm;
 - the product criterion drops a pair whose leading monomials are coprime,
   and with F its whole lcm class;
 - B_t drops a queued pair (i, j) when lm(t) divides lcm(i, j) and differs
@@ -266,7 +270,8 @@ def packing_for(order, top):
     return _packing(order, 32 if width <= 32 else 64 if width <= 64 else width)
 
 
-def _max_exponent(polys):
+def max_exponent(polys):
+    """The largest exponent in any term of the polys, 0 when there is none."""
     return max((max(m.exps, default=0) for g in polys for m, _ in g.terms), default=0)
 
 
@@ -291,7 +296,7 @@ class Reducers(list):
     def __init__(self, polys, order, packing=None):
         super().__init__()
         polys = [g for g in polys if not g.is_zero()]
-        self.packing = packing or packing_for(order, _max_exponent(polys))
+        self.packing = packing or packing_for(order, max_exponent(polys))
         self.extend(map(self.packing.form, polys))
 
     def find(self, e):
@@ -366,7 +371,7 @@ def normal_form(f, divisors, order):
         table = divisors
     else:
         divisors = list(divisors)
-        table = Reducers(divisors, order, packing_for(order, _max_exponent([f, *divisors])))
+        table = Reducers(divisors, order, packing_for(order, max_exponent([f, *divisors])))
     if not table or f.is_zero():
         return f
     pk = table.packing
@@ -396,6 +401,39 @@ def _s_polynomial(fi, fj, L, key):
     return sorted((k, e, c) for k, (e, c) in acc.items() if c)
 
 
+def _criterion_m(lcms, lm, packing):
+    """The packed lcms, ascending, that no other one properly divides:
+    criterion M over the new pairs of an element whose leading monomial
+    is lm, which divides every lcm.
+
+    L' | L exactly when the colon quotients q' = L' - lm and q = L - lm
+    divide, and a proper divisor has a smaller packed value, so it is met
+    first.  A kept quotient that is one variable x_v joins a mask of guard
+    bits, and q is a multiple of some such x_v when q + fill, which carries
+    into the guard bit of every field with q_v >= 1, meets the mask; only
+    the other kept quotients are scanned.
+    """
+    guard, width = packing.guard, packing.width
+    ones = guard >> (width - 1)  # the low bit of every field
+    fill = guard - ones
+    linear = 0  # guard bits of the kept quotients x_v
+    scan = []  # the other kept quotients, x_v^2 and 1 among them
+    kept = []
+    for L in sorted(lcms):
+        q = L - lm
+        if (q + fill) & linear:
+            continue
+        above = q | guard
+        if any((above - p) & guard == guard for p in scan):
+            continue
+        if q & ones and not q & (q - 1):
+            linear |= q << (width - 1)
+        else:
+            scan.append(q)
+        kept.append(L)
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # Buchberger
 # ---------------------------------------------------------------------------
@@ -417,8 +455,9 @@ def buchberger(ideal, order, config=None):
 
     gens = [poly_from_terms(g.terms, ord_) for g in ideal.generators]
     gens = [g for g in gens if not g.is_zero()]
-    packing = packing_for(ord_, _max_exponent(gens))
+    packing = packing_for(ord_, max_exponent(gens))
     guard, lcm_of, key, unpack = packing.guard, packing.lcm, packing.key, packing.unpack
+    shift = packing.width - 1
     forms = []  # Packing.form of each basis element, element monic
     active = []  # indices not retired: they take new pairs
     reducers = Reducers((), ord_, packing)  # forms of the active elements, in installation order
@@ -429,40 +468,31 @@ def buchberger(ideal, order, config=None):
         lm_t = form[0]
         forms.append(form)
 
-        def lcm_with_t(i):
-            return lcm_of(forms[i][0], lm_t)
-
-        def divisible_by_t(e):
-            return ((e | guard) - lm_t) & guard == guard
-
         if chain_crit and heap:
             # B_t: (i, j) is redundant when lm_t divides its lcm and the
             # lcms of (i, t) and (j, t) are proper divisors of it
             kept = [
                 pair
                 for pair in heap
-                if not divisible_by_t(pair[3])
-                or lcm_with_t(pair[1]) == pair[3]
-                or lcm_with_t(pair[2]) == pair[3]
+                if ((pair[3] | guard) - lm_t) & guard != guard
+                or lcm_of(forms[pair[1]][0], lm_t) == pair[3]
+                or lcm_of(forms[pair[2]][0], lm_t) == pair[3]
             ]
             if len(kept) < len(heap):
                 heap[:] = kept
                 heapq.heapify(heap)
 
         new = {}  # packed lcm -> partner indices, ascending
+        above = lm_t | guard
         for i in active:
-            new.setdefault(lcm_with_t(i), []).append(i)
-        minimal = []  # the lcms kept by criterion M
+            # Packing.lcm, inline: lm_i where it exceeds lm_t, else lm_t
+            lm = forms[i][0]
+            lt = (above - lm) & guard  # guard bit set where lm_t_v >= lm_v
+            new.setdefault(lm ^ ((lm ^ lm_t) & (lt - (lt >> shift))), []).append(i)
 
-        # a proper divisor has a smaller packed value, so it is met first
-        for L in sorted(new):
+        for L in _criterion_m(new, lm_t, packing) if chain_crit else sorted(new):
             partners = new[L]
             if chain_crit:
-                # M: drop a class whose lcm another new lcm properly divides
-                above = L | guard
-                if any((above - e) & guard == guard for e in minimal):
-                    continue
-                minimal.append(L)
                 # product criterion: a coprime pair drops its whole class;
                 # coprime leading monomials have their product as lcm
                 if coprime_crit and any(L == forms[i][0] + lm_t for i in partners):
@@ -478,8 +508,8 @@ def buchberger(ideal, order, config=None):
         if chain_crit:
             # every multiple of a retired lm is a multiple of lm_t, so the
             # retired elements also leave the reducer table
-            active[:] = [i for i in active if not divisible_by_t(forms[i][0])]
-            reducers[:] = [entry for entry in reducers if not divisible_by_t(entry[0])]
+            active[:] = [i for i in active if ((forms[i][0] | guard) - lm_t) & guard != guard]
+            reducers[:] = [forms[i] for i in active]
         active.append(t)
         reducers.append(form)
 
@@ -545,9 +575,11 @@ def reduced_groebner_basis(ideal, order, config=None):
     return reduce_basis(buchberger(ideal, order, config))
 
 
-def membership(f, gb):
-    ord_ = gb.compiled()
-    return normal_form(poly_from_terms(f.terms, ord_), list(gb.elements), ord_).is_zero()
+def membership(f, divisors, order):
+    """Whether f, its terms first sorted under the compiled order, reduces
+    to zero over divisors: a Groebner basis as a polynomial list or as a
+    prebuilt Reducers table, as normal_form takes it."""
+    return normal_form(poly_from_terms(f.terms, order), divisors, order).is_zero()
 
 
 def is_spair_closed(elements, order, ctx, config=None):
@@ -575,22 +607,31 @@ def is_spair_closed(elements, order, ctx, config=None):
 
 
 def eliminate(ideal, block, order, config=None):
-    """Generators of the contraction of the ideal to the subring without
-    the block variables; requires an elimination order for the block."""
+    """The reduced basis of the contraction of the ideal to the subring
+    without the block variables, as an Ideal; requires an elimination
+    order for the block.
+
+    Only the elements of the S-pair-closed basis whose leading monomial is
+    free of the block are reduced.  Under an elimination order they form a
+    Groebner basis of the contraction (Elimination Theorem), so their
+    reduced basis is exactly the block-free part of the reduced basis of
+    the whole ideal.
+    """
     block = tuple(block)
     ctx = ideal.context
     if not is_elimination_order(order, ctx, block):
         raise ValueError("order does not eliminate the requested block")
-    gb = reduce_basis(buchberger(ideal, order, config))
-    block_idx = set(ctx.index(v) for v in block)
-    kept = []
+    block_idx = [ctx.index(v) for v in block]
+    free = tuple(
+        g
+        for g in buchberger(ideal, order, config).elements
+        if not any(g.lm().exps[i] for i in block_idx)
+    )
+    gb = reduce_basis(GroebnerBasis(ctx, order, free))
     for g in gb.elements:
-        if any(g.lm().exps[i] for i in block_idx):
-            continue
-        if any(t[0].exps[i] for t in g.terms for i in block_idx):
+        if any(m.exps[i] for m, _ in g.terms for i in block_idx):
             raise AssertionError("elimination order produced a mixed tail")
-        kept.append(g)
-    return Ideal(ctx, tuple(kept))
+    return Ideal(ctx, gb.elements)
 
 
 # ---------------------------------------------------------------------------

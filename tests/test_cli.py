@@ -1,9 +1,11 @@
 """End-to-end command tests: payload shapes, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,19 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert err == ""
     return code, json.loads(out)
+
+
+def run_module(*argv):
+    """`python -m xcond` in a fresh interpreter that imports the same
+    package as these tests, whether or not PYTHONPATH names it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "xcond", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.fixture
@@ -138,8 +153,29 @@ class TestRees:
         assert err.startswith("input error: ") and "_t" in err
 
 
+CYCLIC5 = """vars: x1, x2, x3, x4, x5
+revlex[x1>x2>x3>x4>x5]
+x1 + x2 + x3 + x4 + x5
+x1*x2 + x2*x3 + x3*x4 + x4*x5 + x5*x1
+x1*x2*x3 + x2*x3*x4 + x3*x4*x5 + x4*x5*x1 + x5*x1*x2
+x1*x2*x3*x4 + x2*x3*x4*x5 + x3*x4*x5*x1 + x4*x5*x1*x2 + x5*x1*x2*x3
+x1*x2*x3*x4*x5 - 1
+"""
+KATSURA4 = """vars: u0, u1, u2, u3, u4
+revlex[u0>u1>u2>u3>u4]
+u0 + 2*u1 + 2*u2 + 2*u3 + 2*u4 - 1
+u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 + 2*u4^2 - u0
+2*u0*u1 + 2*u1*u2 + 2*u2*u3 + 2*u3*u4 - u1
+2*u0*u2 + u1^2 + 2*u1*u3 + 2*u2*u4 - u2
+2*u0*u3 + 2*u1*u2 + 2*u1*u4 - u3
+"""
+
+
 class TestPairCap:
-    """Elimination for P8 pops 407 pairs after the Gebauer-Moeller pruning."""
+    """The Gebauer-Moeller pruning fixes how many S-pairs a run pops: 407
+    for the elimination behind P8, 1663 behind P9, and 107 and 28 for the
+    non-binomial cyclic-5 and katsura-4 under revlex.  A cap one below
+    fails loudly; a cap at the count gives the full answer."""
 
     def test_cap_below_the_pop_count_fails_loudly(self, capsys):
         code, out, err = run_cli(capsys, "rees", "--path", "8", "--k", "2", "--pair-cap", "406")
@@ -150,6 +186,24 @@ class TestPairCap:
         code, capped = run_json(capsys, "rees", "--path", "8", "--k", "2", "--pair-cap", "407")
         assert code == 0
         assert capped == run_json(capsys, "rees", "--path", "8", "--k", "2")[1]
+
+    @pytest.mark.parametrize(
+        "ideal, pops",
+        [(None, 1663), (CYCLIC5, 107), (KATSURA4, 28)],
+        ids=("p9", "cyclic5", "katsura4"),
+    )
+    def test_pop_count(self, capsys, tmp_path, ideal, pops):
+        argv = ["rees", "--path", "9", "--k", "2"]
+        if ideal is not None:
+            f = tmp_path / "input.ideal"
+            f.write_text(ideal)
+            argv = ["gb", str(f)]
+        code, out, err = run_cli(capsys, *argv, "--pair-cap", str(pops - 1))
+        assert code == 1 and out == ""
+        assert err.startswith(f"cap exceeded: S-pair budget of {pops - 1} exhausted")
+        code, capped = run_json(capsys, *argv, "--pair-cap", str(pops))
+        assert code == 0
+        assert capped == run_json(capsys, *argv)[1]
 
 
 class TestXcondCommand:
@@ -349,9 +403,7 @@ class TestOutput:
         ]
         fresh = []
         for argv in calls:
-            proc = subprocess.run(
-                [sys.executable, "-m", "xcond", *argv], capture_output=True, text=True
-            )
+            proc = run_module(*argv)
             fresh.append((proc.returncode, proc.stdout, proc.stderr))
         assert [run_cli(capsys, *argv) for argv in calls] == fresh
 
@@ -365,10 +417,6 @@ class TestOutput:
         assert capsys.readouterr() == ("", "")
 
     def test_module_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "xcond", "cycle-complex", "--r", "4"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("cycle-complex", "--r", "4")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xcond import groebner
+from xcond import groebner, rees
 from xcond.graphs import minimal_vertex_covers, path_graph
 from xcond.groebner import (
     GBConfig,
@@ -345,6 +345,34 @@ class TestEliminate:
         contracted = eliminate(Ideal.make(gens, ctx2), ("x1", "x2"), spec)
         assert contracted.generators == ()
 
+    @pytest.mark.parametrize("case", ("p6", "katsura3"))
+    def test_matches_the_block_free_part_of_the_full_reduced_basis(self, case, monkeypatch):
+        """The route that reduced the whole basis is the oracle: eliminate
+        reduces only its block-free elements, and must return the
+        block-free part of the full reduced basis element for element."""
+        if case == "p6":
+            calls = []
+
+            def recording(*args):
+                calls.append(args)
+                return eliminate(*args)
+
+            monkeypatch.setattr(rees, "eliminate", recording)
+            path_kernel(6)
+            ((ideal, block, spec, config),) = calls
+        else:
+            names, _, texts = SYSTEMS["katsura3"]
+            ctx = VarContext.make(names, blocks=(("e", names[:2]), ("r", names[2:])))
+            spec = block_order(("e", revlex_order(*names[:2])), ("r", revlex_order(*names[2:])))
+            ord_ = compile_order(spec, ctx)
+            ideal = Ideal.make([parse_polynomial(t, ctx, ord_) for t in texts], ctx)
+            block, config = names[:2], None
+        full = reduce_basis(buchberger(ideal, spec, config)).elements
+        idx = [ideal.context.index(v) for v in block]
+        want = [g.terms for g in full if not any(g.lm().exps[i] for i in idx)]
+        assert 1 < len(want) < len(full)
+        assert [g.terms for g in eliminate(ideal, block, spec, config).generators] == want
+
     def test_non_elimination_order_rejected(self, p3_rees_ctx):
         ctx = p3_rees_ctx
         spec = block_order(
@@ -368,14 +396,15 @@ class TestMembership:
         combo = gens[0].mul(parse_polynomial("x3 + 2", ctx3, ord_), ord_).add(
             gens[1].mul(parse_polynomial("x1*x2 - 1/3", ctx3, ord_), ord_), ord_
         )
-        assert membership(combo, gb)
+        assert membership(combo, gb.elements, ord_)
+        assert membership(combo, Reducers(gb.elements, ord_), ord_)
 
     def test_one_not_member_of_proper_ideal(self, ctx3):
         spec = lex_order("x1", "x2", "x3")
         ord_ = compile_order(spec, ctx3)
         gens = [parse_polynomial("x1*x2 - x3", ctx3, ord_)]
         gb = reduce_basis(buchberger(Ideal.make(gens, ctx3), spec))
-        assert not membership(parse_polynomial("1", ctx3, ord_), gb)
+        assert not membership(parse_polynomial("1", ctx3, ord_), gb.elements, ord_)
 
 
 def quotient_colon(ideal, m):
@@ -492,7 +521,7 @@ class TestForeignTermOrder:
     def test_membership_resorts_the_query(self):
         gb = reduced_groebner_basis(Ideal.make(self.gens, self.ctx), self.spec)
         q = parse_polynomial("b*c - a", self.ctx)
-        assert membership(q, gb)
+        assert membership(q, gb.elements, gb.compiled())
 
 
 # ---------------------------------------------------------------------------
@@ -771,3 +800,41 @@ class TestPackedExponents:
             f"x2 - x1^{big}",
             f"x1^{big + 1} - 1",
         ]
+
+
+def _unit(v, power=1):
+    return tuple(power if i == v else 0 for i in range(4))
+
+
+_entries = st.one_of(st.integers(0, 2), st.integers(0, 1 << 29))
+_quotients = st.one_of(
+    st.tuples(*[_entries] * 4),
+    st.just((0, 0, 0, 0)),  # q = 0: lm_t itself, when lm_i divides lm_t
+    st.integers(0, 3).map(_unit),
+    st.integers(0, 3).map(lambda v: _unit(v, 2)),
+)
+
+
+class TestCriterionM:
+    @settings(max_examples=300, deadline=None)
+    # q = 0 properly divides every other lcm: only lm_t itself is kept
+    @example(width=32, lm=(1, 0, 2, 0), quotients=[_unit(0), (0, 0, 0, 0), (0, 1, 1, 0)])
+    # x1^2 stays out of the variable mask, so x1*x2 survives it, while
+    # x3 joins the mask and drops x1*x3
+    @example(
+        width=32, lm=(0, 1, 0, 0), quotients=[_unit(0, 2), (1, 1, 0, 0), _unit(2), (1, 0, 1, 0)]
+    )
+    @given(
+        width=st.sampled_from((32, 40, 64)),
+        lm=st.tuples(*[_entries] * 4),
+        quotients=st.lists(_quotients, max_size=12),
+    )
+    def test_keeps_the_lcms_no_other_properly_divides(self, width, lm, quotients):
+        pk = groebner.Packing(PACKED_ORDERS[1], width)
+        lcms = {pk.pack(tuple(a + b for a, b in zip(lm, q))) for q in quotients}
+
+        def divides(a, b):
+            return all(x <= y for x, y in zip(pk.unpack(a), pk.unpack(b)))
+
+        want = sorted(L for L in lcms if not any(M != L and divides(M, L) for M in lcms))
+        assert groebner._criterion_m(lcms, pk.pack(lm), pk) == want
