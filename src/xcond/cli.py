@@ -55,6 +55,7 @@ from .rees import (
     x_condition,
 )
 from .ring import (
+    NAME_RE,
     ParseError,
     VarContext,
     compile_order,
@@ -115,6 +116,9 @@ def read_ideal_file(path, override_text=None):
     names = tuple(t.strip() for t in lines[0][1][len("vars:") :].split(","))
     if not all(names):
         raise InputError(f"{path}:{lines[0][0]}: empty variable name")
+    for name in names:
+        if not NAME_RE.fullmatch(name):
+            raise InputError(f"{path}:{lines[0][0]}: bad variable name {name!r}")
     if len(set(names)) != len(names):
         raise InputError(f"{path}:{lines[0][0]}: duplicate variable name")
     ctx = VarContext.make(names)
@@ -122,12 +126,12 @@ def read_ideal_file(path, override_text=None):
         raise InputError(f"{path}: expected an order spec line")
     no, text = lines[1]
     try:
-        spec = parse_order_spec(text, ctx)
+        spec = parse_order_spec(text)
     except ParseError as exc:
         raise InputError(f"{path}:{no}: {exc}") from None
     if override_text is not None:
         try:
-            spec = parse_order_spec(override_text, ctx)
+            spec = parse_order_spec(override_text)
         except ParseError as exc:
             raise InputError(f"--order: {exc}") from None
     try:

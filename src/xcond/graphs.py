@@ -205,13 +205,10 @@ def peo(graph):
         for u in adj[v]:
             if not visited[u]:
                 weights[u] += 1
-    placed = set()
-    for v in order:
-        back = adj[v] & placed
-        for a, b in itertools.combinations(sorted(back), 2):
-            if not graph.has_edge(a, b):
-                return None
-        placed.add(v)
+    try:
+        back_degrees(graph, order)
+    except ValueError:
+        return None
     return tuple(order)
 
 

@@ -7,7 +7,9 @@ orders that compare one block before the next, and weight-first orders
 with a tie-break.  Each spec compiles to a key function so comparisons
 reduce to tuple comparisons, and to the matrix of integer rows whose dot
 products with an exponent vector are that key, flattened.  All values
-are immutable.
+are immutable.  Polynomials and order specs are read from text by one
+tokenizer and one token cursor; the two grammars differ only in their
+punctuation.
 """
 
 from __future__ import annotations
@@ -437,23 +439,67 @@ def monomial_poly(mono, coeff=_ONE):
 
 
 # ---------------------------------------------------------------------------
-# text format: polynomials
+# text formats: one tokenizer and one cursor for polynomials and order specs
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^])")
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
-def _tokenize(text):
-    tokens = []
+def _lexer(punct):
+    """Matcher of one token: whitespace, a natural number, a name or one of punct."""
+    token = rf"(?P<ws>\s+)|(?P<num>\d+)|(?P<name>{NAME_RE.pattern})|(?P<op>[{re.escape(punct)}])"
+    return re.compile(token).match
+
+
+_POLY_LEXER = _lexer("-+*/^")
+_ORDER_LEXER = _lexer("[]();:=,>")
+
+
+def _tokens(text, lexer):
+    """(kind, value, position) of each token, lazily; whitespace is skipped."""
     pos = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = lexer(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
+            yield m.lastgroup, m.group(), pos
         pos = m.end()
-    return tokens
+
+
+class _Cursor:
+    """One token of lookahead, pulled from the stream only when peeked, so
+    a lazy stream is lexed no further than the grammar reads; past the last
+    token the next one is (None, None, end)."""
+
+    def __init__(self, tokens, end):
+        self._tokens = iter(tokens)
+        self._next = None
+        self._end = (None, None, end)
+
+    def peek(self):
+        if self._next is None:
+            self._next = next(self._tokens, self._end)
+        return self._next
+
+    def take(self, kind=None, message=None):
+        """Consume the next token; ParseError(message) unless it has kind."""
+        token = self.peek()
+        if kind is not None and token[0] != kind:
+            raise ParseError(message, token[2])
+        self._next = None
+        return token
+
+    def accept(self, value):
+        """Consume the next token when its text is value."""
+        if self.peek()[1] == value:
+            self._next = None
+            return True
+        return False
+
+    def expect(self, value):
+        if not self.accept(value):
+            raise ParseError(f"expected {value!r}", self._next[2])
 
 
 def parse_polynomial(text, ctx, order=None):
@@ -464,72 +510,40 @@ def parse_polynomial(text, ctx, order=None):
     """
     if order is None:
         order = compile_order(lex_order(*ctx.names), ctx)
-    tokens = _tokenize(text)
+    # lexed up front: a stray character anywhere is the first error
+    tokens = list(_tokens(text, _POLY_LEXER))
     if not tokens:
         raise ParseError("empty polynomial", 0)
-    n = ctx.nvars
+    cur = _Cursor(tokens, len(text))
     acc = {}
-    i = 0
-
-    def peek():
-        return tokens[i] if i < len(tokens) else (None, None, len(text))
-
-    while i < len(tokens):
-        sign = _ONE
-        kind, val, pos = peek()
-        while kind == "op" and val in "+-":
-            if val == "-":
-                sign = -sign
-            i += 1
-            kind, val, pos = peek()
-        coeff = sign
-        exps = [0] * n
-        saw_factor = False
+    while cur.peek()[0] is not None:
+        coeff = _ONE
+        while cur.peek()[1] in ("+", "-"):
+            if cur.take()[1] == "-":
+                coeff = -coeff
+        exps = [0] * ctx.nvars
         while True:
-            kind, val, pos = peek()
+            kind, val, pos = cur.take()
             if kind == "num":
-                i += 1
-                num = int(val)
-                kind2, val2, _ = peek()
-                if kind2 == "op" and val2 == "/":
-                    i += 1
-                    kind3, val3, pos3 = peek()
-                    if kind3 != "num":
-                        raise ParseError("expected denominator", pos3)
-                    i += 1
-                    if int(val3) == 0:
-                        raise ParseError("zero denominator", pos3)
-                    coeff *= Fraction(num, int(val3))
+                if cur.accept("/"):
+                    _, den, pos = cur.take("num", "expected denominator")
+                    if int(den) == 0:
+                        raise ParseError("zero denominator", pos)
+                    coeff *= Fraction(int(val), int(den))
                 else:
-                    coeff *= num
+                    coeff *= int(val)
             elif kind == "name":
-                i += 1
                 try:
                     vi = ctx.index(val)
                 except KeyError:
                     raise ParseError(f"unknown variable {val!r}", pos) from None
-                power = 1
-                kind2, val2, _ = peek()
-                if kind2 == "op" and val2 == "^":
-                    i += 1
-                    kind3, val3, pos3 = peek()
-                    if kind3 != "num":
-                        raise ParseError("expected exponent", pos3)
-                    i += 1
-                    power = int(val3)
-                exps[vi] += power
+                exps[vi] += int(cur.take("num", "expected exponent")[1]) if cur.accept("^") else 1
             else:
                 raise ParseError("expected a factor", pos)
-            saw_factor = True
-            kind, val, pos = peek()
-            if kind == "op" and val == "*":
-                i += 1
-                continue
-            break
-        if not saw_factor:
-            raise ParseError("empty term", pos)
-        kind, val, pos = peek()
-        if kind is not None and not (kind == "op" and val in "+-"):
+            if not cur.accept("*"):
+                break
+        kind, val, pos = cur.peek()
+        if kind is not None and val not in ("+", "-"):
             raise ParseError(f"unexpected token {val!r}", pos)
         m = Monomial(tuple(exps))
         acc[m] = acc.get(m, _ZERO) + coeff
@@ -539,17 +553,7 @@ def parse_polynomial(text, ctx, order=None):
 def render_monomial(m, ctx):
     if m.is_one():
         return "1"
-    parts = []
-    for i, e in enumerate(m.exps):
-        if e == 1:
-            parts.append(ctx.names[i])
-        elif e > 1:
-            parts.append(f"{ctx.names[i]}^{e}")
-    return "*".join(parts)
-
-
-def _render_coeff(c):
-    return str(c)
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(ctx.names, m.exps) if e)
 
 
 def render_polynomial(p, ctx):
@@ -560,11 +564,11 @@ def render_polynomial(p, ctx):
         neg = c < 0
         mag = -c if neg else c
         if m.is_one():
-            body = _render_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = render_monomial(m, ctx)
         else:
-            body = f"{_render_coeff(mag)}*{render_monomial(m, ctx)}"
+            body = f"{mag}*{render_monomial(m, ctx)}"
         if k == 0:
             out.append(f"-{body}" if neg else body)
         else:
@@ -572,109 +576,50 @@ def render_polynomial(p, ctx):
     return " ".join(out)
 
 
-# ---------------------------------------------------------------------------
-# text format: order specs
-# ---------------------------------------------------------------------------
-
-
-def parse_order_spec(text, ctx):
-    """Parse the order DSL.
+def parse_order_spec(text):
+    """Parse the order DSL; whitespace may separate any two tokens.
 
     Grammar: lex[v1>v2>...], revlex[v1>...], block(name:spec; name:spec),
     weighted(w=[d1,d2,...]; tie=spec).
     """
-    spec, pos = _parse_spec(text, 0, ctx)
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
+    cur = _Cursor(_tokens(text, _ORDER_LEXER), len(text))
+    spec = _parse_spec(cur)
+    kind, _, pos = cur.peek()
+    if kind is not None:
         raise ParseError("trailing text after order spec", pos)
     return spec
 
 
-def _skip_ws(text, pos):
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_INT_RE = re.compile(r"\d+")
-
-
-def _expect(text, pos, token):
-    pos = _skip_ws(text, pos)
-    if not text.startswith(token, pos):
-        raise ParseError(f"expected {token!r}", pos)
-    return pos + len(token)
-
-
-def _parse_name(text, pos):
-    pos = _skip_ws(text, pos)
-    m = _NAME_RE.match(text, pos)
-    if m is None:
-        raise ParseError("expected a name", pos)
-    return m.group(), m.end()
-
-
-def _parse_varlist(text, pos):
-    names = []
-    name, pos = _parse_name(text, pos)
-    names.append(name)
-    while True:
-        p = _skip_ws(text, pos)
-        if p < len(text) and text[p] == ">":
-            name, pos = _parse_name(text, p + 1)
-            names.append(name)
-        else:
-            return names, pos
-
-
-def _parse_spec(text, pos, ctx):
-    head, pos = _parse_name(text, pos)
+def _parse_spec(cur):
+    _, head, pos = cur.take("name", "expected a name")
     if head in ("lex", "revlex"):
-        pos = _expect(text, pos, "[")
-        names, pos = _parse_varlist(text, pos)
-        pos = _expect(text, pos, "]")
-        return OrderSpec(head, vars=tuple(names)), pos
+        cur.expect("[")
+        names = []
+        while not names or cur.accept(">"):
+            names.append(cur.take("name", "expected a name")[1])
+        cur.expect("]")
+        return OrderSpec(head, vars=tuple(names))
     if head == "block":
-        pos = _expect(text, pos, "(")
+        cur.expect("(")
         parts = []
-        while True:
-            bname, pos = _parse_name(text, pos)
-            pos = _expect(text, pos, ":")
-            sub, pos = _parse_spec(text, pos, ctx)
-            parts.append((bname, sub))
-            p = _skip_ws(text, pos)
-            if p < len(text) and text[p] == ";":
-                pos = p + 1
-                continue
-            pos = _expect(text, pos, ")")
-            return block_order(*parts), pos
+        while not parts or cur.accept(";"):
+            bname = cur.take("name", "expected a name")[1]
+            cur.expect(":")
+            parts.append((bname, _parse_spec(cur)))
+        cur.expect(")")
+        return block_order(*parts)
     if head == "weighted":
-        pos = _expect(text, pos, "(")
-        pos = _expect(text, pos, "w")
-        pos = _expect(text, pos, "=")
-        pos = _expect(text, pos, "[")
+        for value in ("(", "w", "=", "["):
+            cur.expect(value)
         weights = []
-        while True:
-            p = _skip_ws(text, pos)
-            m = _INT_RE.match(text, p)
-            if m is None:
-                raise ParseError("expected a weight", p)
-            weights.append(int(m.group()))
-            pos = m.end()
-            p = _skip_ws(text, pos)
-            if p < len(text) and text[p] == ",":
-                pos = p + 1
-                continue
-            pos = _expect(text, pos, "]")
-            break
-        pos = _expect(text, pos, ";")
-        pos = _expect(text, pos, "tie")
-        pos = _expect(text, pos, "=")
-        tie, pos = _parse_spec(text, pos, ctx)
-        pos = _expect(text, pos, ")")
-        return weighted_order(weights, tie), pos
-    raise ParseError(f"unknown order kind {head!r}", pos - len(head))
+        while not weights or cur.accept(","):
+            weights.append(int(cur.take("num", "expected a weight")[1]))
+        for value in ("]", ";", "tie", "="):
+            cur.expect(value)
+        tie = _parse_spec(cur)
+        cur.expect(")")
+        return weighted_order(weights, tie)
+    raise ParseError(f"unknown order kind {head!r}", pos)
 
 
 def render_order_spec(spec):

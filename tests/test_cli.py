@@ -89,6 +89,15 @@ class TestGb:
         code, _, err = run_cli(capsys, "gb", str(f))
         assert code == 2 and "vars:" in err
 
+    @pytest.mark.parametrize("header,bad", [("vars: a, b-c", "b-c"), ("vars: a, 2b", "2b")])
+    def test_unspellable_header_name(self, capsys, tmp_path, header, bad):
+        # reported on the header line, not where the order first fails to spell it
+        f = tmp_path / "names.ideal"
+        f.write_text(f"{header}\nlex[a>b]\na\n")
+        code, out, err = run_cli(capsys, "gb", str(f))
+        assert code == 2 and out == ""
+        assert err == f"input error: {f}:1: bad variable name {bad!r}\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "gb", str(tmp_path / "absent.ideal"))
         assert code == 2 and "cannot read" in err

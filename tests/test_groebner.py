@@ -711,14 +711,9 @@ PACKED_ORDERS = [
     compile_order(lex_order("c", "a", "d", "b"), _CTX4),
     compile_order(revlex_order("a", "b", "c", "d"), _CTX4),
     compile_order(block_order(("q", lex_order("d", "c")), ("p", revlex_order("b", "a"))), _CTX4),
+    compile_order(parse_order_spec("weighted(w=[3,1,2,1]; tie=revlex[a>b>c>d])"), _CTX4),
     compile_order(
-        parse_order_spec("weighted(w=[3,1,2,1]; tie=revlex[a>b>c>d])", _CTX4), _CTX4
-    ),
-    compile_order(
-        parse_order_spec(
-            "weighted(w=[100000000000000000000,0,7,1]; tie=lex[d>c>b>a])", _CTX4
-        ),
-        _CTX4,
+        parse_order_spec("weighted(w=[100000000000000000000,0,7,1]; tie=lex[d>c>b>a])"), _CTX4
     ),
     *_rees_orders(),
 ]

@@ -90,17 +90,35 @@ def _referenced(nodes):
                 yield sub.attr
 
 
+def _defined(node):
+    """Names a module-level statement defines: a def or class, or the plain
+    names an assignment binds, dunders (__all__, ...) excepted."""
+    if isinstance(node, ast.FunctionDef | ast.ClassDef):
+        return [node.name]
+    if isinstance(node, ast.Assign | ast.AnnAssign):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [
+            sub.id
+            for target in targets
+            for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and not sub.id.startswith("__")
+        ]
+    return []
+
+
 def dead_definitions(sources, allowed=()):
-    """(module, name) of each module-level def or class that nothing but
-    itself or another dead definition references, repeated to a fixpoint."""
+    """(module, name) of each module-level def, class or assigned name that
+    nothing but itself or another dead definition references, repeated to a
+    fixpoint."""
     defs = {}
     top_level = []
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            if isinstance(node, ast.FunctionDef | ast.ClassDef):
-                defs[module, node.name] = set(_referenced([node])) - {node.name}
-            else:
+            names = _defined(node)
+            if not names:
                 top_level.append(node)
+            for name in names:
+                defs.setdefault((module, name), set()).update(set(_referenced([node])) - {name})
     roots = set(_referenced(top_level)) | set(allowed)
     dead = set(defs)
     while True:
@@ -140,3 +158,11 @@ def test_dead_scan_follows_chains():
     )
     assert ("c", "checked") in dead_definitions(sources)
     assert ("c", "Verdict") not in dead_definitions(sources)
+    # module-level assignments are definitions too: a pattern left behind
+    # by a refactor is dead, and so is a constant only a dead one reads
+    sources = {
+        "d": 'import re\n__all__ = ["parse"]\nNAME = "[a-z]+"\n_NAME_RE = re.compile(NAME)\n'
+        '_INT_RE, _WS_RE = re.compile("[0-9]+"), re.compile(" +")\n_TABLE: dict = {}\n'
+        "def parse(text):\n    return _TABLE.get(text, _WS_RE.match(text))\n\nparse('')\n",
+    }
+    assert dead_definitions(sources) == [("d", "NAME"), ("d", "_INT_RE"), ("d", "_NAME_RE")]

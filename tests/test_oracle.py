@@ -9,13 +9,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
 from xcond.graphs import minimal_vertex_covers, path_graph  # noqa: E402
-from xcond.groebner import Ideal, reduced_groebner_basis  # noqa: E402
+from xcond.groebner import GBConfig, Ideal, reduced_groebner_basis  # noqa: E402
 from xcond.rees import ELIM_VAR, rees_ideal  # noqa: E402
 from xcond.ring import (  # noqa: E402
     Monomial,
@@ -27,6 +27,20 @@ from xcond.ring import (  # noqa: E402
 )
 
 ORDERS = ((lex_order, "lex"), (revlex_order, "grevlex"))
+# The caps are not what this oracle checks: lifted far past the default
+# degree cap, they never turn a small ideal into ScaleExceeded.
+UNCAPPED = GBConfig(degree_cap=10**6)
+# (1 + x3 + x2^3 + x1*x3^2, 1 + x2*x3^2 + x1*x2, x1^3): under lex its reduced
+# basis has degrees 20, 20 and 21, but Buchberger passes through an element
+# of degree 41, past the default cap of 40.
+DEEP_LEX = (
+    3,
+    [
+        dict.fromkeys([(0, 0, 0), (0, 0, 1), (0, 3, 0), (1, 0, 2)], Fraction(1)),
+        dict.fromkeys([(0, 0, 0), (0, 1, 2), (1, 1, 0)], Fraction(1)),
+        {(3, 0, 0): Fraction(1)},
+    ],
+)
 
 
 def monic_terms(terms, key):
@@ -73,6 +87,7 @@ def small_ideals(draw):
 @pytest.mark.parametrize("make_order,sympy_order", ORDERS)
 @settings(max_examples=100, deadline=None)
 @given(case=small_ideals())
+@example(case=DEEP_LEX)
 def test_reduced_basis_matches_sympy(case, make_order, sympy_order):
     nvars, polys = case
     names = tuple(f"x{i}" for i in range(1, nvars + 1))
@@ -82,7 +97,7 @@ def test_reduced_basis_matches_sympy(case, make_order, sympy_order):
     ideal = Ideal.make(
         [poly_from_dict({Monomial(e): c for e, c in p.items()}, ord_) for p in polys], ctx
     )
-    ours = reduced_groebner_basis(ideal, spec).elements
+    ours = reduced_groebner_basis(ideal, spec, UNCAPPED).elements
     key = ord_.exps_key
     assert xcond_basis(ours, key) == sympy_basis(polys, names, sympy_order, key)
 

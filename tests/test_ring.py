@@ -274,20 +274,6 @@ class TestPolynomialParser:
         p = _mk(fp, ord_)
         assert parse_polynomial(render_polynomial(p, ctx), ctx, ord_) == p
 
-    def test_implicit_products_rejected(self, ctx3):
-        with pytest.raises(ParseError):
-            parse_polynomial("2x", ctx3)
-
-    def test_unknown_variable(self, ctx3):
-        with pytest.raises(ParseError) as ei:
-            parse_polynomial("x + w^2", ctx3)
-        assert ei.value.position == 4
-
-    def test_malformed(self, ctx3):
-        for bad in ("", "x +", "^2", "x^", "x*", "3/", "x y", "x - 1/0*y"):
-            with pytest.raises(ParseError):
-                parse_polynomial(bad, ctx3)
-
     def test_repeated_variable_in_term(self, ctx3):
         p = parse_polynomial("x*x*y", ctx3)
         assert p.lm() == mono(ctx3, x=2, y=1)
@@ -298,46 +284,116 @@ class TestPolynomialParser:
 
 
 class TestOrderSpecParser:
-    def test_lex(self, ctx3):
-        assert parse_order_spec("lex[x>y>z]", ctx3) == lex_order("x", "y", "z")
+    def test_lex(self):
+        assert parse_order_spec("lex[x>y>z]") == lex_order("x", "y", "z")
 
-    def test_revlex(self, ctx3):
-        assert parse_order_spec("revlex[z>y>x]", ctx3) == revlex_order("z", "y", "x")
+    def test_revlex(self):
+        assert parse_order_spec("revlex[z>y>x]") == revlex_order("z", "y", "x")
 
-    def test_block(self, ctx_xy):
-        spec = parse_order_spec(
-            "block(fiber:revlex[y1>y2>y3]; base:lex[x1>x2>x3])", ctx_xy
-        )
+    def test_block(self):
+        spec = parse_order_spec("block(fiber:revlex[y1>y2>y3]; base:lex[x1>x2>x3])")
         assert spec == block_order(
             ("fiber", revlex_order("y1", "y2", "y3")),
             ("base", lex_order("x1", "x2", "x3")),
         )
 
-    def test_weighted(self, ctx3):
-        spec = parse_order_spec("weighted(w=[2,3,1]; tie=lex[x>y>z])", ctx3)
+    def test_weighted(self):
+        spec = parse_order_spec("weighted(w=[2,3,1]; tie=lex[x>y>z])")
         assert spec == weighted_order((2, 3, 1), lex_order("x", "y", "z"))
 
-    def test_nested_block_in_weighted_tie(self, ctx_xy):
+    def test_whitespace_between_tokens(self):
+        spec = parse_order_spec(" weighted ( w = [ 2 ,3 ] ;\ttie = block ( a : lex [ x > y ] ) ) ")
+        assert spec == weighted_order((2, 3), block_order(("a", lex_order("x", "y"))))
+
+    def test_nested_block_in_weighted_tie(self):
         spec = parse_order_spec(
-            "weighted(w=[1,1,1,2,2,2]; tie=block(fiber:lex[y1>y2>y3]; base:lex[x1>x2>x3]))",
-            ctx_xy,
+            "weighted(w=[1,1,1,2,2,2]; tie=block(fiber:lex[y1>y2>y3]; base:lex[x1>x2>x3]))"
         )
         assert spec.kind == "weighted"
         assert spec.tie.kind == "block"
 
-    def test_round_trip(self, ctx_xy):
+    def test_round_trip(self):
         for text in (
             "lex[x1>x2>x3>y1>y2>y3]",
             "block(fiber:revlex[y3>y2>y1]; base:lex[x1>x2>x3])",
             "weighted(w=[1,2,3,4,5,6]; tie=lex[x1>x2>x3>y1>y2>y3])",
         ):
-            spec = parse_order_spec(text, ctx_xy)
-            assert parse_order_spec(render_order_spec(spec), ctx_xy) == spec
+            spec = parse_order_spec(text)
+            assert parse_order_spec(render_order_spec(spec)) == spec
 
-    def test_malformed(self, ctx3):
-        for bad in ("lex[x>y>z] junk", "lex[]", "block(a:lex[x])extra", "weighted(w=[1,2,3])", "grlex[x>y>z]"):
-            with pytest.raises(ParseError):
-                parse_order_spec(bad, ctx3)
+
+# One row per ParseError branch: (text, message, position).
+POLYNOMIAL_ERRORS = [
+    ("", "empty polynomial", 0),
+    ("   ", "empty polynomial", 0),
+    ("x + w $", "unexpected character '$'", 6),
+    ("x^ $", "unexpected character '$'", 3),
+    ("x +", "expected a factor", 3),
+    ("^2", "expected a factor", 0),
+    ("x*", "expected a factor", 2),
+    ("x**y", "expected a factor", 2),
+    ("3/", "expected denominator", 2),
+    ("3/x", "expected denominator", 2),
+    ("x - 1/0*y", "zero denominator", 6),
+    ("x + w^2", "unknown variable 'w'", 4),
+    ("x^", "expected exponent", 2),
+    ("x^y", "expected exponent", 2),
+    ("x y", "unexpected token 'y'", 2),
+    ("2x", "unexpected token 'x'", 1),  # no implicit products
+    ("x/y", "unexpected token '/'", 1),
+    ("x^2^3", "unexpected token '^'", 3),
+]
+ORDER_ERRORS = [
+    ("", "expected a name", 0),
+    ("   ", "expected a name", 3),
+    ("123", "expected a name", 0),
+    ("lex[]", "expected a name", 4),
+    ("lex[x>>y]", "expected a name", 6),
+    ("block(:lex[x])", "expected a name", 6),
+    ("grlex[x>y>z]", "unknown order kind 'grlex'", 0),
+    ("grlex[x>y$]", "unknown order kind 'grlex'", 0),
+    ("lex(x)", "expected '['", 3),
+    ("lex[x y]", "expected ']'", 6),
+    ("lex[x>y", "expected ']'", 7),
+    ("lex[x>y>z] junk", "trailing text after order spec", 11),
+    ("lex[x>y]]", "trailing text after order spec", 8),
+    ("block(a:lex[x])extra", "trailing text after order spec", 15),
+    ("block[x]", "expected '('", 5),
+    ("block(a lex[x])", "expected ':'", 8),
+    ("block(a:lex[x],b:lex[y])", "expected ')'", 14),
+    ("weighted(x=[1]; tie=lex[x])", "expected 'w'", 9),
+    ("weighted(w [1])", "expected '='", 11),
+    ("weighted(w=[])", "expected a weight", 12),
+    ("weighted(w=[a])", "expected a weight", 12),
+    ("weighted(w=[1 2]; tie=lex[x])", "expected ']'", 14),
+    ("weighted(w=[1,2,3])", "expected ';'", 18),
+    ("weighted(w=[1,2,3]; lex[x>y>z])", "expected 'tie'", 20),
+    ("weighted(w=[1]; tie=lex[x]", "expected ')'", 26),
+    # a character outside the order grammar; formerly "expected ']'" at 9
+    # and 5, "trailing text after order spec" and "expected a weight"
+    ("lex[x>y>z$]", "unexpected character '$'", 9),
+    ("lex[x-y]", "unexpected character '-'", 5),
+    ("lex[x]$", "unexpected character '$'", 6),
+    ("weighted(w=[-1]; tie=lex[x])", "unexpected character '-'", 12),
+    # a word that only starts with a keyword is rejected where it starts;
+    # formerly "expected '='" at 10 and 19
+    ("weighted(wx=[1]; tie=lex[x])", "expected 'w'", 9),
+    ("weighted(w=[1]; tiebreak=lex[x])", "expected 'tie'", 16),
+]
+
+
+@pytest.mark.parametrize("text,message,position", POLYNOMIAL_ERRORS)
+def test_polynomial_parse_errors(ctx3, text, message, position):
+    with pytest.raises(ParseError) as ei:
+        parse_polynomial(text, ctx3)
+    assert (str(ei.value), ei.value.position) == (f"{message} (at position {position})", position)
+
+
+@pytest.mark.parametrize("text,message,position", ORDER_ERRORS)
+def test_order_spec_parse_errors(text, message, position):
+    with pytest.raises(ParseError) as ei:
+        parse_order_spec(text)
+    assert (str(ei.value), ei.value.position) == (f"{message} (at position {position})", position)
 
 
 class TestContextValidation:
