@@ -276,7 +276,7 @@ def cmd_xcond(args):
     payload = {
         "x_condition": rep.holds,
         "violations": [render_monomial(m, pres.extended) for m in rep.violations],
-        "initial_generators": len(pres.initial().generators),
+        "initial_generators": len(pres.initial.generators),
         "generators": len(pres.gens),
     }
     return payload, 0 if rep.holds else 1

@@ -43,10 +43,12 @@ leading coefficient positive), S-polynomials are formed fraction-free
 from two such forms, and the reduction loop runs on ints, rescaling the
 running polynomial only when a reducer's leading coefficient does not
 divide the coefficient it cancels (never for the +-1 binomials).  An
-S-pair's remainder becomes a primitive form directly.  Tuples, Monomials
-and Fractions appear only at the boundary: the generators, normal_form's
-input and result, and the monic element built once per install.  divide
-stays the Fraction textbook oracle.
+S-pair's remainder becomes a primitive form directly.  A polynomial
+crosses the boundary through Packing only: pack_terms packs and sorts its
+terms on the way in, and polynomial builds a Polynomial from packed terms
+on the way out, once per element of buchberger's and reduce_basis's
+results and once per normal_form.  divide stays the Fraction textbook
+oracle.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from .ring import (
     compile_order,
     is_elimination_order,
     poly_from_dict,
-    poly_from_terms,
 )
 
 DEFAULT_PAIR_CAP = 200_000
@@ -232,30 +233,26 @@ class Packing:
         take_a = ge - (ge >> (self.width - 1))  # the value bits of those fields
         return b ^ ((a ^ b) & take_a)
 
-    def form(self, g, monic=False):
-        """Entry (lm, K(lm), lc, tail, element) of a nonzero polynomial g:
-        lc and the tail ((key, packed exponents, int), ...) are the
-        primitive integer multiple of g (denominators cleared, content
-        divided out, leading coefficient positive); element is g, or g
-        made monic."""
-        terms = g.terms
-        den = lcm(*(c.denominator for _, c in terms))
-        ints = _primitive([c.numerator * (den // c.denominator) for _, c in terms])
-        if monic:
-            g = Polynomial(tuple((m, Fraction(c, ints[0])) for (m, _), c in zip(terms, ints)))
-        keyed = [(self.key(m.exps), self.pack(m.exps)) for m, _ in terms]
-        return _entry(keyed, ints, g)
-
-    def remainder_form(self, remainder):
-        """The entry of a nonzero remainder of _reduce, element monic."""
-        ints = _primitive([c for _, _, c in remainder])
-        element = Polynomial(
-            tuple(
-                (Monomial(self.unpack(e)), Fraction(c, ints[0]))
-                for (_, e, _), c in zip(remainder, ints)
-            )
+    def pack_terms(self, g):
+        """(terms, den) of a polynomial g stored in any order: terms is the
+        list of (key, packed exponents, int) of g's terms, ascending by key,
+        the ints g's coefficients times den, their common denominator."""
+        den = lcm(*(c.denominator for _, c in g.terms))
+        terms = sorted(
+            (self.key(m.exps), self.pack(m.exps), c.numerator * (den // c.denominator))
+            for m, c in g.terms
         )
-        return _entry([(k, e) for k, e, _ in remainder], ints, element)
+        return terms, den
+
+    def polynomial(self, terms, den):
+        """The Polynomial of packed terms (key, packed exponents, int),
+        descending by key, each coefficient divided by den."""
+        return Polynomial(tuple((Monomial(self.unpack(e)), Fraction(c, den)) for _, e, c in terms))
+
+    def form(self, g):
+        """The entry (lm, K(lm), lc, tail) of a nonzero polynomial g stored
+        in any order, as _entry makes it."""
+        return _entry(self.pack_terms(g)[0][::-1])
 
 
 @lru_cache(maxsize=None)
@@ -275,23 +272,22 @@ def max_exponent(polys):
     return max((max(m.exps, default=0) for g in polys for m, _ in g.terms), default=0)
 
 
-def _primitive(ints):
-    """ints divided by their content, signed so that the first is positive."""
-    content = gcd(*ints)
-    if ints[0] < 0:
+def _entry(terms):
+    """Entry (lm, K(lm), lc, tail) of nonzero integer terms (key, packed
+    exponents, int), descending by key: their primitive multiple (content
+    divided out, lc positive), lm and lc from the leading term and tail
+    the rest, still descending."""
+    content = gcd(*(c for _, _, c in terms))
+    if terms[0][2] < 0:
         content = -content
-    return ints if content == 1 else [c // content for c in ints]
-
-
-def _entry(keyed, ints, element):
-    (key, lm), *rest = keyed
-    tail = tuple((k, e, c) for (k, e), c in zip(rest, ints[1:]))
-    return (lm, key, ints[0], tail, element)
+    key, lm, lc = terms[0]
+    return (lm, key, lc // content, tuple((k, e, c // content) for k, e, c in terms[1:]))
 
 
 class Reducers(list):
-    """Divisor table: one Packing.form entry per nonzero divisor, tried in
-    list order, with the packing its entries use."""
+    """Divisor table: one entry (lm, K(lm), lc, tail) per nonzero divisor
+    (Packing.form), tried in list order, with the packing its entries
+    use."""
 
     def __init__(self, polys, order, packing=None):
         super().__init__()
@@ -334,7 +330,7 @@ def _reduce(p, table):
         if hit is None:
             remainder.append((k, e, c))
             continue
-        ge, gk, gc, tail, _ = hit
+        ge, gk, gc, tail = hit
         if gc != 1:
             g = gcd(c, gc)
             a = gc // g
@@ -363,26 +359,18 @@ def _reduce(p, table):
 def normal_form(f, divisors, order):
     """The remainder of divide(f, divisors, order), without quotients.
 
-    divisors is a polynomial list or a prebuilt Reducers table.  f is
-    packed with its denominators cleared and _reduce runs on integers; the
-    remainder's coefficients come back as Fractions.
+    divisors is a polynomial list or a prebuilt Reducers table.  f, stored
+    in any order, is packed with its denominators cleared and _reduce runs
+    on integers; the remainder comes back through Packing.polynomial.
     """
     if isinstance(divisors, Reducers):
         table = divisors
     else:
         divisors = list(divisors)
         table = Reducers(divisors, order, packing_for(order, max_exponent([f, *divisors])))
-    if not table or f.is_zero():
-        return f
-    pk = table.packing
-    den = lcm(*(c.denominator for _, c in f.terms))
-    p = [
-        (pk.key(m.exps), pk.pack(m.exps), c.numerator * (den // c.denominator))
-        for m, c in reversed(f.terms)
-    ]
+    p, den = table.packing.pack_terms(f)
     remainder, factor = _reduce(p, table)
-    den *= factor
-    return Polynomial(tuple((Monomial(pk.unpack(e)), Fraction(c, den)) for _, e, c in remainder))
+    return table.packing.polynomial(remainder, den * factor)
 
 
 def _s_polynomial(fi, fj, L, key):
@@ -392,7 +380,7 @@ def _s_polynomial(fi, fj, L, key):
     of the monic elements, returned as _reduce's ascending input."""
     g = gcd(fi[2], fj[2])
     acc = {}
-    for (lm, k, _, tail, _), scale in ((fi, fj[2] // g), (fj, -(fi[2] // g))):
+    for (lm, k, _, tail), scale in ((fi, fj[2] // g), (fj, -(fi[2] // g))):
         shift, dk = L - lm, key - k
         for k2, e, c in tail:
             k2 += dk
@@ -453,14 +441,13 @@ def buchberger(ideal, order, config=None):
     coprime_crit = cfg.use_coprime_criterion
     chain_crit = cfg.use_chain_criterion
 
-    gens = [poly_from_terms(g.terms, ord_) for g in ideal.generators]
-    gens = [g for g in gens if not g.is_zero()]
+    gens = [g for g in ideal.generators if not g.is_zero()]
     packing = packing_for(ord_, max_exponent(gens))
     guard, lcm_of, key, unpack = packing.guard, packing.lcm, packing.key, packing.unpack
     shift = packing.width - 1
-    forms = []  # Packing.form of each basis element, element monic
+    forms = []  # the entry of each basis element
     active = []  # indices not retired: they take new pairs
-    reducers = Reducers((), ord_, packing)  # forms of the active elements, in installation order
+    reducers = Reducers((), ord_, packing)  # entries of the active elements, in installation order
     heap = []  # (K(lcm), i, j, packed lcm), i < j
 
     def install(form):
@@ -513,14 +500,12 @@ def buchberger(ideal, order, config=None):
         active.append(t)
         reducers.append(form)
 
-    seen = set()
+    seen = set()  # generators equal up to a scalar share one entry
     for g in gens:
-        form = packing.form(g, monic=True)
-        if form[4] not in seen:
-            seen.add(form[4])
+        form = packing.form(g)
+        if form not in seen:
+            seen.add(form)
             install(form)
-    if not forms:
-        return GroebnerBasis(ctx, order, ())
 
     popped = 0
     while heap:
@@ -533,42 +518,47 @@ def buchberger(ideal, order, config=None):
         remainder, _ = _reduce(_s_polynomial(forms[i], forms[j], L, k), reducers)
         if not remainder:
             continue
-        form = packing.remainder_form(remainder)
-        h = form[4]
-        if h.degree() > cfg.degree_cap:
+        degree = max(sum(unpack(e)) for _, e, _ in remainder)
+        if degree > cfg.degree_cap:
             raise ScaleExceeded(
-                f"degree budget of {cfg.degree_cap} exceeded (element of degree {h.degree()})"
+                f"degree budget of {cfg.degree_cap} exceeded (element of degree {degree})"
             )
-        if cfg.expect_binomials and not h.is_binomial_pm1():
+        form = _entry(remainder)
+        # a +-1 binomial, or a single term, has primitive coefficients 1, -1
+        if cfg.expect_binomials and (form[2], *(c for _, _, c in form[3])) not in ((1,), (1, -1)):
             raise AssertionError(
                 "binomial purity violated: a toric run produced a non-binomial element"
             )
         install(form)
 
-    return GroebnerBasis(ctx, order, tuple(form[4] for form in forms))
+    return GroebnerBasis(
+        ctx,
+        order,
+        tuple(packing.polynomial(((k, lm, lc), *tail), lc) for lm, k, lc, tail in forms),
+    )
 
 
 def reduce_basis(gb):
     """The unique reduced basis: minimal leading monomials, monic elements,
     every tail in normal form with respect to the others."""
-    if not gb.elements:
-        return GroebnerBasis(gb.context, gb.order, ())
     ord_ = gb.compiled()
-    elems = [g for g in (poly_from_terms(e.terms, ord_) for e in gb.elements) if not g.is_zero()]
-    ascending = sorted(elems, key=lambda g: ord_.key(g.lm()))
-    minimal = []
-    for g in ascending:
-        if not any(h.lm().divides(g.lm()) for h in minimal):
-            minimal.append(g)
+    packing = packing_for(ord_, max_exponent(gb.elements))
+    forms = sorted(
+        (packing.form(g) for g in gb.elements if not g.is_zero()), key=lambda form: form[1]
+    )
+    # the first entry in ascending order of each minimal leading monomial
+    minimal = Reducers((), ord_, packing)
+    for form in forms:
+        if minimal.find(form[0]) is None:
+            minimal.append(form)
     # Every term of a tail, and of its reductions, lies below lm(g), so no
     # lm(g) divides it and g may stay in the table that reduces its tail.
-    table = Reducers(minimal, ord_)
-    tail_reduced = []
-    for g in minimal:
-        tail = normal_form(Polynomial(g.terms[1:]), table, ord_)
-        tail_reduced.append(Polynomial(g.terms[:1] + tail.terms).monic())
-    tail_reduced.sort(key=lambda g: ord_.key(g.lm()), reverse=True)
-    return GroebnerBasis(gb.context, gb.order, tuple(tail_reduced))
+    reduced = []
+    for lm, k, lc, tail in reversed(minimal):
+        remainder, factor = _reduce(list(reversed(tail)), minimal)
+        lc *= factor
+        reduced.append(packing.polynomial(((k, lm, lc), *remainder), lc))
+    return GroebnerBasis(gb.context, gb.order, tuple(reduced))
 
 
 def reduced_groebner_basis(ideal, order, config=None):
@@ -576,17 +566,17 @@ def reduced_groebner_basis(ideal, order, config=None):
 
 
 def membership(f, divisors, order):
-    """Whether f, its terms first sorted under the compiled order, reduces
-    to zero over divisors: a Groebner basis as a polynomial list or as a
-    prebuilt Reducers table, as normal_form takes it."""
-    return normal_form(poly_from_terms(f.terms, order), divisors, order).is_zero()
+    """Whether f, stored in any order, reduces to zero over divisors: a
+    Groebner basis as a polynomial list or as a prebuilt Reducers table,
+    as normal_form takes it."""
+    return normal_form(f, divisors, order).is_zero()
 
 
 def is_spair_closed(elements, order, ctx, config=None):
     """Buchberger criterion re-check: every S-pair reduces to zero."""
     cfg = config or GBConfig()
     ord_ = compile_order(order, ctx)
-    table = Reducers([poly_from_terms(e.terms, ord_) for e in elements], ord_)
+    table = Reducers(elements, ord_)
     pk = table.packing
     checked = 0
     for fi, fj in combinations(table, 2):

@@ -16,6 +16,7 @@ componentwise-linearity certificate.
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 
 from .betti import GENERATOR_CAP, BettiTable, betti_numbers, is_componentwise_linear
@@ -74,7 +75,9 @@ class ReesPresentation:
     def base_indices(self):
         return self.extended.block_indices(BASE_BLOCK)
 
+    @cached_property
     def initial(self):
+        """The initial ideal of the kernel, built once per presentation."""
         return initial_ideal(self.gb)
 
 
@@ -201,12 +204,7 @@ def substitution_image(p, gens, extended):
     base_idx = extended.block_indices(BASE_BLOCK)
     acc = {}
     for m, c in p.terms:
-        exps = [m.exps[i] for i in base_idx]
-        for pos, j in enumerate(fiber_idx):
-            a = m.exps[j]
-            if a:
-                for i, e in enumerate(gens[pos].exps):
-                    exps[i] += a * e
+        exps = _add_fiber_image([m.exps[i] for i in base_idx], m, fiber_idx, gens)
         key = (m.degree_on(fiber_idx), tuple(exps))
         total = acc.get(key, Fraction(0)) + c
         if total:
@@ -214,6 +212,17 @@ def substitution_image(p, gens, extended):
         else:
             acc.pop(key, None)
     return acc
+
+
+def _add_fiber_image(exps, m, fiber_idx, gens):
+    """exps, base exponents, plus those of the image of m's fiber part
+    under y_j -> u_j; fiber_idx lists the y_j in the order of gens."""
+    for pos, j in enumerate(fiber_idx):
+        a = m.exps[j]
+        if a:
+            for i, e in enumerate(gens[pos].exps):
+                exps[i] += a * e
+    return exps
 
 
 def kernel_member(p, gens, extended):
@@ -235,7 +244,7 @@ def x_condition(presentation):
     """Every minimal generator of the initial ideal is allowed at most one
     base variable (counted with multiplicity)."""
     base_idx = presentation.base_indices()
-    ini = presentation.initial()
+    ini = presentation.initial
     violations = tuple(m for m in ini.generators if m.degree_on(base_idx) > 1)
     return XConditionReport(not violations, violations)
 
@@ -257,17 +266,13 @@ class StandardBasisK:
 
 def _pure_fiber_initials(presentation):
     base_idx = presentation.base_indices()
-    return [m for m in presentation.initial().generators if m.degree_on(base_idx) == 0]
+    return [m for m in presentation.initial.generators if m.degree_on(base_idx) == 0]
 
 
 def _image(presentation, w):
     exps = [0] * presentation.base.nvars
-    for pos, j in enumerate(presentation.fiber_indices()):
-        a = w.exps[j]
-        if a:
-            for i, e in enumerate(presentation.gens[pos].exps):
-                exps[i] += a * e
-    return Monomial(tuple(exps))
+    fiber_idx = presentation.fiber_indices()
+    return Monomial(tuple(_add_fiber_image(exps, w, fiber_idx, presentation.gens)))
 
 
 def _fiber_monomials(presentation, k):
@@ -375,7 +380,7 @@ def colon_cross_check(presentation, k):
     report = quotient_steps(basis.images())
     if not report.ok:
         raise ValueError("cross-check requires a linear-quotients pipeline")
-    ini = presentation.initial()
+    ini = presentation.initial
     extended = presentation.extended
     for step, w in zip(report.steps, basis.monomials()):
         if any(g.is_one() for g in step.colon.generators):
@@ -440,7 +445,7 @@ def componentwise_certificate(presentation, k):
     brute-force verdict is attached whenever the power is small enough.
     """
     xc = x_condition(presentation)
-    quadratic = all(m.degree() <= 2 for m in presentation.initial().generators)
+    quadratic = all(m.degree() <= 2 for m in presentation.initial.generators)
     basis = standard_monomials(presentation, k)
     images = basis.images()
     minimal = is_minimal_sequence(images)

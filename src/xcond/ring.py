@@ -102,10 +102,6 @@ class Monomial:
             raise ValueError("negative exponent")
 
     @staticmethod
-    def one(nvars):
-        return Monomial((0,) * nvars)
-
-    @staticmethod
     def var(i, nvars, power=1):
         e = [0] * nvars
         e[i] = power
@@ -382,11 +378,6 @@ class Polynomial:
         if c == 0:
             return Polynomial(())
         return Polynomial(tuple((m, c * a) for m, a in self.terms))
-
-    def monic(self):
-        if self.is_zero() or self.lc() == 1:
-            return self
-        return self.scale(1 / self.lc())
 
     def term_mul(self, mono, coeff=_ONE):
         """Multiply by coeff * x^mono; preserves the descending term order."""

@@ -51,6 +51,14 @@ from xcond.rees import (
 )
 
 
+# (1 + x3 + x2^3 + x1*x3^2, 1 + x2*x3^2 + x1*x2, x1^3), as in tests/test_oracle.py
+DEEP_LEX = (
+    dict.fromkeys([(0, 0, 0), (0, 0, 1), (0, 3, 0), (1, 0, 2)], Fraction(1)),
+    dict.fromkeys([(0, 0, 0), (0, 1, 2), (1, 1, 0)], Fraction(1)),
+    {(3, 0, 0): Fraction(1)},
+)
+
+
 def mono(ctx, **powers):
     e = [0] * ctx.nvars
     for name, p in powers.items():
@@ -260,6 +268,29 @@ class TestBuchberger:
     def test_empty_ideal(self, ctx3):
         gb = buchberger(Ideal.make([], ctx3), lex_order("x1", "x2", "x3"))
         assert gb.elements == ()
+
+    def test_degree_cap_raises(self, ctx3):
+        """DEEP_LEX of tests/test_oracle.py: its reduced basis has degrees
+        20, 20 and 21, but Buchberger passes an element of degree 41."""
+        spec = lex_order("x1", "x2", "x3")
+        ord_ = compile_order(spec, ctx3)
+        gens = [poly_from_dict({Monomial(e): c for e, c in p.items()}, ord_) for p in DEEP_LEX]
+        with pytest.raises(
+            ScaleExceeded, match=r"^degree budget of 40 exceeded \(element of degree 41\)$"
+        ):
+            buchberger(Ideal.make(gens, ctx3), spec)
+
+    def test_binomial_purity(self, ctx3):
+        spec = lex_order("x1", "x2", "x3")
+        ord_ = compile_order(spec, ctx3)
+        config = GBConfig(expect_binomials=True)
+        mixed = [parse_polynomial(f, ctx3, ord_) for f in ("x1*x2 - x3^2", "x1^2 + x2*x3")]
+        with pytest.raises(AssertionError, match="^binomial purity violated"):
+            buchberger(Ideal.make(mixed, ctx3), spec, config)
+        toric = [parse_polynomial(f, ctx3, ord_) for f in ("x1*x2 - x3^2", "x1^2 - x2*x3")]
+        gb = buchberger(Ideal.make(toric, ctx3), spec, config)
+        assert len(gb.elements) > 2
+        assert all(g.is_binomial_pm1() for g in gb.elements)
 
 
 class TestReduceBasis:
@@ -500,15 +531,37 @@ class TestForeignTermOrder:
             monos = [m for m, _ in g.terms]
             assert len(monos) == len(set(monos))
 
-    def test_agrees_with_presorted_input(self):
+    def presorted(self, polys):
         ord_ = compile_order(self.spec, self.ctx)
-        sorted_gens = tuple(
-            parse_polynomial(s, self.ctx, ord_)
-            for s in ("a^2*b - c^2", "a*c - b^2", "b*c - a")
-        )
-        a = reduced_groebner_basis(Ideal.make(self.gens, self.ctx), self.spec)
-        b = reduced_groebner_basis(Ideal.make(sorted_gens, self.ctx), self.spec)
-        assert a == b
+        return tuple(poly_from_dict(dict(g.terms), ord_) for g in polys)
+
+    def test_agrees_with_presorted_input(self):
+        """Polynomial equality ignores storage order, so the terms are
+        compared: results come sorted under the working order."""
+        for compute in (buchberger, reduced_groebner_basis):
+            a = compute(Ideal.make(self.gens, self.ctx), self.spec)
+            b = compute(Ideal.make(self.presorted(self.gens), self.ctx), self.spec)
+            assert [g.terms for g in a.elements] == [g.terms for g in b.elements]
+
+    def test_basis_elements_sorted_under_another_order(self):
+        gb = buchberger(Ideal.make(self.gens, self.ctx), self.spec)
+        lex_ = compile_order(lex_order("a", "b", "c"), self.ctx)
+        foreign = tuple(poly_from_dict(dict(g.terms), lex_) for g in gb.elements)
+        assert [g.terms for g in foreign] != [g.terms for g in gb.elements]
+        a = reduce_basis(GroebnerBasis(self.ctx, self.spec, foreign))
+        b = reduce_basis(gb)
+        assert [g.terms for g in a.elements] == [g.terms for g in b.elements]
+        assert is_spair_closed(foreign, self.spec, self.ctx)
+        assert not is_spair_closed(self.gens, self.spec, self.ctx)
+        assert not is_spair_closed(self.presorted(self.gens), self.spec, self.ctx)
+        ord_ = gb.compiled()
+        for text in ("b*c - a", "a^3*b - a*c^2", "a*b*c - c", "a^2 + b"):
+            q = parse_polynomial(text, self.ctx)
+            (presorted,) = self.presorted([q])
+            assert normal_form(q, [], ord_).terms == presorted.terms
+            want = normal_form(presorted, gb.elements, ord_)
+            assert normal_form(q, foreign, ord_).terms == want.terms
+            assert membership(q, foreign, ord_) == want.is_zero()
 
     def test_permutation_stability(self):
         base = reduced_groebner_basis(Ideal.make(self.gens, self.ctx), self.spec)

@@ -61,8 +61,9 @@ def test_scanner_flags_only_unreferenced_names():
 
 
 # ---------------------------------------------------------------------------
-# dead definitions: every module-level function or class in the package is
-# referenced somewhere else in the package, or listed here with its reason
+# dead definitions: every module-level function, class or assigned name and
+# every method in the package is referenced somewhere else in the package,
+# or listed here with its reason
 # ---------------------------------------------------------------------------
 
 LIBRARY_ONLY = (
@@ -75,30 +76,63 @@ LIBRARY_ONLY = (
     ("weight_order", "builds the order of the weighted certificate route"),
     ("ascending_degree", "the weighted certificate route's sort"),
     ("is_chordal", "wrapped by the benchmark tracer; the oracle for peo"),
+    ("Polynomial.is_binomial_pm1", "the toric shape the Rees kernel tests assert"),
+    ("Polynomial.scale", "rescales the inputs of the reduced-basis uniqueness tests"),
 )
 PACKAGE = sorted((ROOT / "src" / "xcond").glob("*.py"))
 
 
 def _referenced(nodes):
-    """Names read by the nodes; a name only bound (an assignment target, a
-    dataclass field) is not a use."""
+    """Names read by the nodes, an attribute as ".attr"; a name only bound
+    (an assignment target, a dataclass field) is not a use."""
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 yield sub.id
             elif isinstance(sub, ast.Attribute):
-                yield sub.attr
+                yield "." + sub.attr
+
+
+def _uses(name):
+    """The references that keep a definition alive: a module-level name
+    read bare or as an attribute, a method "Class.method" only as an
+    attribute, and either one by its listed name."""
+    cls, _, method = name.rpartition(".")
+    return {name, "." + method} if cls else {name, "." + name}
+
+
+def _is_property(node):
+    return any(
+        isinstance(d, ast.Name) and d.id in ("property", "cached_property")
+        for d in node.decorator_list
+    )
 
 
 def _defined(node):
-    """Names a module-level statement defines: a def or class, or the plain
-    names an assignment binds, dunders (__all__, ...) excepted."""
-    if isinstance(node, ast.FunctionDef | ast.ClassDef):
-        return [node.name]
+    """(name, nodes) of each definition a module-level statement makes,
+    nodes holding what the definition reads: a def or class, each method
+    of a class body as "Class.method", or the plain names an assignment
+    binds.  Dunders (__all__, __init__, ...) are called or read implicitly
+    and properties reflectively, so they are not definitions; their reads
+    belong to the class."""
+    if isinstance(node, ast.FunctionDef):
+        return [(node.name, [node])]
+    if isinstance(node, ast.ClassDef):
+        methods = [
+            sub
+            for sub in node.body
+            if isinstance(sub, ast.FunctionDef)
+            and not sub.name.startswith("__")
+            and not _is_property(sub)
+        ]
+        rest = [sub for sub in node.body if sub not in methods]
+        return [(node.name, rest + node.bases + node.decorator_list)] + [
+            (f"{node.name}.{sub.name}", [sub]) for sub in methods
+        ]
     if isinstance(node, ast.Assign | ast.AnnAssign):
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         return [
-            sub.id
+            (sub.id, [node])
             for target in targets
             for sub in ast.walk(target)
             if isinstance(sub, ast.Name) and not sub.id.startswith("__")
@@ -107,23 +141,24 @@ def _defined(node):
 
 
 def dead_definitions(sources, allowed=()):
-    """(module, name) of each module-level def, class or assigned name that
-    nothing but itself or another dead definition references, repeated to a
-    fixpoint."""
+    """(module, name) of each module-level def, class, method or assigned
+    name that nothing but itself or another dead definition references,
+    repeated to a fixpoint."""
     defs = {}
     top_level = []
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            names = _defined(node)
-            if not names:
+            defined = _defined(node)
+            if not defined:
                 top_level.append(node)
-            for name in names:
-                defs.setdefault((module, name), set()).update(set(_referenced([node])) - {name})
+            for name, nodes in defined:
+                reads = set(_referenced(nodes)) - _uses(name)
+                defs.setdefault((module, name), set()).update(reads)
     roots = set(_referenced(top_level)) | set(allowed)
     dead = set(defs)
     while True:
         live = roots.union(*(defs[d] for d in defs if d not in dead))
-        still = {d for d in dead if d[1] not in live}
+        still = {d for d in dead if not _uses(d[1]) & live}
         if still == dead:
             return sorted(dead)
         dead = still
@@ -166,3 +201,18 @@ def test_dead_scan_follows_chains():
         "def parse(text):\n    return _TABLE.get(text, _WS_RE.match(text))\n\nparse('')\n",
     }
     assert dead_definitions(sources) == [("d", "NAME"), ("d", "_INT_RE"), ("d", "_NAME_RE")]
+    # methods are definitions too, kept alive only by an attribute of their
+    # name (the module-level name unused does not keep Box.unused alive);
+    # dunders and properties are not, since nothing calls them by name
+    sources = {
+        "e": "class Box:\n    def __init__(self):\n        self.v = self.reset()\n\n"
+        "    def reset(self):\n        return 0\n\n"
+        "    @property\n    def shown(self):\n        return self.v\n\n"
+        "    def used(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return 1\n\n"
+        "    def unused(self):\n        return self.orphan()\n\n"
+        "    def orphan(self):\n        return 2\n\n"
+        "unused = 0\nBox().used() + unused\n",
+    }
+    assert dead_definitions(sources) == [("e", "Box.orphan"), ("e", "Box.unused")]
+    assert dead_definitions(sources, ["Box.unused"]) == []

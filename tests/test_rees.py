@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from xcond import betti
+from xcond import betti, rees
 from xcond.betti import betti_numbers, is_componentwise_linear
 from xcond.families import biclique_claimed, cw_claimed
 from xcond.graphs import biclique_graph, cameron_walker_graph, minimal_vertex_covers, path_graph
@@ -162,7 +162,7 @@ class TestPathEight:
         report = x_condition(pres)
         assert report.holds
         assert report.violations == ()
-        assert all(m.degree() == 2 for m in pres.initial().generators)
+        assert all(m.degree() == 2 for m in pres.initial.generators)
 
 
 class TestBiclique:
@@ -313,6 +313,21 @@ class TestCertificate:
                 assert rep.oracle_betti_match == (betti_numbers(power) == rep.betti)
             if rep.oracle_componentwise is not None:
                 assert rep.oracle_componentwise == is_componentwise_linear(power)
+
+    def test_one_initial_ideal_per_presentation(self, monkeypatch):
+        pres = path_presentation(5)
+        original = rees.initial_ideal
+        builds = []
+
+        def counted(gb):
+            builds.append(gb)
+            return original(gb)
+
+        monkeypatch.setattr(rees, "initial_ideal", counted)
+        for k in (1, 2, 3):
+            componentwise_certificate(pres, k)
+        x_condition(pres)
+        assert builds == [pres.gb]
 
     def test_degenerate_sequence_withholds_certificate(self):
         # quotients pass but the images are redundant and degrees dip
