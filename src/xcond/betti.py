@@ -236,7 +236,7 @@ def _is_linear(table, d):
     return all(j == i + d for (i, j), _ in table.entries)
 
 
-def has_linear_resolution(ideal, d=None):
+def has_linear_resolution(ideal):
     """True when beta_{i,j} vanishes for all j != i + d, where d is the
     common degree of the minimal generators."""
     if ideal.is_zero():
@@ -244,10 +244,7 @@ def has_linear_resolution(ideal, d=None):
     degrees = {g.degree() for g in ideal.generators}
     if len(degrees) > 1:
         raise ValueError(f"mixed generator degrees {sorted(degrees)}")
-    gen_deg = degrees.pop()
-    if d is not None and d != gen_deg:
-        raise ValueError(f"generators have degree {gen_deg}, not {d}")
-    return _is_linear(betti_numbers(ideal), gen_deg)
+    return _is_linear(betti_numbers(ideal), degrees.pop())
 
 
 def degree_component(ideal, d, nvars):
@@ -289,6 +286,6 @@ def is_componentwise_linear(ideal, table=None):
         if component == ideal:
             if not _is_linear(table, d):
                 return False
-        elif not has_linear_resolution(component, d):
+        elif not has_linear_resolution(component):
             return False
     return True

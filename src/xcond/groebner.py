@@ -17,14 +17,13 @@ every pair being tested when it is popped:
   from neither lcm(i, t) nor lcm(j, t);
 - elements whose leading monomial lm(t) divides take no further pairs.
 
-GBConfig.use_coprime_criterion switches the product criterion and
-use_chain_criterion switches M, F, B_t and the retirement.  Pairs are
-selected normally: smallest lcm under the working order, ties by index
-pair.  S-polynomials are reduced over a Reducers table of the elements
-not retired, built once and updated on each install; the final basis is
-fully tail-reduced.  Every run is bounded by explicit resource caps;
-exceeding a cap raises ScaleExceeded rather than returning a truncated
-basis.
+All of them always run; GBConfig holds only the pair and degree caps.
+Pairs are selected normally: smallest lcm under the working order, ties
+by index pair.  S-polynomials are reduced over a Reducers table of the
+elements not retired, built once and updated on each install; the final
+basis is fully tail-reduced.  Every run is bounded by explicit resource
+caps; exceeding a cap raises ScaleExceeded rather than returning a
+truncated basis.
 
 Exponent vectors are packed ints inside the loop (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -86,9 +85,6 @@ class ScaleExceeded(RuntimeError):
 class GBConfig:
     pair_cap: int = DEFAULT_PAIR_CAP
     degree_cap: int = DEFAULT_DEGREE_CAP
-    use_coprime_criterion: bool = True
-    use_chain_criterion: bool = True
-    expect_binomials: bool = False
 
     def __post_init__(self):
         if self.pair_cap <= 0 or self.degree_cap <= 0:
@@ -427,19 +423,30 @@ def _criterion_m(lcms, lm, packing):
 # ---------------------------------------------------------------------------
 
 
+def _coefficients(form):
+    """The primitive coefficients of an entry, leading one first."""
+    return (form[2], *(c for _, _, c in form[3]))
+
+
+# the primitive coefficients of a +-1 binomial and of a single term: S-pairs
+# and reductions of such elements give such elements (Eisenbud and Sturmfels,
+# "Binomial ideals", Duke Math. J. 84, 1996, Prop. 1.1)
+_PM1 = ((1, -1), (1,))
+
+
 def buchberger(ideal, order, config=None):
     """S-pair-closed basis of the ideal; elements monic; not tail-reduced.
 
     Elements are installed one at a time, generators first, each through
     the Gebauer-Moeller update (see the module docstring); every popped
-    pair is reduced.  The result lists every installed element, retired
+    pair is reduced.  When every generator is a +-1 binomial or a single
+    term, so must every S-pair remainder be; one that is not raises
+    AssertionError.  The result lists every installed element, retired
     ones included.
     """
     cfg = config or GBConfig()
     ctx = ideal.context
     ord_ = compile_order(order, ctx)
-    coprime_crit = cfg.use_coprime_criterion
-    chain_crit = cfg.use_chain_criterion
 
     gens = [g for g in ideal.generators if not g.is_zero()]
     packing = packing_for(ord_, max_exponent(gens))
@@ -455,19 +462,18 @@ def buchberger(ideal, order, config=None):
         lm_t = form[0]
         forms.append(form)
 
-        if chain_crit and heap:
-            # B_t: (i, j) is redundant when lm_t divides its lcm and the
-            # lcms of (i, t) and (j, t) are proper divisors of it
-            kept = [
-                pair
-                for pair in heap
-                if ((pair[3] | guard) - lm_t) & guard != guard
-                or lcm_of(forms[pair[1]][0], lm_t) == pair[3]
-                or lcm_of(forms[pair[2]][0], lm_t) == pair[3]
-            ]
-            if len(kept) < len(heap):
-                heap[:] = kept
-                heapq.heapify(heap)
+        # B_t: (i, j) is redundant when lm_t divides its lcm and the lcms of
+        # (i, t) and (j, t) are proper divisors of it
+        kept = [
+            pair
+            for pair in heap
+            if ((pair[3] | guard) - lm_t) & guard != guard
+            or lcm_of(forms[pair[1]][0], lm_t) == pair[3]
+            or lcm_of(forms[pair[2]][0], lm_t) == pair[3]
+        ]
+        if len(kept) < len(heap):
+            heap[:] = kept
+            heapq.heapify(heap)
 
         new = {}  # packed lcm -> partner indices, ascending
         above = lm_t | guard
@@ -477,26 +483,17 @@ def buchberger(ideal, order, config=None):
             lt = (above - lm) & guard  # guard bit set where lm_t_v >= lm_v
             new.setdefault(lm ^ ((lm ^ lm_t) & (lt - (lt >> shift))), []).append(i)
 
-        for L in _criterion_m(new, lm_t, packing) if chain_crit else sorted(new):
-            partners = new[L]
-            if chain_crit:
-                # product criterion: a coprime pair drops its whole class;
-                # coprime leading monomials have their product as lcm
-                if coprime_crit and any(L == forms[i][0] + lm_t for i in partners):
-                    continue
-                partners = partners[:1]  # F: one pair per lcm
-            elif coprime_crit:
-                partners = [i for i in partners if L != forms[i][0] + lm_t]
-            if partners:
-                k = key(unpack(L))
-                for i in partners:
-                    heapq.heappush(heap, (k, i, t, L))
+        for L in _criterion_m(new, lm_t, packing):
+            # product criterion: a coprime pair drops its whole lcm class, as
+            # coprime leading monomials have their product as lcm; otherwise
+            # F keeps the class's first pair
+            if not any(L == forms[i][0] + lm_t for i in new[L]):
+                heapq.heappush(heap, (key(unpack(L)), new[L][0], t, L))
 
-        if chain_crit:
-            # every multiple of a retired lm is a multiple of lm_t, so the
-            # retired elements also leave the reducer table
-            active[:] = [i for i in active if ((forms[i][0] | guard) - lm_t) & guard != guard]
-            reducers[:] = [forms[i] for i in active]
+        # every multiple of a retired lm is a multiple of lm_t, so the
+        # retired elements also leave the reducer table
+        active[:] = [i for i in active if ((forms[i][0] | guard) - lm_t) & guard != guard]
+        reducers[:] = [forms[i] for i in active]
         active.append(t)
         reducers.append(form)
 
@@ -506,6 +503,7 @@ def buchberger(ideal, order, config=None):
         if form not in seen:
             seen.add(form)
             install(form)
+    pure = all(_coefficients(form) in _PM1 for form in forms)
 
     popped = 0
     while heap:
@@ -524,10 +522,9 @@ def buchberger(ideal, order, config=None):
                 f"degree budget of {cfg.degree_cap} exceeded (element of degree {degree})"
             )
         form = _entry(remainder)
-        # a +-1 binomial, or a single term, has primitive coefficients 1, -1
-        if cfg.expect_binomials and (form[2], *(c for _, _, c in form[3])) not in ((1,), (1, -1)):
+        if pure and _coefficients(form) not in _PM1:
             raise AssertionError(
-                "binomial purity violated: a toric run produced a non-binomial element"
+                "binomial purity violated: +-1 binomial generators gave a non-binomial element"
             )
         install(form)
 
@@ -573,19 +570,24 @@ def membership(f, divisors, order):
 
 
 def is_spair_closed(elements, order, ctx, config=None):
-    """Buchberger criterion re-check: every S-pair reduces to zero."""
+    """Buchberger criterion re-check: every S-pair reduces to zero.  Pairs
+    with coprime leading monomials are skipped; the pair cap counts the
+    others."""
     cfg = config or GBConfig()
     ord_ = compile_order(order, ctx)
     table = Reducers(elements, ord_)
     pk = table.packing
-    checked = 0
-    for fi, fj in combinations(table, 2):
-        checked += 1
-        if checked > cfg.pair_cap:
-            raise ScaleExceeded(f"S-pair budget of {cfg.pair_cap} exhausted")
+    reduced = 0
+    for n, (fi, fj) in enumerate(combinations(table, 2), 1):
         L = pk.lcm(fi[0], fj[0])
         if L == fi[0] + fj[0]:  # coprime leading monomials
             continue
+        reduced += 1
+        if reduced > cfg.pair_cap:
+            raise ScaleExceeded(
+                f"S-pair budget of {cfg.pair_cap} exhausted at pair {n} of "
+                f"{len(table) * (len(table) - 1) // 2} ({len(table)} basis elements)"
+            )
         if _reduce(_s_polynomial(fi, fj, L, pk.key(pk.unpack(L))), table)[0]:
             return False
     return True

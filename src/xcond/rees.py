@@ -15,13 +15,12 @@ componentwise-linearity certificate.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
 from .betti import GENERATOR_CAP, BettiTable, betti_numbers, is_componentwise_linear
 from .groebner import (
-    GBConfig,
     GroebnerBasis,
     Ideal,
     MonomialIdeal,
@@ -142,8 +141,9 @@ def _validate_generators(base_ctx, gens):
 def rees_ideal(base_ctx, gens, order=None, fiber_names=None, config=None):
     """Reduced kernel basis of y_j -> u_j*t via t-elimination.
 
-    One Buchberger run under block(t; fiber; base) insists on pure
-    binomials.  Its t-free elements, with the t coordinate dropped, are the
+    One Buchberger run under block(t; fiber; base); its generators
+    y_j - u_j*t are +-1 binomials, so it checks that every element it adds
+    is one too.  Its t-free elements, with the t coordinate dropped, are the
     reduced basis under `order` (Elimination Theorem), already listed in
     descending order of leading monomial.  Every element is checked to
     vanish under the substitution map.
@@ -158,7 +158,6 @@ def rees_ideal(base_ctx, gens, order=None, fiber_names=None, config=None):
         BASE_BLOCK,
     ):
         raise ValueError("order must compare the fiber block before the base block")
-    cfg = replace(config or GBConfig(), expect_binomials=True)
 
     elim_ctx = VarContext.make(
         (ELIM_VAR,) + extended.names,
@@ -182,7 +181,7 @@ def rees_ideal(base_ctx, gens, order=None, fiber_names=None, config=None):
                 elim_compiled,
             )
         )
-    contracted = eliminate(Ideal.make(relations, elim_ctx), (ELIM_VAR,), elim_order, cfg)
+    contracted = eliminate(Ideal.make(relations, elim_ctx), (ELIM_VAR,), elim_order, config)
     # ELIM_VAR is coordinate 0 of elim_ctx and the rest is `extended`; t-free
     # terms compare under elim_order exactly as under `order`
     elements = tuple(

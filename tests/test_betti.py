@@ -279,10 +279,6 @@ class TestLinearResolution:
         with pytest.raises(ValueError):
             has_linear_resolution(I((1, 0), (0, 2)))
 
-    def test_explicit_degree_must_match(self):
-        with pytest.raises(ValueError):
-            has_linear_resolution(I((2, 0), (0, 2)), d=1)
-
 
 class TestComponentwise:
     def test_two_coprime_is_componentwise(self):

@@ -123,6 +123,9 @@ GOLDEN = (
     ("verify-family --path 2", 2, EMPTY),
     ("rees --path 5 --pair-cap 2", 1, EMPTY),
     ("cycle-complex --r 3", 2, EMPTY),
+    # exit 2: "input error: caps must be positive"
+    ("rees --path 4 --degree-cap 0", 2, EMPTY),
+    ("binomial-edge --graph c4.graph --pair-cap 0", 2, EMPTY),
 )
 
 

@@ -239,20 +239,19 @@ class TestBuchberger:
         gb = buchberger(Ideal.make(gens, ctx3), spec)
         assert is_spair_closed(gb.elements, spec, ctx3)
 
-    def test_criteria_do_not_change_reduced_basis(self, ctx3):
+    def test_spair_check_caps_reduced_pairs_only(self, ctx3):
+        """Coprime pairs are skipped before the pair cap counts them."""
         spec = lex_order("x1", "x2", "x3")
-        ord_ = compile_order(spec, ctx3)
-        gens = [
-            parse_polynomial("x1^2 + x2*x3", ctx3, ord_),
-            parse_polynomial("x2^2 - x1*x3", ctx3, ord_),
-            parse_polynomial("x1*x2 + x3^2", ctx3, ord_),
-        ]
-        ideal = Ideal.make(gens, ctx3)
-        results = []
-        for coprime, chain in itertools.product((True, False), repeat=2):
-            cfg = GBConfig(use_coprime_criterion=coprime, use_chain_criterion=chain)
-            results.append(reduce_basis(buchberger(ideal, spec, cfg)).elements)
-        assert all(r == results[0] for r in results)
+        variables = [parse_polynomial(v, ctx3) for v in ("x1", "x2", "x3")]
+        assert is_spair_closed(variables, spec, ctx3, GBConfig(pair_cap=1))
+        # the first of the three pairs is coprime
+        basis = [parse_polynomial(f, ctx3) for f in ("x1*x2", "x3^2", "x2*x3")]
+        assert is_spair_closed(basis, spec, ctx3, GBConfig(pair_cap=2))
+        with pytest.raises(
+            ScaleExceeded,
+            match=r"^S-pair budget of 1 exhausted at pair 3 of 3 \(3 basis elements\)$",
+        ):
+            is_spair_closed(basis, spec, ctx3, GBConfig(pair_cap=1))
 
     def test_pair_cap_raises(self, ctx3):
         spec = lex_order("x1", "x2", "x3")
@@ -280,17 +279,24 @@ class TestBuchberger:
         ):
             buchberger(Ideal.make(gens, ctx3), spec)
 
-    def test_binomial_purity(self, ctx3):
+    def test_binomial_purity(self, ctx3, monkeypatch):
+        """+-1 binomial generators switch the purity check on: an S-pair
+        whose remainder is no +-1 binomial raises."""
         spec = lex_order("x1", "x2", "x3")
         ord_ = compile_order(spec, ctx3)
-        config = GBConfig(expect_binomials=True)
-        mixed = [parse_polynomial(f, ctx3, ord_) for f in ("x1*x2 - x3^2", "x1^2 + x2*x3")]
-        with pytest.raises(AssertionError, match="^binomial purity violated"):
-            buchberger(Ideal.make(mixed, ctx3), spec, config)
         toric = [parse_polynomial(f, ctx3, ord_) for f in ("x1*x2 - x3^2", "x1^2 - x2*x3")]
-        gb = buchberger(Ideal.make(toric, ctx3), spec, config)
+        gb = buchberger(Ideal.make(toric, ctx3), spec)
         assert len(gb.elements) > 2
         assert all(g.is_binomial_pm1() for g in gb.elements)
+        s_polynomial = groebner._s_polynomial
+
+        def doubled_lead(*args):
+            *rest, (k, e, c) = s_polynomial(*args)
+            return [*rest, (k, e, 2 * c)]
+
+        monkeypatch.setattr(groebner, "_s_polynomial", doubled_lead)
+        with pytest.raises(AssertionError, match="^binomial purity violated"):
+            buchberger(Ideal.make(toric, ctx3), spec)
 
 
 class TestReduceBasis:
@@ -578,7 +584,7 @@ class TestForeignTermOrder:
 
 
 # ---------------------------------------------------------------------------
-# engine invariants: the pair criteria prune work, never the answer
+# engine invariants: the raw basis is S-pair closed, a cap never truncates
 # ---------------------------------------------------------------------------
 
 SYSTEMS = {
@@ -603,7 +609,6 @@ SYSTEMS = {
         ),
     ),
 }
-CRITERIA = tuple(itertools.product((True, False), repeat=2))  # (coprime, chain)
 
 
 def system(name):
@@ -614,44 +619,20 @@ def system(name):
     return Ideal.make([parse_polynomial(t, ctx, ord_) for t in texts], ctx), spec
 
 
-def criteria_config(coprime, chain):
-    return GBConfig(use_coprime_criterion=coprime, use_chain_criterion=chain)
-
-
-def path_kernel(n, config=None):
+def path_kernel(n):
     g = path_graph(n)
-    return rees_ideal(g.context(), minimal_vertex_covers(g).monomials(), config=config)
+    return rees_ideal(g.context(), minimal_vertex_covers(g).monomials())
 
 
 class TestEngineInvariants:
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
-    def test_criteria_agree_on_systems(self, name):
+    def test_raw_output_is_spair_closed_on_systems(self, name):
         ideal, spec = system(name)
-        bases = [
-            [g.terms for g in reduced_groebner_basis(ideal, spec, criteria_config(*c)).elements]
-            for c in CRITERIA
-        ]
-        assert len(bases[0]) > 1
-        assert all(b == bases[0] for b in bases[1:])
-
-    @pytest.mark.parametrize("n", (6, 7))
-    def test_criteria_agree_on_rees_kernels(self, n):
-        bases = [
-            [g.terms for g in path_kernel(n, criteria_config(*c)).gb.elements] for c in CRITERIA
-        ]
-        assert len(bases[0]) == {6: 7, 7: 15}[n]
-        assert all(b == bases[0] for b in bases[1:])
-
-    @pytest.mark.parametrize("criteria", CRITERIA)
-    @pytest.mark.parametrize("name", sorted(SYSTEMS))
-    def test_raw_output_is_spair_closed_on_systems(self, name, criteria):
-        ideal, spec = system(name)
-        gb = buchberger(ideal, spec, criteria_config(*criteria))
+        gb = buchberger(ideal, spec)
         assert is_spair_closed(gb.elements, spec, ideal.context)
 
-    @pytest.mark.parametrize("criteria", CRITERIA)
     @pytest.mark.parametrize("n", (6, 7))
-    def test_raw_output_is_spair_closed_on_rees_kernels(self, n, criteria, monkeypatch):
+    def test_raw_output_is_spair_closed_on_rees_kernels(self, n, monkeypatch):
         raw = []
 
         def recording(*args, **kwargs):
@@ -660,7 +641,7 @@ class TestEngineInvariants:
             return gb
 
         monkeypatch.setattr(groebner, "buchberger", recording)
-        path_kernel(n, criteria_config(*criteria))
+        path_kernel(n)
         (gb,) = raw
         assert len(gb.elements) > {6: 7, 7: 15}[n]
         assert is_spair_closed(gb.elements, gb.order, gb.context)

@@ -22,6 +22,7 @@ from xcond.ring import (  # noqa: E402
     VarContext,
     compile_order,
     lex_order,
+    parse_polynomial,
     poly_from_dict,
     revlex_order,
 )
@@ -124,6 +125,50 @@ def test_rees_kernel_matches_sympy(n, size):
     }
     assert len(pres.gb.elements) == size
     assert xcond_basis(pres.gb.elements, key) == t_free
+
+
+# cyclic4 and katsura3 as SYSTEMS in tests/test_groebner.py has them, and an
+# input with a non-binomial generator: an S-pair remainder of it is no +-1
+# binomial, so Buchberger's binomial-purity check must stay off
+TEXT_CASES = {
+    "cyclic4": (
+        ("x1", "x2", "x3", "x4"),
+        revlex_order,
+        "grevlex",
+        (
+            "x1 + x2 + x3 + x4",
+            "x1*x2 + x2*x3 + x3*x4 + x4*x1",
+            "x1*x2*x3 + x2*x3*x4 + x3*x4*x1 + x4*x1*x2",
+            "x1*x2*x3*x4 - 1",
+        ),
+    ),
+    "katsura3": (
+        ("u0", "u1", "u2", "u3"),
+        revlex_order,
+        "grevlex",
+        (
+            "u0 + 2*u1 + 2*u2 + 2*u3 - 1",
+            "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0",
+            "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1",
+            "2*u0*u2 + u1^2 + 2*u1*u3 - u2",
+        ),
+    ),
+    "mixed": (("x1", "x2", "x3"), lex_order, "lex", ("x1*x2 - x3^2", "x1^2 + x2*x3")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_text_input_matches_sympy(name):
+    names, make_order, sympy_order, texts = TEXT_CASES[name]
+    ctx = VarContext.make(names)
+    spec = make_order(*names)
+    ord_ = compile_order(spec, ctx)
+    gens = [parse_polynomial(t, ctx, ord_) for t in texts]
+    ours = reduced_groebner_basis(Ideal.make(gens, ctx), spec).elements
+    polys = [{m.exps: c for m, c in g.terms} for g in gens]
+    key = ord_.exps_key
+    assert len(ours) > 2
+    assert xcond_basis(ours, key) == sympy_basis(polys, names, sympy_order, key)
 
 
 def dense_polys(nvars, degree, count, rng, denominators=(1,)):
