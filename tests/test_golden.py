@@ -126,6 +126,10 @@ GOLDEN = (
     # exit 2: "input error: caps must be positive"
     ("rees --path 4 --degree-cap 0", 2, EMPTY),
     ("binomial-edge --graph c4.graph --pair-cap 0", 2, EMPTY),
+    ("gb cyclic4.ideal --pair-cap 0", 2, EMPTY),
+    ("xcond --path 4 --pair-cap -1", 2, EMPTY),
+    ("powers --path 4 --kmax 2 --degree-cap 0", 2, EMPTY),
+    ("verify-family --path 4 --pair-cap 0", 2, EMPTY),
 )
 
 

@@ -193,6 +193,30 @@ class TestSPolynomial:
         assert s.lc() / textbook_s_polynomial(f, g, ord_).lc() == 12
 
 
+def doubled_lead(s_polynomial):
+    """_s_polynomial with the coefficient of the leading term doubled."""
+
+    def corrupted(*args):
+        terms = s_polynomial(*args)
+        if not terms:
+            return terms
+        *rest, (k, e, c) = terms
+        return [*rest, (k, e, 2 * c)]
+
+    return corrupted
+
+
+# generators -> whether Buchberger checks binomial purity on them
+PURITY_SWITCH = {
+    "pm1 binomials": (("x1*x2 - x3^2", "x1^2 - x2*x3"), True),
+    "with a single term": (("x1*x2 - x3^2", "x1^2 - x2*x3", "x2^3"), True),
+    "scaled binomial": (("2*x1*x2 - 2*x3^2", "x1^2 - x2*x3"), True),
+    "constant term": (("x1*x2 - 1", "x1^2 - x3"), True),
+    "sum of two terms": (("x1*x2 + x3^2", "x1^2 - x2*x3"), False),
+    "non-unit coefficient": (("x1*x2 - 2*x3^2", "x1^2 - x2*x3"), False),
+}
+
+
 class TestBuchberger:
     def test_monomial_ideal_is_its_own_basis(self, ctx3):
         ord_spec = lex_order("x1", "x2", "x3")
@@ -288,15 +312,25 @@ class TestBuchberger:
         gb = buchberger(Ideal.make(toric, ctx3), spec)
         assert len(gb.elements) > 2
         assert all(g.is_binomial_pm1() for g in gb.elements)
-        s_polynomial = groebner._s_polynomial
-
-        def doubled_lead(*args):
-            *rest, (k, e, c) = s_polynomial(*args)
-            return [*rest, (k, e, 2 * c)]
-
-        monkeypatch.setattr(groebner, "_s_polynomial", doubled_lead)
+        monkeypatch.setattr(groebner, "_s_polynomial", doubled_lead(groebner._s_polynomial))
         with pytest.raises(AssertionError, match="^binomial purity violated"):
             buchberger(Ideal.make(toric, ctx3), spec)
+
+    @pytest.mark.parametrize("name", sorted(PURITY_SWITCH))
+    def test_purity_check_follows_generators(self, name, ctx3, monkeypatch):
+        """The check is on exactly when every generator has primitive
+        coefficients (1, -1) or (1,); off, a corrupted remainder installs."""
+        texts, checked = PURITY_SWITCH[name]
+        spec = lex_order("x1", "x2", "x3")
+        ord_ = compile_order(spec, ctx3)
+        ideal = Ideal.make([parse_polynomial(f, ctx3, ord_) for f in texts], ctx3)
+        monkeypatch.setattr(groebner, "_s_polynomial", doubled_lead(groebner._s_polynomial))
+        if checked:
+            with pytest.raises(AssertionError, match="^binomial purity violated"):
+                buchberger(ideal, spec)
+        else:
+            added = buchberger(ideal, spec).elements[len(texts) :]
+            assert any(not g.is_binomial_pm1() and len(g.terms) > 1 for g in added)
 
 
 class TestReduceBasis:
@@ -395,7 +429,7 @@ class TestEliminate:
                 return eliminate(*args)
 
             monkeypatch.setattr(rees, "eliminate", recording)
-            path_kernel(6)
+            path_kernel(6, monkeypatch)
             ((ideal, block, spec, config),) = calls
         else:
             names, _, texts = SYSTEMS["katsura3"]
@@ -619,32 +653,67 @@ def system(name):
     return Ideal.make([parse_polynomial(t, ctx, ord_) for t in texts], ctx), spec
 
 
-def path_kernel(n):
+# The pruning depends on the order in which generators are installed (F
+# keeps the first pair of an lcm class, B_t and retirement look back at
+# earlier elements), so every invariant runs on both arrangements.
+ARRANGEMENTS = ("given", "reversed")
+
+
+def arranged(ideal, arrangement):
+    gens = ideal.generators
+    return Ideal.make(gens if arrangement == "given" else gens[::-1], ideal.context)
+
+
+def path_kernel(n, monkeypatch, arrangement="given"):
+    """The Rees kernel of P_n's cover ideal and the raw basis behind it,
+    its generators installed in the given arrangement."""
+    raw = []
+
+    def recording(ideal, *args, **kwargs):
+        gb = buchberger(arranged(ideal, arrangement), *args, **kwargs)
+        raw.append(gb)
+        return gb
+
     g = path_graph(n)
-    return rees_ideal(g.context(), minimal_vertex_covers(g).monomials())
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "buchberger", recording)
+        pres = rees_ideal(g.context(), minimal_vertex_covers(g).monomials())
+    (gb,) = raw
+    return pres, gb
 
 
 class TestEngineInvariants:
+    @pytest.mark.parametrize("arrangement", ARRANGEMENTS)
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
-    def test_raw_output_is_spair_closed_on_systems(self, name):
+    def test_raw_output_is_spair_closed_on_systems(self, name, arrangement):
         ideal, spec = system(name)
-        gb = buchberger(ideal, spec)
+        gb = buchberger(arranged(ideal, arrangement), spec)
         assert is_spair_closed(gb.elements, spec, ideal.context)
 
+    @pytest.mark.parametrize("arrangement", ARRANGEMENTS)
     @pytest.mark.parametrize("n", (6, 7))
-    def test_raw_output_is_spair_closed_on_rees_kernels(self, n, monkeypatch):
-        raw = []
-
-        def recording(*args, **kwargs):
-            gb = buchberger(*args, **kwargs)
-            raw.append(gb)
-            return gb
-
-        monkeypatch.setattr(groebner, "buchberger", recording)
-        path_kernel(n)
-        (gb,) = raw
+    def test_raw_output_is_spair_closed_on_rees_kernels(self, n, arrangement, monkeypatch):
+        _, gb = path_kernel(n, monkeypatch, arrangement)
         assert len(gb.elements) > {6: 7, 7: 15}[n]
         assert is_spair_closed(gb.elements, gb.order, gb.context)
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_arrangement_does_not_change_reduced_basis_on_systems(self, name):
+        ideal, spec = system(name)
+        bases = [
+            [g.terms for g in reduced_groebner_basis(arranged(ideal, a), spec).elements]
+            for a in ARRANGEMENTS
+        ]
+        assert len(bases[0]) > 1
+        assert bases[1] == bases[0]
+
+    @pytest.mark.parametrize("n", (6, 7))
+    def test_arrangement_does_not_change_rees_kernel(self, n, monkeypatch):
+        kernels = [
+            [g.terms for g in path_kernel(n, monkeypatch, a)[0].gb.elements] for a in ARRANGEMENTS
+        ]
+        assert len(kernels[0]) == {6: 7, 7: 15}[n]
+        assert kernels[1] == kernels[0]
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_pair_cap_never_truncates(self, name):
