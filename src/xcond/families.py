@@ -8,7 +8,8 @@ scans the descending-lex list of minimal covers u_1 > ... > u_s, emits every
 binomial matching its family's divisibility patterns together with a
 designated leading monomial, and catalogues the monomials expected to generate
 the initial ideal.  ``verify_claim`` compares a candidate against the basis
-computed from scratch.
+computed from scratch for the presentation the claim's own covers, fiber
+names and order fix.
 
 Two hard guarantees are enforced at construction time: every predicted cover
 is looked up by value in the actual cover list, and every designated leading
@@ -24,7 +25,6 @@ from .groebner import (
     GroebnerBasis,
     MonomialIdeal,
     Reducers,
-    initial_ideal,
     is_spair_closed,
     max_exponent,
     membership,
@@ -100,10 +100,6 @@ class ClaimedBasis:
         )
 
 
-def _cover_sets(gens):
-    return [frozenset(m.support()) for m in gens]
-
-
 def _monomial(ext, nfiber, fiber, base_idx):
     """fiber entries are 1-based cover positions, base entries 0-based
     base-context indices."""
@@ -149,13 +145,13 @@ def biclique_claimed(p, q, r):
     z_k psi_j^k -> z_1 psi_j^1, and the two-by-two psi exchanges."""
     graph = biclique_graph(p, q, r)
     base = graph.context()
-    gens = minimal_vertex_covers(graph).monomials()
+    covers = minimal_vertex_covers(graph)
+    gens, sets = covers.monomials(), covers.covers
     fiber = biclique_fiber_names(p, q, r)
     ext = extended_context(base, gens, fiber)
     order = presentation_order(lex_order(*fiber), lex_order(*base.names))
     key = compile_order(order, ext)
     nf = len(fiber)
-    sets = _cover_sets(gens)
 
     xs = {i: base.index(f"x{i}") for i in range(1, p + 1)}
     ys = {j: base.index(f"y{j}") for j in range(1, q + 1)}
@@ -236,13 +232,13 @@ def path_claimed(n):
         raise ValueError("need a path on at least three vertices")
     graph = path_graph(n)
     base = graph.context()
-    gens = minimal_vertex_covers(graph).monomials()
+    covers = minimal_vertex_covers(graph)
+    gens, sets = covers.monomials(), covers.covers
     s = len(gens)
     fiber = default_fiber_names(s)
     ext = extended_context(base, gens, fiber)
     order = default_order(ext)
     key = compile_order(order, ext)
-    sets = _cover_sets(gens)
     index_of = {c: t + 1 for t, c in enumerate(sets)}
 
     def has(cover, i):
@@ -420,13 +416,13 @@ def cw_claimed(graph):
     _, p, q = graph.family
     n, m = len(p), len(q)
     base = graph.context()
-    gens = minimal_vertex_covers(graph).monomials()
+    covers = minimal_vertex_covers(graph)
+    gens, sets = covers.monomials(), covers.covers
     s = len(gens)
     fiber = default_fiber_names(s)
     ext = extended_context(base, gens, fiber)
     order = presentation_order(revlex_order(*fiber), lex_order(*base.names))
     key = compile_order(order, ext)
-    sets = _cover_sets(gens)
     index_of = {c: t + 1 for t, c in enumerate(sets)}
 
     xi = {i: base.index(f"xi{i}") for i in range(1, n + 1)}
@@ -596,15 +592,20 @@ def cw_claimed(graph):
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Four checks of a claim against the computed basis, plus diffs.
+    """Sizes of the claim and of the computed basis, four checks of the one
+    against the other, plus diffs.
 
-    membership_ok: every claimed binomial maps to zero and reduces to zero
-    against the computed basis.  spair_ok: the claimed set passes the
-    Buchberger criterion on its own.  initial_match: the catalogued initials
-    minimally generate the computed initial ideal.  reduced_match: reducing
-    the claimed set reproduces the computed reduced basis element by element.
+    claimed: distinct claimed polynomials.  computed: elements of the
+    computed reduced basis of the kernel.  membership_ok: every claimed
+    binomial maps to zero and reduces to zero against the computed basis.
+    spair_ok: the claimed set passes the Buchberger criterion on its own.
+    initial_match: the catalogued initials minimally generate the computed
+    initial ideal.  reduced_match: reducing the claimed set reproduces the
+    computed reduced basis element by element.
     """
 
+    claimed: int
+    computed: int
     membership_ok: bool
     spair_ok: bool
     initial_match: bool
@@ -624,17 +625,16 @@ class VerificationReport:
         )
 
 
-def verify_claim(claim, presentation, config=None):
-    if claim.extended.names != presentation.extended.names:
-        raise ValueError("claim and presentation disagree on variables")
-    if claim.order != presentation.order:
-        raise ValueError("claim and presentation disagree on the monomial order")
+def verify_claim(claim, config=None):
+    """Check a claim against the Rees presentation its own data fix, the
+    kernel basis computed from scratch under config's caps."""
+    presentation = claim.presentation(config)
     ext = claim.extended
     polys = claim.distinct_polynomials()
+    basis = presentation.gb.elements
 
     # one table for every claimed element, its fields sized for all of them
     order = compile_order(claim.order, ext)
-    basis = presentation.gb.elements
     table = Reducers(basis, order, packing_for(order, max_exponent([*basis, *polys])))
     membership_ok = all(
         kernel_member(g, presentation.gens, ext) and membership(g, table, order) for g in polys
@@ -642,7 +642,7 @@ def verify_claim(claim, presentation, config=None):
     spair_ok = is_spair_closed(polys, claim.order, ext, config)
 
     claimed_ini = MonomialIdeal.make(claim.claimed_initials)
-    true_ini = initial_ideal(presentation.gb)
+    true_ini = presentation.initial
     claimed_gens = set(claimed_ini.generators)
     true_gens = set(true_ini.generators)
     initial_match = claimed_gens == true_gens
@@ -655,14 +655,14 @@ def verify_claim(claim, presentation, config=None):
 
     reduced = reduce_basis(GroebnerBasis(ext, claim.order, polys))
     rset = set(reduced.elements)
-    cset = set(presentation.gb.elements)
+    cset = set(basis)
     reduced_match = rset == cset
-    missing = tuple(
-        render_polynomial(g, ext) for g in presentation.gb.elements if g not in rset
-    )
+    missing = tuple(render_polynomial(g, ext) for g in basis if g not in rset)
     extra = tuple(render_polynomial(g, ext) for g in reduced.elements if g not in cset)
 
     return VerificationReport(
+        len(polys),
+        len(basis),
         membership_ok,
         spair_ok,
         initial_match,

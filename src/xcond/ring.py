@@ -102,9 +102,9 @@ class Monomial:
             raise ValueError("negative exponent")
 
     @staticmethod
-    def var(i, nvars, power=1):
+    def var(i, nvars):
         e = [0] * nvars
-        e[i] = power
+        e[i] = 1
         return Monomial(tuple(e))
 
     @staticmethod
@@ -353,11 +353,6 @@ class Polynomial:
 
     def lt(self):
         return self.terms[0]
-
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(m.degree() for m, _ in self.terms)
 
     def is_binomial_pm1(self):
         """Pure difference binomial u - v (or a single +-1 term)."""

@@ -2,19 +2,20 @@
 
 For a graph on [n] the edge module is presented by one relation
 x_i e_j - x_j e_i per edge; its symmetric algebra is K[x, y] modulo the
-ideal generated by the binomials x_i y_j - x_j y_i.  Under the lex order
-with x_1 > ... > x_n > y_1 > ... > y_n that ideal has a combinatorial
-reduced Groebner basis indexed by admissible paths, and the initial
-ideal is generated in x-degree at most one exactly when the graph is
-chordal.  This module builds both routes to that verdict and the rank
-and minor checks for the length-r cycle resolution complex.
+linear forms those relations give under e_v -> y_v, the binomials
+x_i y_j - x_j y_i.  Under the lex order with x_1 > ... > x_n > y_1 > ...
+> y_n that ideal has a combinatorial reduced Groebner basis indexed by
+admissible paths, which are the induced paths with every interior vertex
+outside the endpoint interval, and the initial ideal is generated in
+x-degree at most one exactly when the graph is chordal.  This module
+builds both routes to that verdict and the rank and minor checks for the
+length-r cycle resolution complex.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
 
 from .betti import matrix_rank
 from .graphs import peo, relabel
@@ -57,9 +58,9 @@ def pair_context(n):
 class EdgeModulePresentation:
     """Relations x_i e_j - x_j e_i of the edge module, stored sparsely as
     ((slot, coefficient), (slot, coefficient)) pairs, together with the
-    ideal presenting the symmetric algebra in K[x, y]."""
+    ideal presenting the symmetric algebra in K[x, y]: one generator per
+    relation, its image sum coefficient * y_slot."""
 
-    graph: object
     context: object
     order: object
     relations: tuple
@@ -76,17 +77,11 @@ def edge_module(graph):
     for a, b in sorted(graph.edges):
         xa = poly_from_terms([(Monomial.var(a, 2 * n), 1)], key)
         xb = poly_from_terms([(Monomial.var(b, 2 * n), -1)], key)
-        relations.append(((b, xa), (a, xb)))
-        lead = Monomial.from_pairs([(a, 1), (n + b, 1)], 2 * n)
-        tail = Monomial.from_pairs([(b, 1), (n + a, 1)], 2 * n)
-        gens.append(poly_from_terms([(lead, 1), (tail, -1)], key))
-    for rel, g in zip(relations, gens):
-        image = Polynomial.zero()
-        for slot, coeff in rel:
-            image = image.add(coeff.term_mul(Monomial.var(n + slot, 2 * n)), key)
-        if image != g:
-            raise AssertionError("relation does not match its ideal generator")
-    return EdgeModulePresentation(graph, ctx, order, tuple(relations), Ideal.make(gens, ctx))
+        rel = ((b, xa), (a, xb))
+        relations.append(rel)
+        image = [(m.mul(Monomial.var(n + s, 2 * n)), c) for s, f in rel for m, c in f.terms]
+        gens.append(poly_from_terms(image, key))
+    return EdgeModulePresentation(ctx, order, tuple(relations), Ideal.make(gens, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +91,9 @@ def edge_module(graph):
 
 @dataclass(frozen=True)
 class AdmissiblePath:
-    """Simple path between endpoints i < j whose interior vertices all lie
-    below i or above j and which admits no shortcut subsequence, tagged
-    with the monomial multiplier it contributes to the basis."""
+    """Induced path between endpoints i < j whose interior vertices all lie
+    below i or above j, tagged with the monomial multiplier it contributes
+    to the basis."""
 
     i: int
     j: int
@@ -113,9 +108,15 @@ class AdmissiblePath:
 def admissible_paths(graph):
     """Every admissible path between every vertex pair, endpoints ascending.
 
-    An interior subsequence check rules out any path that can be shortened:
-    in particular a detour between adjacent endpoints is never admissible,
-    because the bare edge is already a path.
+    A path i = v_0, ..., v_r = j is admissible when its vertices are
+    distinct, each interior vertex lies below i or above j, and no proper
+    subsequence i, ..., j is a path.  The last condition says the path is
+    induced: a chord v_p v_q with q >= p + 2 lets the subsequence skip
+    v_{p+1} .. v_{q-1}, and conversely the first vertex a path-subsequence
+    skips follows a v_p whose next kept vertex v_q is a chord.  So the
+    walk never extends by a neighbour of an earlier trail vertex; a chord
+    stays in every extension of its prefix, so nothing admissible is lost.
+    In particular a detour between adjacent endpoints is never admissible.
     """
     n = graph.n
     if n > SEARCH_CAP:
@@ -125,30 +126,21 @@ def admissible_paths(graph):
     for i in range(n):
         for j in range(i + 1, n):
             allowed = {v for v in range(n) if v < i or v > j}
-            found = []
 
             def walk(v, trail):
                 for w in sorted(adj[v]):
+                    if not adj[w].isdisjoint(trail[:-1]):
+                        continue
                     if w == j:
-                        found.append(trail + (j,))
+                        interior = trail[1:]
+                        pairs = [(u, 1) for u in interior if u > j]
+                        pairs += [(n + u, 1) for u in interior if u < i]
+                        u_pi = Monomial.from_pairs(pairs, 2 * n)
+                        out.append(AdmissiblePath(i, j, trail + (j,), u_pi))
                     elif w in allowed and w not in trail:
                         walk(w, trail + (w,))
 
             walk(i, (i,))
-            for trail in found:
-                interior = trail[1:-1]
-                if any(
-                    all(graph.has_edge(a, b) for a, b in zip(seq, seq[1:]))
-                    for size in range(len(interior))
-                    for sub in combinations(interior, size)
-                    for seq in [(i,) + sub + (j,)]
-                ):
-                    continue
-                pairs = [(v, 1) for v in interior if v > j]
-                pairs += [(n + v, 1) for v in interior if v < i]
-                out.append(
-                    AdmissiblePath(i, j, trail, Monomial.from_pairs(pairs, 2 * n))
-                )
     out.sort(key=lambda p: (p.i, p.j, p.vertices))
     return tuple(out)
 
@@ -162,10 +154,11 @@ def admissible_path_basis(graph):
     key = compile_order(order, ctx)
     elements = []
     for path in admissible_paths(graph):
+        # x_i y_j > x_j y_i in lex as i < j, and u_pi preserves that
         lead = Monomial.from_pairs([(path.i, 1), (n + path.j, 1)], 2 * n)
         tail = Monomial.from_pairs([(path.j, 1), (n + path.i, 1)], 2 * n)
-        f = poly_from_terms([(lead, 1), (tail, -1)], key)
-        elements.append(f.term_mul(path.u_pi))
+        terms = ((lead.mul(path.u_pi), Fraction(1)), (tail.mul(path.u_pi), Fraction(-1)))
+        elements.append(Polynomial(terms))
     elements.sort(key=lambda g: key.key(g.lm()), reverse=True)
     return GroebnerBasis(ctx, order, tuple(elements))
 

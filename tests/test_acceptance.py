@@ -238,7 +238,7 @@ def test_criterion_3_biclique_reduced():
     results = {}
     for shape in ((1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 2, 2)):
         claim = biclique_claimed(*shape)
-        rep = verify_claim(claim, claim.presentation())
+        rep = verify_claim(claim)
         results[shape] = (rep.reduced_match, len(claim.distinct_polynomials()))
     elapsed = time.monotonic() - start
     ok = all(m for m, _ in results.values()) and results[(2, 3, 2)][1] == 12
@@ -261,7 +261,7 @@ def test_criterion_4_cw_initials():
         g = cameron_walker_graph(p, q)
         assert g.n <= 12
         claim = cw_claimed(g)
-        rep = verify_claim(claim, claim.presentation())
+        rep = verify_claim(claim)
         small_ok.append(rep.initial_match)
 
     big = cw_claimed(cameron_walker_graph((3, 1, 2, 1), (2, 0, 1)))

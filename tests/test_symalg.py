@@ -1,18 +1,21 @@
 """Edge modules, admissible paths, the chordality equivalence, cycle
 complexes, and the depth bound graph-stats reports."""
 
+from itertools import chain, combinations, permutations
+
 import pytest
 
 from xcond.graphs import (
     Graph,
     all_connected_graphs,
     back_degrees,
+    connected_graph_representatives,
     connectivity_profile,
     depth_bound_a,
     path_graph,
 )
 from xcond.groebner import ScaleExceeded, reduced_groebner_basis
-from xcond.ring import render_monomial, render_polynomial
+from xcond.ring import Monomial, render_monomial, render_polynomial
 from xcond.symalg import (
     admissible_path_basis,
     admissible_paths,
@@ -31,6 +34,33 @@ def labeled(n, edges):
 
 C4 = [(1, 2), (2, 3), (3, 4), (1, 4)]
 C5 = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+
+
+def literal_admissible(graph):
+    """The definition read literally, as (vertices, u_pi) pairs: distinct
+    vertices i = v_0, ..., v_r = j with i < j, every interior vertex below i
+    or above j, and no proper subsequence i, ..., j of the path a path;
+    u_pi multiplies x_v over interior v > j and y_v over interior v < i."""
+    n = graph.n
+
+    def is_path(seq):
+        return all(graph.has_edge(a, b) for a, b in zip(seq, seq[1:]))
+
+    out = []
+    for i, j in combinations(range(n), 2):
+        outside = [v for v in range(n) if v < i or v > j]
+        for size in range(len(outside) + 1):
+            for interior in permutations(outside, size):
+                if not is_path((i, *interior, j)) or any(
+                    is_path((i, *sub, j))
+                    for k in range(size)
+                    for sub in combinations(interior, k)
+                ):
+                    continue
+                pairs = [(v, 1) for v in interior if v > j]
+                pairs += [(n + v, 1) for v in interior if v < i]
+                out.append(((i, *interior, j), Monomial.from_pairs(pairs, 2 * n)))
+    return sorted(out, key=lambda entry: (entry[0][0], entry[0][-1], entry[0]))
 
 
 class TestEdgeModule:
@@ -96,6 +126,16 @@ class TestAdmissiblePaths:
     def test_search_cap(self):
         with pytest.raises(ScaleExceeded):
             admissible_paths(path_graph(11))
+
+    def test_definition_on_every_small_graph(self):
+        # every labeled connected graph on 2-5 vertices, every 6-vertex class
+        graphs = chain(
+            *(all_connected_graphs(n) for n in range(2, 6)),
+            connected_graph_representatives(6),
+        )
+        for g in graphs:
+            found = [(p.vertices, p.u_pi) for p in admissible_paths(g)]
+            assert found == literal_admissible(g), sorted(g.edges)
 
     def test_interiors_below_start(self):
         # every interior vertex lies below i or above j, so the interiors
