@@ -18,12 +18,18 @@ every pair being tested when it is popped:
 - elements whose leading monomial lm(t) divides take no further pairs.
 
 All of them always run; GBConfig holds only the pair and degree caps.
-Pairs are selected normally: smallest lcm under the working order, ties
-by index pair.  S-polynomials are reduced over a Reducers table of the
-elements not retired, built once and updated on each install; the final
-basis is fully tail-reduced.  Every run is bounded by explicit resource
-caps; exceeding a cap raises ScaleExceeded rather than returning a
-truncated basis.
+Pairs are popped by (w . lcm, K(lcm), index pair), w a positive grading
+under which every generator is homogeneous: the Ideal's grading when it
+carries one, else the standard grading when it fits.  S-pair remainders
+are then homogeneous too, and the run goes degree by degree, the normal
+strategy (sugar on homogeneous input: Giovini, Mora, Niesi, Robbiano and
+Traverso, "One sugar cube, please", ISSAC 1991).  Other input has
+w . lcm = 0 and keeps the order's own selection, smallest lcm first, as
+sugar there can climb through far higher degrees.  S-polynomials are
+reduced over a Reducers table of the elements not retired, built once
+and updated on each install; the final basis is fully tail-reduced.
+Every run is bounded by explicit resource caps; exceeding a cap raises
+ScaleExceeded rather than returning a truncated basis.
 
 Exponent vectors are packed ints inside the loop (Monagan and Pearce,
 "Polynomial division using dynamic arrays, heaps, and packed exponent
@@ -93,12 +99,17 @@ class GBConfig:
 
 @dataclass(frozen=True)
 class Ideal:
+    """Generators in a context; grading, when set, is a positive weight per
+    variable under which every generator is homogeneous (buchberger checks
+    it and selects pairs by degree)."""
+
     context: VarContext
     generators: tuple
+    grading: "tuple | None" = None
 
     @staticmethod
-    def make(gens, ctx):
-        return Ideal(ctx, tuple(g for g in gens if not g.is_zero()))
+    def make(gens, ctx, grading=None):
+        return Ideal(ctx, tuple(g for g in gens if not g.is_zero()), grading)
 
 
 @dataclass(frozen=True)
@@ -434,28 +445,43 @@ def _coefficients(form):
 _PM1 = ((1, -1), (1,))
 
 
+def _homogeneous(g, w):
+    """Whether every term of the polynomial g has the same w-degree."""
+    return len({sum(map(mul, w, m.exps)) for m, _ in g.terms}) == 1
+
+
 def buchberger(ideal, order, config=None):
     """S-pair-closed basis of the ideal; elements monic; not tail-reduced.
 
     Elements are installed one at a time, generators first, each through
     the Gebauer-Moeller update (see the module docstring); every popped
-    pair is reduced.  When every generator is a +-1 binomial or a single
-    term, so must every S-pair remainder be; one that is not raises
-    AssertionError.  The result lists every installed element, retired
-    ones included.
+    pair is reduced.  Pairs are popped by the w-degree of their lcm first,
+    w being ideal.grading, or when that is None the standard grading if
+    every generator is homogeneous for it; otherwise every w-degree is 0.
+    A grading that is not positive, or under which some generator is not
+    homogeneous, raises ValueError.  When every generator is a +-1
+    binomial or a single term, so must every S-pair remainder be; one that
+    is not raises AssertionError.  The result lists every installed
+    element, retired ones included.
     """
     cfg = config or GBConfig()
     ctx = ideal.context
     ord_ = compile_order(order, ctx)
 
     gens = [g for g in ideal.generators if not g.is_zero()]
+    w = ideal.grading or (1,) * ctx.nvars
+    if len(w) != ctx.nvars or not all(a > 0 for a in w):
+        raise ValueError(f"grading {w} is not one positive weight per variable")
+    graded = all(_homogeneous(g, w) for g in gens)
+    if not graded and ideal.grading is not None:
+        raise ValueError(f"a generator is not homogeneous under the grading {w}")
     packing = packing_for(ord_, max_exponent(gens))
     guard, lcm_of, key, unpack = packing.guard, packing.lcm, packing.key, packing.unpack
     shift = packing.width - 1
     forms = []  # the entry of each basis element
     active = []  # indices not retired: they take new pairs
     reducers = Reducers((), ord_, packing)  # entries of the active elements, in installation order
-    heap = []  # (K(lcm), i, j, packed lcm), i < j
+    heap = []  # (w-degree of lcm, K(lcm), i, j, packed lcm), i < j
 
     def install(form):
         t = len(forms)
@@ -467,9 +493,9 @@ def buchberger(ideal, order, config=None):
         kept = [
             pair
             for pair in heap
-            if ((pair[3] | guard) - lm_t) & guard != guard
-            or lcm_of(forms[pair[1]][0], lm_t) == pair[3]
-            or lcm_of(forms[pair[2]][0], lm_t) == pair[3]
+            if ((pair[4] | guard) - lm_t) & guard != guard
+            or lcm_of(forms[pair[2]][0], lm_t) == pair[4]
+            or lcm_of(forms[pair[3]][0], lm_t) == pair[4]
         ]
         if len(kept) < len(heap):
             heap[:] = kept
@@ -488,7 +514,9 @@ def buchberger(ideal, order, config=None):
             # coprime leading monomials have their product as lcm; otherwise
             # F keeps the class's first pair
             if not any(L == forms[i][0] + lm_t for i in new[L]):
-                heapq.heappush(heap, (key(unpack(L)), new[L][0], t, L))
+                e = unpack(L)
+                d = sum(map(mul, w, e)) if graded else 0  # 0: the order's own selection
+                heapq.heappush(heap, (d, key(e), new[L][0], t, L))
 
         # every multiple of a retired lm is a multiple of lm_t, so the
         # retired elements also leave the reducer table
@@ -507,11 +535,12 @@ def buchberger(ideal, order, config=None):
 
     popped = 0
     while heap:
-        k, i, j, L = heapq.heappop(heap)
+        d, k, i, j, L = heapq.heappop(heap)
         popped += 1
         if popped > cfg.pair_cap:
+            at = f", degree {d}" if graded else ""
             raise ScaleExceeded(
-                f"S-pair budget of {cfg.pair_cap} exhausted ({len(forms)} basis elements)"
+                f"S-pair budget of {cfg.pair_cap} exhausted ({len(forms)} basis elements{at})"
             )
         remainder, _ = _reduce(_s_polynomial(forms[i], forms[j], L, k), reducers)
         if not remainder:

@@ -181,7 +181,11 @@ def rees_ideal(base_ctx, gens, order=None, fiber_names=None, config=None):
                 elim_compiled,
             )
         )
-    contracted = eliminate(Ideal.make(relations, elim_ctx), (ELIM_VAR,), elim_order, config)
+    # y_j - u_j*t is homogeneous for deg t = 1, deg y_j = deg u_j + 1 and
+    # deg x_i = 1, so buchberger selects its pairs degree by degree
+    grading = (1, *(u.degree() + 1 for u in gens), *(1,) * base_ctx.nvars)
+    ideal = Ideal.make(relations, elim_ctx, grading)
+    contracted = eliminate(ideal, (ELIM_VAR,), elim_order, config)
     # ELIM_VAR is coordinate 0 of elim_ctx and the rest is `extended`; t-free
     # terms compare under elim_order exactly as under `order`
     elements = tuple(

@@ -181,24 +181,25 @@ u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 + 2*u4^2 - u0
 
 
 class TestPairCap:
-    """The Gebauer-Moeller pruning fixes how many S-pairs a run pops: 407
-    for the elimination behind P8, 1663 behind P9, and 107 and 28 for the
-    non-binomial cyclic-5 and katsura-4 under revlex.  A cap one below
+    """The Gebauer-Moeller pruning and the pair selection fix how many
+    S-pairs a run pops: 154 for the graded elimination behind P8, 342
+    behind P9, and 107 and 28 for the inhomogeneous cyclic-5 and katsura-4
+    under revlex, which keep the order's own selection.  A cap one below
     fails loudly; a cap at the count gives the full answer."""
 
     def test_cap_below_the_pop_count_fails_loudly(self, capsys):
-        code, out, err = run_cli(capsys, "rees", "--path", "8", "--k", "2", "--pair-cap", "406")
+        code, out, err = run_cli(capsys, "rees", "--path", "8", "--k", "2", "--pair-cap", "153")
         assert code == 1 and out == ""
-        assert err.startswith("cap exceeded: S-pair budget of 406 exhausted")
+        assert err.startswith("cap exceeded: S-pair budget of 153 exhausted")
 
     def test_cap_at_the_pop_count_gives_the_full_answer(self, capsys):
-        code, capped = run_json(capsys, "rees", "--path", "8", "--k", "2", "--pair-cap", "407")
+        code, capped = run_json(capsys, "rees", "--path", "8", "--k", "2", "--pair-cap", "154")
         assert code == 0
         assert capped == run_json(capsys, "rees", "--path", "8", "--k", "2")[1]
 
     @pytest.mark.parametrize(
         "ideal, pops",
-        [(None, 1663), (CYCLIC5, 107), (KATSURA4, 28)],
+        [(None, 342), (CYCLIC5, 107), (KATSURA4, 28)],
         ids=("p9", "cyclic5", "katsura4"),
     )
     def test_pop_count(self, capsys, tmp_path, ideal, pops):
@@ -214,8 +215,38 @@ class TestPairCap:
         assert code == 0
         assert capped == run_json(capsys, *argv)[1]
 
+    @pytest.mark.parametrize(
+        "ideal, cap, got",
+        [(None, 153, "35 basis elements, degree 18"), (CYCLIC5, 106, "46 basis elements")],
+        ids=("graded-p8", "cyclic5"),
+    )
+    def test_cap_message_says_how_far_the_run_got(self, capsys, tmp_path, ideal, cap, got):
+        """A graded run also names the w-degree it was popping."""
+        argv = ["rees", "--path", "8", "--k", "2"]
+        if ideal is not None:
+            f = tmp_path / "input.ideal"
+            f.write_text(ideal)
+            argv = ["gb", str(f)]
+        code, out, err = run_cli(capsys, *argv, "--pair-cap", str(cap))
+        assert (code, out) == (1, "")
+        assert err == f"cap exceeded: S-pair budget of {cap} exhausted ({got})\n"
+
 
 class TestXcondCommand:
+    @pytest.mark.parametrize(
+        "family, generators, initials",
+        [(("--path", "12"), 28, 276), (("--cw", "p=1,1", "q=1,1"), 21, 124)],
+        ids=("p12", "cw-p11-q11"),
+    )
+    def test_reach_under_the_default_caps(self, capsys, family, generators, initials):
+        """Graded pair selection brings these under the default 200k pair
+        cap, in about a second each.  P12's 276 kernel elements agree with
+        a saturation of Sym(I), an independent route to the same kernel."""
+        code, payload = run_json(capsys, "xcond", *family)
+        assert code == 0
+        assert payload["generators"] == generators
+        assert payload["initial_generators"] == initials
+
     def test_path_holds(self, capsys):
         code, payload = run_json(capsys, "xcond", "--path", "5")
         assert code == 0

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xcond import groebner, rees
-from xcond.graphs import minimal_vertex_covers, path_graph
+from xcond.graphs import Graph, minimal_vertex_covers, path_graph
 from xcond.groebner import (
     GBConfig,
     GroebnerBasis,
@@ -49,6 +49,7 @@ from xcond.rees import (
     rees_ideal,
     weight_order,
 )
+from xcond.symalg import edge_module
 
 
 # (1 + x3 + x2^3 + x1*x3^2, 1 + x2*x3^2 + x1*x2, x1^3), as in tests/test_oracle.py
@@ -331,6 +332,71 @@ class TestBuchberger:
         else:
             added = buchberger(ideal, spec).elements[len(texts) :]
             assert any(not g.is_binomial_pm1() and len(g.terms) > 1 for g in added)
+
+
+def popped_degrees(monkeypatch):
+    """The w-degree of every pair buchberger pops from then on, in order."""
+    degrees = []
+    heappop = groebner.heapq.heappop
+
+    def recording(heap):
+        pair = heappop(heap)
+        degrees.append(pair[0])
+        return pair
+
+    monkeypatch.setattr(groebner.heapq, "heappop", recording)
+    return degrees
+
+
+def c5_sym_ideal():
+    """Sym(M_G) of the 5-cycle under lex: quadrics x_a*y_b - x_b*y_a."""
+    edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")]
+    em = edge_module(Graph.make("abcde", edges))
+    return em.sym_ideal, em.order
+
+
+class TestGradedSelection:
+    """Pairs are popped by the w-degree of their lcm first when a positive
+    grading makes every generator homogeneous."""
+
+    def test_rees_elimination_pops_by_nondecreasing_degree(self, monkeypatch):
+        degrees = popped_degrees(monkeypatch)
+        path_kernel(8, monkeypatch)
+        assert len(degrees) == 154
+        assert degrees == sorted(degrees) and degrees[0] > 0
+
+    def test_standard_grading_of_homogeneous_input(self, monkeypatch):
+        ideal, spec = c5_sym_ideal()
+        assert ideal.grading is None
+        degrees = popped_degrees(monkeypatch)
+        buchberger(ideal, spec)
+        assert len(degrees) > 1
+        assert degrees == sorted(degrees) and degrees[0] >= 3
+
+    def test_inhomogeneous_input_keeps_the_order_selection(self, monkeypatch):
+        ideal, spec = system("katsura3")
+        degrees = popped_degrees(monkeypatch)
+        buchberger(ideal, spec)
+        assert degrees and set(degrees) == {0}
+
+    def test_grading_gives_the_ungraded_basis(self, ctx3):
+        spec = lex_order("x1", "x2", "x3")
+        ord_ = compile_order(spec, ctx3)
+        gens = [parse_polynomial(f, ctx3, ord_) for f in ("x1*x2 - x3", "x1^2 - x2^2")]
+        graded = reduced_groebner_basis(Ideal.make(gens, ctx3, (1, 1, 2)), spec)
+        assert graded == reduced_groebner_basis(Ideal.make(gens, ctx3), spec)
+        assert len(graded.elements) > 2
+
+    @pytest.mark.parametrize("grading", ((1, 0, 1), (2, -1, 1), (1, 1)))
+    def test_grading_without_one_positive_weight_per_variable_raises(self, ctx3, grading):
+        gens = [parse_polynomial("x1 - x3", ctx3)]
+        with pytest.raises(ValueError, match="is not one positive weight per variable"):
+            buchberger(Ideal.make(gens, ctx3, grading), lex_order("x1", "x2", "x3"))
+
+    def test_generator_inhomogeneous_under_the_grading_raises(self, ctx3):
+        gens = [parse_polynomial(f, ctx3) for f in ("x1 - x3", "x1*x2 - x3")]
+        with pytest.raises(ValueError, match="^a generator is not homogeneous"):
+            buchberger(Ideal.make(gens, ctx3, (1, 1, 1)), lex_order("x1", "x2", "x3"))
 
 
 class TestReduceBasis:
@@ -661,7 +727,7 @@ ARRANGEMENTS = ("given", "reversed")
 
 def arranged(ideal, arrangement):
     gens = ideal.generators
-    return Ideal.make(gens if arrangement == "given" else gens[::-1], ideal.context)
+    return Ideal.make(gens if arrangement == "given" else gens[::-1], ideal.context, ideal.grading)
 
 
 def path_kernel(n, monkeypatch, arrangement="given"):

@@ -157,9 +157,42 @@ TEXT_CASES = {
 }
 
 
+# Homogeneous inputs, on which buchberger pops its pairs by standard degree:
+# katsura3 homogenised with h, and Sym(M_G) of the 5-cycle, whose generators
+# x_a*y_b - x_b*y_a are quadrics.  DEEP_LEX stays the inhomogeneous lex guard.
+HOMOGENEOUS_CASES = {
+    "katsura3-homogenised": (
+        ("u0", "u1", "u2", "u3", "h"),
+        (
+            "u0 + 2*u1 + 2*u2 + 2*u3 - h",
+            "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0*h",
+            "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1*h",
+            "2*u0*u2 + u1^2 + 2*u1*u3 - u2*h",
+        ),
+    ),
+    "sym-c5": (
+        tuple(f"x{i}" for i in range(1, 6)) + tuple(f"y{i}" for i in range(1, 6)),
+        tuple(f"x{a}*y{b} - x{b}*y{a}" for a, b in ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))),
+    ),
+}
+
+
+@pytest.mark.parametrize("make_order,sympy_order", ORDERS)
+@pytest.mark.parametrize("name", sorted(HOMOGENEOUS_CASES))
+def test_homogeneous_input_matches_sympy(name, make_order, sympy_order):
+    names, texts = HOMOGENEOUS_CASES[name]
+    gens = assert_text_input_matches_sympy(names, make_order, sympy_order, texts)
+    assert all(len({m.degree() for m, _ in g.terms}) == 1 for g in gens)
+
+
 @pytest.mark.parametrize("name", sorted(TEXT_CASES))
 def test_text_input_matches_sympy(name):
-    names, make_order, sympy_order, texts = TEXT_CASES[name]
+    assert_text_input_matches_sympy(*TEXT_CASES[name])
+
+
+def assert_text_input_matches_sympy(names, make_order, sympy_order, texts):
+    """xcond's reduced basis of the parsed texts is sympy's; returns the
+    parsed generators."""
     ctx = VarContext.make(names)
     spec = make_order(*names)
     ord_ = compile_order(spec, ctx)
@@ -169,6 +202,7 @@ def test_text_input_matches_sympy(name):
     key = ord_.exps_key
     assert len(ours) > 2
     assert xcond_basis(ours, key) == sympy_basis(polys, names, sympy_order, key)
+    return gens
 
 
 def dense_polys(nvars, degree, count, rng, denominators=(1,)):
