@@ -51,18 +51,20 @@ divide the coefficient it cancels (never for the +-1 binomials).  An
 S-pair's remainder becomes a primitive form directly.  A polynomial
 crosses the boundary through Packing only: pack_terms packs and sorts its
 terms on the way in, and polynomial builds a Polynomial from packed terms
-on the way out, once per element of buchberger's and reduce_basis's
-results and once per normal_form.  divide stays the Fraction textbook
-oracle.
+on the way out, once per element of reduce_basis's result and once per
+normal_form.  buchberger's result stays packed (PackedBasis), and
+reduce_basis takes its active entries without a crossing; its Polynomials
+are built only when its elements are read.  divide stays the Fraction
+textbook oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, compress
 from math import gcd, lcm
 from operator import mul
@@ -120,6 +122,40 @@ class GroebnerBasis:
 
     def compiled(self):
         return compile_order(self.order, self.context)
+
+    def entries(self):
+        """A packing that fits the elements, and the entry (lm, K(lm), lc,
+        tail) of each nonzero element (Packing.form)."""
+        packing = packing_for(self.compiled(), max_exponent(self.elements))
+        return packing, [packing.form(g) for g in self.elements if not g.is_zero()]
+
+
+@dataclass(frozen=True)
+class PackedBasis:
+    """buchberger's basis as its loop left it: every installed entry
+    (lm, K(lm), lc, tail) in installation order, in the packing of the
+    run, and the indices of the active entries, those not retired."""
+
+    context: VarContext
+    order: OrderSpec
+    packing: Packing
+    forms: tuple
+    active: tuple
+
+    def compiled(self):
+        return compile_order(self.order, self.context)
+
+    @cached_property
+    def elements(self):
+        """Every installed element as a monic Polynomial, retired ones
+        included, in installation order; built on first access."""
+        return tuple(
+            self.packing.polynomial(((k, lm, lc), *tail), lc) for lm, k, lc, tail in self.forms
+        )
+
+    def entries(self):
+        """The packing and the active entries, as GroebnerBasis.entries."""
+        return self.packing, [self.forms[i] for i in self.active]
 
 
 @dataclass(frozen=True)
@@ -228,6 +264,12 @@ class Packing:
             return self._struct.unpack(p.to_bytes(self._struct.size, "little"))
         mask = (1 << self.width) - 1
         return tuple((p >> (self.width * i)) & mask for i in range(self.nvars))
+
+    def fields(self, indices):
+        """The value bits of the fields of the variables at the indices: a
+        packed vector is free of those variables when it meets none."""
+        value = (1 << (self.width - 1)) - 1
+        return sum(value << (self.width * i) for i in indices)
 
     def key(self, e):
         """K of an exponent tuple, summed over its nonzero entries."""
@@ -451,7 +493,7 @@ def _homogeneous(g, w):
 
 
 def buchberger(ideal, order, config=None):
-    """S-pair-closed basis of the ideal; elements monic; not tail-reduced.
+    """S-pair-closed basis of the ideal, as a PackedBasis; not tail-reduced.
 
     Elements are installed one at a time, generators first, each through
     the Gebauer-Moeller update (see the module docstring); every popped
@@ -461,8 +503,10 @@ def buchberger(ideal, order, config=None):
     A grading that is not positive, or under which some generator is not
     homogeneous, raises ValueError.  When every generator is a +-1
     binomial or a single term, so must every S-pair remainder be; one that
-    is not raises AssertionError.  The result lists every installed
-    element, retired ones included.
+    is not raises AssertionError.  The result keeps every installed entry,
+    retired ones included, in the run's packing, and marks the active ones;
+    reduce_basis takes those as they are, and its elements are Polynomials
+    only when read.
     """
     cfg = config or GBConfig()
     ctx = ideal.context
@@ -548,7 +592,8 @@ def buchberger(ideal, order, config=None):
         degree = max(sum(unpack(e)) for _, e, _ in remainder)
         if degree > cfg.degree_cap:
             raise ScaleExceeded(
-                f"degree budget of {cfg.degree_cap} exceeded (element of degree {degree})"
+                f"degree budget of {cfg.degree_cap} exceeded (element of degree {degree}; "
+                f"{popped} pairs popped, {len(forms)} basis elements)"
             )
         form = _entry(remainder)
         if pure and _coefficients(form) not in _PM1:
@@ -557,23 +602,23 @@ def buchberger(ideal, order, config=None):
             )
         install(form)
 
-    return GroebnerBasis(
-        ctx,
-        order,
-        tuple(packing.polynomial(((k, lm, lc), *tail), lc) for lm, k, lc, tail in forms),
-    )
+    return PackedBasis(ctx, order, packing, tuple(forms), tuple(active))
 
 
 def reduce_basis(gb):
     """The unique reduced basis: minimal leading monomials, monic elements,
-    every tail in normal form with respect to the others."""
-    ord_ = gb.compiled()
-    packing = packing_for(ord_, max_exponent(gb.elements))
-    forms = sorted(
-        (packing.form(g) for g in gb.elements if not g.is_zero()), key=lambda form: form[1]
-    )
+    every tail in normal form with respect to the others.
+
+    gb is a GroebnerBasis, whose elements are packed on the way in, or
+    buchberger's PackedBasis, whose active entries are taken as they are:
+    every retired leading monomial is a multiple of an active one, so the
+    active entries are a Groebner basis of the same ideal, and the reduced
+    basis is unique.  Polynomials are built once, per reduced element.
+    """
+    packing, forms = gb.entries()
+    forms.sort(key=lambda form: form[1])
     # the first entry in ascending order of each minimal leading monomial
-    minimal = Reducers((), ord_, packing)
+    minimal = Reducers((), gb.compiled(), packing)
     for form in forms:
         if minimal.find(form[0]) is None:
             minimal.append(form)
@@ -632,23 +677,21 @@ def eliminate(ideal, block, order, config=None):
     without the block variables, as an Ideal; requires an elimination
     order for the block.
 
-    Only the elements of the S-pair-closed basis whose leading monomial is
-    free of the block are reduced.  Under an elimination order they form a
-    Groebner basis of the contraction (Elimination Theorem), so their
-    reduced basis is exactly the block-free part of the reduced basis of
-    the whole ideal.
+    Only the active entries of buchberger's basis whose leading monomial
+    meets none of the block's packed fields are reduced.  Under an
+    elimination order they form a Groebner basis of the contraction
+    (Elimination Theorem), so their reduced basis is exactly the
+    block-free part of the reduced basis of the whole ideal.
     """
     block = tuple(block)
     ctx = ideal.context
     if not is_elimination_order(order, ctx, block):
         raise ValueError("order does not eliminate the requested block")
     block_idx = [ctx.index(v) for v in block]
-    free = tuple(
-        g
-        for g in buchberger(ideal, order, config).elements
-        if not any(g.lm().exps[i] for i in block_idx)
-    )
-    gb = reduce_basis(GroebnerBasis(ctx, order, free))
+    raw = buchberger(ideal, order, config)
+    mask = raw.packing.fields(block_idx)
+    free = tuple(i for i in raw.active if not raw.forms[i][0] & mask)
+    gb = reduce_basis(replace(raw, active=free))
     for g in gb.elements:
         if any(m.exps[i] for m, _ in g.terms for i in block_idx):
             raise AssertionError("elimination order produced a mixed tail")

@@ -300,7 +300,9 @@ class TestBuchberger:
         ord_ = compile_order(spec, ctx3)
         gens = [poly_from_dict({Monomial(e): c for e, c in p.items()}, ord_) for p in DEEP_LEX]
         with pytest.raises(
-            ScaleExceeded, match=r"^degree budget of 40 exceeded \(element of degree 41\)$"
+            ScaleExceeded,
+            match=r"^degree budget of 40 exceeded "
+            r"\(element of degree 41; 40 pairs popped, 41 basis elements\)$",
         ):
             buchberger(Ideal.make(gens, ctx3), spec)
 
@@ -348,10 +350,20 @@ def popped_degrees(monkeypatch):
     return degrees
 
 
-def c5_sym_ideal():
-    """Sym(M_G) of the 5-cycle under lex: quadrics x_a*y_b - x_b*y_a."""
-    edges = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")]
-    em = edge_module(Graph.make("abcde", edges))
+C5 = ("abcde", (("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("a", "e")))
+# the fixed eight-vertex graph of the edge-sweep benchmark workload
+ANCHOR_8 = (
+    range(8),
+    (
+        (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+        (1, 2), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3),
+    ),
+)
+
+
+def sym_ideal(vertices, edges):
+    """Sym(M_G) of the graph under lex: quadrics x_a*y_b - x_b*y_a."""
+    em = edge_module(Graph.make(vertices, edges))
     return em.sym_ideal, em.order
 
 
@@ -366,7 +378,7 @@ class TestGradedSelection:
         assert degrees == sorted(degrees) and degrees[0] > 0
 
     def test_standard_grading_of_homogeneous_input(self, monkeypatch):
-        ideal, spec = c5_sym_ideal()
+        ideal, spec = sym_ideal(*C5)
         assert ideal.grading is None
         degrees = popped_degrees(monkeypatch)
         buchberger(ideal, spec)
@@ -481,6 +493,41 @@ class TestEliminate:
         gens = [parse_polynomial("x1 - x2", ctx2, ord_)]
         contracted = eliminate(Ideal.make(gens, ctx2), ("x1", "x2"), spec)
         assert contracted.generators == ()
+
+    @pytest.mark.parametrize(
+        "names,ranking,texts,block,want",
+        (
+            # the twisted cubic; t is the last coordinate, not the first
+            (("x", "y", "t"), ("t", "x", "y"), ("x - t^2", "y - t^3"), ("t",), ("x^3 - y^2",)),
+            # a two-variable block in fields 1 and 3: a and c are the first
+            # two power sums of s and t, b their product
+            (
+                ("a", "s", "b", "t", "c"),
+                ("s", "t", "a", "b", "c"),
+                ("a - s - t", "b - s*t", "c - s^2 - t^2"),
+                ("s", "t"),
+                ("a^2 - 2*b - c",),
+            ),
+        ),
+        ids=("twisted-cubic", "split-block"),
+    )
+    def test_block_fields_anywhere(self, names, ranking, texts, block, want):
+        ctx = VarContext.make(names)
+        spec = lex_order(*ranking)
+        ord_ = compile_order(spec, ctx)
+        gens = [parse_polynomial(t, ctx, ord_) for t in texts]
+        contracted = eliminate(Ideal.make(gens, ctx), block, spec)
+        assert [g.terms for g in contracted.generators] == [
+            parse_polynomial(t, ctx, ord_).terms for t in want
+        ]
+
+    def test_mixed_tail_raises(self, ctx2, monkeypatch):
+        """The check behind the mask: under an order that does not eliminate
+        x2, x1 - x2 has a block-free lead and x2 in its tail."""
+        monkeypatch.setattr(groebner, "is_elimination_order", lambda *args: True)
+        gens = [parse_polynomial("x1 - x2", ctx2)]
+        with pytest.raises(AssertionError, match="^elimination order produced a mixed tail$"):
+            eliminate(Ideal.make(gens, ctx2), ("x2",), lex_order("x1", "x2"))
 
     @pytest.mark.parametrize("case", ("p6", "katsura3"))
     def test_matches_the_block_free_part_of_the_full_reduced_basis(self, case, monkeypatch):
@@ -796,6 +843,53 @@ class TestEngineInvariants:
             break
         assert cap > 1
         assert [g.terms for g in capped.elements] == [g.terms for g in full.elements]
+
+
+def polynomial_route(raw):
+    """The reduced basis by way of Polynomials: every element buchberger
+    installed, retired ones included, packed again by reduce_basis."""
+    return reduce_basis(GroebnerBasis(raw.context, raw.order, raw.elements))
+
+
+class TestPackedHandoff:
+    """reduce_basis takes buchberger's active entries as they are; the
+    Polynomial route over every installed element must agree term for
+    term."""
+
+    @pytest.mark.parametrize("arrangement", ARRANGEMENTS)
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_systems(self, name, arrangement):
+        ideal, spec = system(name)
+        raw = self.assert_handoff(arranged(ideal, arrangement), spec)
+        if arrangement == "reversed":
+            # retired elements: the two routes reduce different inputs
+            assert len(raw.active) < len(raw.forms)
+
+    @pytest.mark.parametrize("graph", ("c5", "anchor8"))
+    def test_sym_ideals(self, graph):
+        self.assert_handoff(*sym_ideal(*{"c5": C5, "anchor8": ANCHOR_8}[graph]))
+
+    @pytest.mark.parametrize("n", (6, 7, 8))
+    def test_path_eliminations(self, n, monkeypatch):
+        """eliminate keeps the active entries free of t (coordinate 0 of
+        the elimination context): the t-free part of the Polynomial route's
+        basis, t dropped, is the Rees kernel."""
+        pres, raw = path_kernel(n, monkeypatch)
+        want = [
+            tuple((Monomial(m.exps[1:]), c) for m, c in g.terms)
+            for g in polynomial_route(raw).elements
+            if not g.lm().exps[0]
+        ]
+        assert [g.terms for g in pres.gb.elements] == want
+
+    @staticmethod
+    def assert_handoff(ideal, spec):
+        raw = buchberger(ideal, spec)
+        want = [g.terms for g in polynomial_route(raw).elements]
+        assert [g.terms for g in reduced_groebner_basis(ideal, spec).elements] == want
+        assert [g.terms for g in reduce_basis(raw).elements] == want
+        assert len(raw.elements) == len(raw.forms)
+        return raw
 
 
 _CTX3 = VarContext.make(("x1", "x2", "x3"))

@@ -158,8 +158,14 @@ TEXT_CASES = {
 
 
 # Homogeneous inputs, on which buchberger pops its pairs by standard degree:
-# katsura3 homogenised with h, and Sym(M_G) of the 5-cycle, whose generators
-# x_a*y_b - x_b*y_a are quadrics.  DEEP_LEX stays the inhomogeneous lex guard.
+# katsura3 homogenised with h, and Sym(M_G) of the 5-cycle and of the fixed
+# eight-vertex graph of the edge-sweep benchmark workload (49 elements, its
+# heaviest op), whose generators x_a*y_b - x_b*y_a are quadrics.  DEEP_LEX
+# stays the inhomogeneous lex guard.
+ANCHOR_8 = (
+    (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+    (1, 2), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3),
+)
 HOMOGENEOUS_CASES = {
     "katsura3-homogenised": (
         ("u0", "u1", "u2", "u3", "h"),
@@ -173,6 +179,10 @@ HOMOGENEOUS_CASES = {
     "sym-c5": (
         tuple(f"x{i}" for i in range(1, 6)) + tuple(f"y{i}" for i in range(1, 6)),
         tuple(f"x{a}*y{b} - x{b}*y{a}" for a, b in ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5))),
+    ),
+    "sym-anchor8": (
+        tuple(f"x{i}" for i in range(1, 9)) + tuple(f"y{i}" for i in range(1, 9)),
+        tuple(f"x{a + 1}*y{b + 1} - x{b + 1}*y{a + 1}" for a, b in ANCHOR_8),
     ),
 }
 
