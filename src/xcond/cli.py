@@ -72,6 +72,7 @@ from .symalg import (
     cycle_complex_checks,
     edge_module,
     equivalence_check,
+    same_basis,
 )
 
 
@@ -326,7 +327,7 @@ def cmd_binomial_edge(args):
     basis = admissible_path_basis(g)
     matches = None
     if g.n <= EQUIV_CAP:
-        matches = basis == reduced_groebner_basis(em.sym_ideal, em.order, gb_config(args))
+        matches = same_basis(basis, reduced_groebner_basis(em.sym_ideal, em.order, gb_config(args)))
     payload = {
         "vertices": g.n,
         "edges": len(g.edges),

@@ -37,10 +37,12 @@ vectors", CASC 2007).  Each variable has a fixed-width field whose top
 bit is a guard bit; the width is chosen per run from the largest input
 exponent, at least 32 bits.  A product of monomials is one int add,
 divisibility is ((b | guard) - a) & guard == guard, and the lcm is a
-fieldwise max computed the same way.  The order is an additive int key
-taken from its matrix (Packing), so a new term's key is an add and
-comparing two terms is one int compare.  An exponent that carries into
-a guard bit raises ScaleExceeded; nothing wraps.
+fieldwise max computed the same way.  That much needs no order
+(ExponentPacking); rees runs its colon ideals on it through criterion_m.
+The order is an additive int key taken from its matrix (Packing), so a
+new term's key is an add and comparing two terms is one int compare.
+An exponent that carries into a guard bit raises ScaleExceeded; nothing
+wraps.
 
 Coefficients are Fractions only at the boundary.  Each divisor is held
 in its primitive integer form (denominators cleared, content divided out,
@@ -65,7 +67,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, compress
+from itertools import combinations, compress, groupby
 from math import gcd, lcm
 from operator import mul
 from struct import Struct
@@ -166,11 +168,15 @@ class MonomialIdeal:
 
     @staticmethod
     def make(monomials):
+        """The minimal generators of the ideal of the monomials, sorted by
+        (degree, exps).  A candidate is tested only against the kept
+        generators of lower degree: distinct monomials of one degree
+        never divide each other."""
         distinct = sorted(set(monomials), key=lambda m: (m.degree(), m.exps))
         kept = []
-        for m in distinct:
-            if not any(u.divides(m) for u in kept):
-                kept.append(m)
+        for _, group in groupby(distinct, key=Monomial.degree):
+            lower = tuple(kept)
+            kept.extend(m for m in group if not any(u.divides(m) for u in lower))
         return MonomialIdeal(tuple(kept))
 
     def is_zero(self):
@@ -223,34 +229,22 @@ HEADROOM_BITS = 16  # spare bits above an input's largest exponent
 _STRUCT_CODES = {32: "I", 64: "Q"}  # fields that struct packs in C
 
 
-class Packing:
-    """Exponent vectors of one order held as ints.
+class ExponentPacking:
+    """Exponent vectors of nvars variables held as ints, with no order.
 
     Field i of a packed vector is e_i in `width` bits, the top one a guard
-    bit that stays clear, so a product of monomials is a sum of ints and
-    a | b is ((b | guard) - a) & guard == guard.  The key
-    K(e) = sum_r (M_r . e) * 2^(S * (R - 1 - r)) over the R rows of the
-    order's matrix sorts exactly as the order's key and is additive,
-    K(e + f) = K(e) + K(f).  S holds a sign bit and any row on fields
-    below 2^width, so a sum of two guard-free vectors, exact but perhaps
-    carried into a guard bit, still has its true key.
+    bit that stays clear, so a product of monomials is a sum of ints, a
+    quotient a difference, and a | b is ((b | guard) - a) & guard == guard.
     """
 
-    __slots__ = ("nvars", "width", "guard", "units", "_struct")
+    __slots__ = ("nvars", "width", "guard", "_struct")
 
-    def __init__(self, order, width):
-        n = order.context.nvars
-        rows = order.matrix
-        shift = width + max((sum(map(abs, row)) for row in rows), default=0).bit_length() + 1
-        top = len(rows) - 1
-        self.nvars = n
+    def __init__(self, nvars, width):
+        self.nvars = nvars
         self.width = width
-        self.guard = sum(1 << (width * i + width - 1) for i in range(n))
-        self.units = tuple(
-            sum(row[i] << (shift * (top - r)) for r, row in enumerate(rows)) for i in range(n)
-        )
+        self.guard = sum(1 << (width * i + width - 1) for i in range(nvars))
         code = _STRUCT_CODES.get(width)
-        self._struct = Struct(f"<{n}{code}") if code else None
+        self._struct = Struct(f"<{nvars}{code}") if code else None
 
     def pack(self, e):
         if max(e, default=0) >> (self.width - 1):
@@ -271,16 +265,40 @@ class Packing:
         value = (1 << (self.width - 1)) - 1
         return sum(value << (self.width * i) for i in indices)
 
-    def key(self, e):
-        """K of an exponent tuple, summed over its nonzero entries."""
-        return sum(map(mul, compress(self.units, e), filter(None, e)))
-
     def lcm(self, a, b):
         """Fieldwise max of two guard-free vectors; a and b have disjoint
         supports exactly when it equals a + b."""
         ge = ((a | self.guard) - b) & self.guard  # guard bit set where a_i >= b_i
         take_a = ge - (ge >> (self.width - 1))  # the value bits of those fields
         return b ^ ((a ^ b) & take_a)
+
+
+class Packing(ExponentPacking):
+    """Exponent vectors of one order held as ints: an ExponentPacking of
+    the order's variables with an additive key.
+
+    The key K(e) = sum_r (M_r . e) * 2^(S * (R - 1 - r)) over the R rows of
+    the order's matrix sorts exactly as the order's key and is additive,
+    K(e + f) = K(e) + K(f).  S holds a sign bit and any row on fields
+    below 2^width, so a sum of two guard-free vectors, exact but perhaps
+    carried into a guard bit, still has its true key.
+    """
+
+    __slots__ = ("units",)
+
+    def __init__(self, order, width):
+        super().__init__(order.context.nvars, width)
+        rows = order.matrix
+        shift = width + max((sum(map(abs, row)) for row in rows), default=0).bit_length() + 1
+        top = len(rows) - 1
+        self.units = tuple(
+            sum(row[i] << (shift * (top - r)) for r, row in enumerate(rows))
+            for i in range(self.nvars)
+        )
+
+    def key(self, e):
+        """K of an exponent tuple, summed over its nonzero entries."""
+        return sum(map(mul, compress(self.units, e), filter(None, e)))
 
     def pack_terms(self, g):
         """(terms, den) of a polynomial g stored in any order: terms is the
@@ -309,11 +327,16 @@ def _packing(order, width):
     return Packing(order, width)
 
 
-def packing_for(order, top):
-    """The order's packing whose fields hold exponents up to top with
-    HEADROOM_BITS to spare, at least 32 bits wide with the guard."""
+def field_width(top):
+    """The width of a field that holds exponents up to top with
+    HEADROOM_BITS to spare and the guard bit: 32, 64, or wider."""
     width = top.bit_length() + HEADROOM_BITS + 1
-    return _packing(order, 32 if width <= 32 else 64 if width <= 64 else width)
+    return 32 if width <= 32 else 64 if width <= 64 else width
+
+
+def packing_for(order, top):
+    """The order's packing whose fields hold exponents up to top."""
+    return _packing(order, field_width(top))
 
 
 def max_exponent(polys):
@@ -438,7 +461,7 @@ def _s_polynomial(fi, fj, L, key):
     return sorted((k, e, c) for k, (e, c) in acc.items() if c)
 
 
-def _criterion_m(lcms, lm, packing):
+def criterion_m(lcms, lm, fields):
     """The packed lcms, ascending, that no other one properly divides:
     criterion M over the new pairs of an element whose leading monomial
     is lm, which divides every lcm.
@@ -450,7 +473,7 @@ def _criterion_m(lcms, lm, packing):
     into the guard bit of every field with q_v >= 1, meets the mask; only
     the other kept quotients are scanned.
     """
-    guard, width = packing.guard, packing.width
+    guard, width = fields.guard, fields.width
     ones = guard >> (width - 1)  # the low bit of every field
     fill = guard - ones
     linear = 0  # guard bits of the kept quotients x_v
@@ -553,7 +576,7 @@ def buchberger(ideal, order, config=None):
             lt = (above - lm) & guard  # guard bit set where lm_t_v >= lm_v
             new.setdefault(lm ^ ((lm ^ lm_t) & (lt - (lt >> shift))), []).append(i)
 
-        for L in _criterion_m(new, lm_t, packing):
+        for L in criterion_m(new, lm_t, packing):
             # product criterion: a coprime pair drops its whole lcm class, as
             # coprime leading monomials have their product as lcm; otherwise
             # F keeps the class's first pair

@@ -21,12 +21,15 @@ from fractions import Fraction
 
 from .betti import GENERATOR_CAP, BettiTable, betti_numbers, is_componentwise_linear
 from .groebner import (
+    ExponentPacking,
     GroebnerBasis,
     Ideal,
     MonomialIdeal,
     Reducers,
     ScaleExceeded,
+    criterion_m,
     eliminate,
+    field_width,
     initial_ideal,
     normal_form,
 )
@@ -267,9 +270,21 @@ class StandardBasisK:
         return tuple(h for _, h in self.entries)
 
 
-def _pure_fiber_initials(presentation):
+def _blocked(presentation, k):
+    """Whether a degree-k fiber monomial is a multiple of a pure-fiber
+    generator of the initial ideal, tested on packed exponents."""
     base_idx = presentation.base_indices()
-    return [m for m in presentation.initial.generators if m.degree_on(base_idx) == 0]
+    blockers = [m.exps for m in presentation.initial.generators if m.degree_on(base_idx) == 0]
+    top = max([k, *map(max, blockers)])
+    fields = ExponentPacking(presentation.extended.nvars, field_width(top))
+    guard, pack = fields.guard, fields.pack
+    packed = [pack(v) for v in blockers]
+
+    def blocked(w):
+        above = pack(w.exps) | guard
+        return any((above - v) & guard == guard for v in packed)
+
+    return blocked
 
 
 def _image(presentation, w):
@@ -287,13 +302,9 @@ def _fiber_monomials(presentation, k):
 def standard_monomials(presentation, k):
     if k < 1:
         raise ValueError("power must be at least 1")
-    blockers = _pure_fiber_initials(presentation)
+    blocked = _blocked(presentation, k)
     order = presentation.gb.compiled()
-    ws = [
-        w
-        for w in _fiber_monomials(presentation, k)
-        if not any(v.divides(w) for v in blockers)
-    ]
+    ws = [w for w in _fiber_monomials(presentation, k) if not blocked(w)]
     ws.sort(key=order.key)
     return StandardBasisK(k, tuple((w, _image(presentation, w)) for w in ws))
 
@@ -305,14 +316,14 @@ def standard_rewrites(presentation, k):
     smaller standard fiber monomials of the same degree; violations raise.
     Returns the (monomial, remainder) pairs.
     """
-    blockers = _pure_fiber_initials(presentation)
+    blocked = _blocked(presentation, k)
     order = presentation.gb.compiled()
     fiber_idx = set(presentation.fiber_indices())
     standard = set(standard_monomials(presentation, k).monomials())
     reducers = Reducers(presentation.gb.elements, order)
     out = []
     for w in _fiber_monomials(presentation, k):
-        if not any(v.divides(w) for v in blockers):
+        if not blocked(w):
             continue
         remainder = normal_form(monomial_poly(w), reducers, order)
         for m, _c in remainder.terms:
@@ -348,31 +359,48 @@ class QuotientStep:
 class QuotientReport:
     steps: tuple
     ok: bool
+    minimal: bool
 
 
 def quotient_steps(images):
     """Successive colon ideals (h_1..h_{j-1}) : h_j; ok when every colon
-    that is neither zero nor the unit ideal is generated by variables."""
+    that is neither zero nor the unit ideal is generated by variables, and
+    minimal when no image divides another.
+
+    Each image is packed once.  The colon is generated by the quotients
+    lcm(h_i, h_j) / h_j, and its minimal generators are the lcms that
+    criterion_m keeps, less h_j: the engine's criterion M on the new pairs
+    of an element of leading monomial h_j.  The same lcms decide
+    minimality: h_i | h_j exactly when lcm(h_i, h_j) = h_j, and h_j | h_i
+    exactly when it is h_i.
+    """
     images = tuple(images)
+    top = max((e for h in images for e in h.exps), default=0)
+    fields = ExponentPacking(len(images[0].exps) if images else 0, field_width(top))
+    lcm, unpack = fields.lcm, fields.unpack
+    packed = [fields.pack(h.exps) for h in images]
     steps = []
-    ok = True
-    for j, h in enumerate(images, start=1):
-        colon = MonomialIdeal.make(u.lcm(h).div(h) for u in images[: j - 1])
-        steps.append(QuotientStep(j, colon, len(colon.generators), h.degree()))
-        if any(g.is_one() for g in colon.generators):
-            continue
-        if not all(g.degree() == 1 for g in colon.generators):
+    ok = minimal = True
+    for j, (h, p) in enumerate(zip(images, packed)):
+        earlier = packed[:j]
+        lcms = {lcm(u, p) for u in earlier}
+        if p in lcms or not lcms.isdisjoint(earlier):
+            minimal = False
+        quotients = sorted(
+            (unpack(L - p) for L in criterion_m(lcms, p, fields)), key=lambda e: (sum(e), e)
+        )
+        colon = MonomialIdeal(tuple(map(Monomial, quotients)))
+        steps.append(QuotientStep(j + 1, colon, len(quotients), h.degree()))
+        # a unit colon is (1) alone; any other must be generated by variables
+        if any(sum(q) > 1 for q in quotients):
             ok = False
-    return QuotientReport(tuple(steps), ok)
+    return QuotientReport(tuple(steps), ok, minimal)
 
 
 def is_minimal_sequence(monomials):
-    monomials = tuple(monomials)
-    return not any(
-        i != j and a.divides(b)
-        for i, a in enumerate(monomials)
-        for j, b in enumerate(monomials)
-    )
+    """Whether no monomial of the sequence divides another, a repeat
+    included."""
+    return quotient_steps(monomials).minimal
 
 
 def colon_cross_check(presentation, k):
@@ -451,8 +479,8 @@ def componentwise_certificate(presentation, k):
     quadratic = all(m.degree() <= 2 for m in presentation.initial.generators)
     basis = standard_monomials(presentation, k)
     images = basis.images()
-    minimal = is_minimal_sequence(images)
     report = quotient_steps(images)
+    minimal = report.minimal
     degrees = [s.degree for s in report.steps]
     nondecreasing = all(a <= b for a, b in zip(degrees, degrees[1:]))
     weighted = presentation.order.parts[0][1].kind == "weighted"

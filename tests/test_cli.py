@@ -131,6 +131,81 @@ class TestRees:
         assert payload["oracle_betti_match"] is True
         assert payload["generators"] == 4
 
+    @pytest.mark.parametrize(
+        "family, k, code, images, report",
+        [
+            (
+                ("--path", "10"),
+                "3",
+                0,
+                246,
+                {
+                    "betti": {
+                        "entries": [
+                            [0, 15, 56], [0, 16, 63], [0, 17, 72], [0, 18, 55],
+                            [1, 16, 105], [1, 17, 180], [1, 18, 224], [1, 19, 180],
+                            [2, 17, 60], [2, 18, 180], [2, 19, 252], [2, 20, 216],
+                            [3, 18, 10], [3, 19, 72], [3, 20, 120], [3, 21, 112],
+                            [4, 20, 9], [4, 21, 20], [4, 22, 21],
+                        ],
+                        "projdim": 4,
+                        "regularity": 18,
+                    },
+                    "betti_route": "minimal",
+                    "certified": "quadratic-initial",
+                    "generators": 16,
+                    "k": 3,
+                    "linear_quotients": True,
+                    "minimal": True,
+                    "nondecreasing": False,
+                    "oracle_betti_match": None,
+                    "oracle_componentwise": None,
+                    "quadratic": True,
+                    "weighted": False,
+                    "x_condition": True,
+                },
+            ),
+            (
+                ("--cw", "p=1,1", "q=1,1"),
+                "2",
+                1,
+                156,
+                {
+                    "betti": {
+                        "entries": [
+                            [0, 12, 156], [1, 13, 454], [2, 14, 521], [3, 15, 300],
+                            [4, 16, 91], [5, 17, 14], [6, 18, 1],
+                        ],
+                        "projdim": 6,
+                        "regularity": 12,
+                    },
+                    "betti_route": "both",
+                    "certified": None,
+                    "generators": 21,
+                    "k": 2,
+                    "linear_quotients": True,
+                    "minimal": True,
+                    "nondecreasing": True,
+                    "oracle_betti_match": None,
+                    "oracle_componentwise": None,
+                    "quadratic": False,
+                    "weighted": False,
+                    "x_condition": True,
+                },
+            ),
+        ],
+        ids=("p10-k3", "cw-p11-q11-k2"),
+    )
+    def test_larger_power_certificates(self, capsys, family, k, code, images, report):
+        """Every field of two certificates on powers with hundreds of
+        images, cheap since the colons run on packed exponents.  The Betti
+        table's row 0 counts the images.  CW p=1,1 q=1,1 is not certified
+        (exit 1): no route covers it yet, though its images are minimal,
+        have linear quotients and nondecreasing degrees."""
+        got_code, payload = run_json(capsys, "rees", *family, "--k", k)
+        assert (got_code, payload) == (code, report)
+        assert sum(n for i, _, n in payload["betti"]["entries"] if i == 0) == images
+
     def test_k_must_be_positive(self, capsys):
         code, _, err = run_cli(capsys, "rees", "--path", "5", "--k", "0")
         assert code == 2 and "--k" in err

@@ -622,6 +622,16 @@ class TestMonomialIdeal:
         I = MonomialIdeal.make(gens)
         assert set(I.generators) == {Monomial((2, 0, 0)), Monomial((0, 0, 1))}
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 3).map(Monomial), max_size=15))
+    def test_make_keeps_the_monomials_no_other_divides(self, monomials):
+        """make tests a candidate only against lower-degree generators; the
+        result is still every monomial no other distinct one divides."""
+        distinct = set(monomials)
+        want = [m for m in distinct if not any(u != m and u.divides(m) for u in distinct)]
+        want.sort(key=lambda m: (m.degree(), m.exps))
+        assert MonomialIdeal.make(monomials).generators == tuple(want)
+
     def test_colon_examples(self):
         # (x1^2) : x1x2^2 = (x1)
         I = MonomialIdeal.make([Monomial((2, 0))])
@@ -1095,4 +1105,4 @@ class TestCriterionM:
             return all(x <= y for x, y in zip(pk.unpack(a), pk.unpack(b)))
 
         want = sorted(L for L in lcms if not any(M != L and divides(M, L) for M in lcms))
-        assert groebner._criterion_m(lcms, pk.pack(lm), pk) == want
+        assert groebner.criterion_m(lcms, pk.pack(lm), pk) == want

@@ -3,6 +3,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xcond import betti, rees
 from xcond.betti import betti_numbers, is_componentwise_linear
@@ -243,6 +245,55 @@ class TestQuotients:
         assert not quotient_steps(seq).ok
         pres = path_presentation(3)
         assert colon_cross_check(pres, 2)
+
+
+def literal_steps(images):
+    """quotient_steps by its definition on tuples: the colon of step j is
+    MonomialIdeal.make of the lcm(h_i, h_j) / h_j over i < j; ok when
+    every colon other than (0) and (1) is generated by variables."""
+    steps, ok = [], True
+    for j, h in enumerate(images, start=1):
+        gens = MonomialIdeal.make(u.lcm(h).div(h) for u in images[: j - 1]).generators
+        steps.append((j, gens, len(gens), h.degree()))
+        if not any(g.is_one() for g in gens) and not all(g.degree() == 1 for g in gens):
+            ok = False
+    return steps, ok
+
+
+def literal_minimal(images):
+    return not any(
+        i != j and a.divides(b) for i, a in enumerate(images) for j, b in enumerate(images)
+    )
+
+
+def _sequences(nvars):
+    """Sequences of monomials in nvars variables, with repeats: small
+    exponents make divisibility and unit colons common, and exponents from
+    2^16 to past 2^64 force fields of 64 bits and wider."""
+    entry = st.one_of(st.integers(0, 2), st.integers(1 << 16, 1 << 17), st.just(1 << 66))
+    monomial = st.tuples(*[entry] * nvars).map(Monomial)
+    return st.lists(monomial, max_size=8).flatmap(
+        lambda ms: st.lists(st.sampled_from(ms), max_size=12) if ms else st.just([])
+    )
+
+
+class TestQuotientsAgainstDefinitions:
+    """quotient_steps runs on packed exponents through criterion M;
+    these compare it with the definitions on tuples."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(images=[])  # the empty sequence
+    @example(images=[Monomial((3,))])  # one variable; the colon at j = 1 is (0)
+    @example(images=[Monomial((1,)), Monomial((2,)), Monomial((2,))])  # unit colons
+    @example(images=[Monomial(e) for e in ((2, 0), (1, 2), (0, 2), (1, 2))])  # a late repeat
+    @example(images=[Monomial((1 << 16, 0)), Monomial((1, 1 << 20)), Monomial((0, 1 << 66))])
+    @given(images=st.integers(1, 4).flatmap(_sequences))
+    def test_matches_the_literal_definitions(self, images):
+        report = quotient_steps(images)
+        steps, ok = literal_steps(images)
+        assert [(s.j, s.colon.generators, s.mu, s.degree) for s in report.steps] == steps
+        assert report.ok == ok
+        assert report.minimal == is_minimal_sequence(images) == literal_minimal(images)
 
 
 class TestBettiFromQuotients:

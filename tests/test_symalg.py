@@ -14,8 +14,8 @@ from xcond.graphs import (
     depth_bound_a,
     path_graph,
 )
-from xcond.groebner import ScaleExceeded, reduced_groebner_basis
-from xcond.ring import Monomial, render_monomial, render_polynomial
+from xcond.groebner import GroebnerBasis, ScaleExceeded, reduced_groebner_basis
+from xcond.ring import Monomial, Polynomial, lex_order, render_monomial, render_polynomial
 from xcond.symalg import (
     admissible_path_basis,
     admissible_paths,
@@ -24,6 +24,7 @@ from xcond.symalg import (
     edge_module,
     equivalence_check,
     pair_context,
+    same_basis,
 )
 
 
@@ -168,6 +169,23 @@ class TestAdmissibleBasis:
         assert admissible_path_basis(g) == reduced_groebner_basis(
             em.sym_ideal, em.order
         )
+
+    def test_same_basis_agrees_with_equality(self):
+        g = labeled(4, C4)
+        em = edge_module(g)
+        basis = admissible_path_basis(g)
+        gb = reduced_groebner_basis(em.sym_ideal, em.order)
+        assert same_basis(basis, gb) and basis == gb
+        first, *rest = gb.elements
+        flipped = Polynomial(tuple((m, -c) for m, c in first.terms))
+        reordered = lex_order(*reversed(gb.context.names))
+        for other in (
+            GroebnerBasis(gb.context, gb.order, gb.elements[:-1]),
+            GroebnerBasis(gb.context, gb.order, (flipped, *rest)),
+            GroebnerBasis(gb.context, reordered, gb.elements),
+            GroebnerBasis(pair_context(5), gb.order, gb.elements),
+        ):
+            assert not same_basis(basis, other) and basis != other
 
     def test_four_cycle_elements(self):
         basis = admissible_path_basis(labeled(4, C4))
