@@ -24,11 +24,8 @@ from .graphs import biclique_graph, minimal_vertex_covers, path_graph
 from .groebner import (
     GroebnerBasis,
     MonomialIdeal,
-    Reducers,
     is_spair_closed,
-    max_exponent,
     membership,
-    packing_for,
     reduce_basis,
 )
 from .rees import (
@@ -633,13 +630,13 @@ def verify_claim(claim, config=None):
     polys = claim.distinct_polynomials()
     basis = presentation.gb.elements
 
-    # one table for every claimed element, its fields sized for all of them
-    order = compile_order(claim.order, ext)
-    table = Reducers(basis, order, packing_for(order, max_exponent([*basis, *polys])))
+    # the computed basis once more, its fields sized for every claimed element
+    computed = GroebnerBasis.of(basis, ext, claim.order, fit=polys)
     membership_ok = all(
-        kernel_member(g, presentation.gens, ext) and membership(g, table, order) for g in polys
+        kernel_member(g, presentation.gens, ext) and membership(g, computed) for g in polys
     )
-    spair_ok = is_spair_closed(polys, claim.order, ext, config)
+    claimed = GroebnerBasis.of(polys, ext, claim.order)
+    spair_ok = is_spair_closed(claimed, config)
 
     claimed_ini = MonomialIdeal.make(claim.claimed_initials)
     true_ini = presentation.initial
@@ -653,7 +650,7 @@ def verify_claim(claim, config=None):
         render_monomial(u, ext) for u in claimed_ini.generators if u not in true_gens
     )
 
-    reduced = reduce_basis(GroebnerBasis(ext, claim.order, polys))
+    reduced = reduce_basis(claimed)
     rset = set(reduced.elements)
     cset = set(basis)
     reduced_match = rset == cset

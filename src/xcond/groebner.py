@@ -26,8 +26,8 @@ strategy (sugar on homogeneous input: Giovini, Mora, Niesi, Robbiano and
 Traverso, "One sugar cube, please", ISSAC 1991).  Other input has
 w . lcm = 0 and keeps the order's own selection, smallest lcm first, as
 sugar there can climb through far higher degrees.  S-polynomials are
-reduced over a Reducers table of the elements not retired, built once
-and updated on each install; the final basis is fully tail-reduced.
+reduced over the list of the entries not retired, updated on each
+install; the final basis is fully tail-reduced.
 Every run is bounded by explicit resource caps; exceeding a cap raises
 ScaleExceeded rather than returning a truncated basis.
 
@@ -50,13 +50,15 @@ leading coefficient positive), S-polynomials are formed fraction-free
 from two such forms, and the reduction loop runs on ints, rescaling the
 running polynomial only when a reducer's leading coefficient does not
 divide the coefficient it cancels (never for the +-1 binomials).  An
-S-pair's remainder becomes a primitive form directly.  A polynomial
-crosses the boundary through Packing only: pack_terms packs and sorts its
-terms on the way in, and polynomial builds a Polynomial from packed terms
-on the way out, once per element of reduce_basis's result and once per
-normal_form.  buchberger's result stays packed (PackedBasis), and
-reduce_basis takes its active entries without a crossing; its Polynomials
-are built only when its elements are read.  divide stays the Fraction
+S-pair's remainder becomes a primitive form directly.
+
+A GroebnerBasis holds these entries (lm, K(lm), lc, tail) in its
+packing, and every basis stays packed: buchberger's, reduce_basis's,
+eliminate's, and GroebnerBasis.of's, which packs Polynomials.  A
+polynomial crosses the boundary through Packing only: pack_terms packs
+and sorts its terms on the way in, and polynomial builds a Polynomial
+from packed terms on the way out, once per normal_form and once per
+element of a basis whose elements are read.  divide stays the Fraction
 textbook oracle.
 """
 
@@ -69,7 +71,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, compress, groupby
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from struct import Struct
 
 from .ring import (
@@ -118,46 +120,33 @@ class Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    context: VarContext
-    order: OrderSpec
-    elements: tuple
-
-    def compiled(self):
-        return compile_order(self.order, self.context)
-
-    def entries(self):
-        """A packing that fits the elements, and the entry (lm, K(lm), lc,
-        tail) of each nonzero element (Packing.form)."""
-        packing = packing_for(self.compiled(), max_exponent(self.elements))
-        return packing, [packing.form(g) for g in self.elements if not g.is_zero()]
-
-
-@dataclass(frozen=True)
-class PackedBasis:
-    """buchberger's basis as its loop left it: every installed entry
-    (lm, K(lm), lc, tail) in installation order, in the packing of the
-    run, and the indices of the active entries, those not retired."""
+    """Polynomials of a context under an order, held packed: one entry
+    (lm, K(lm), lc, tail) per element in the packing's fields, in its
+    primitive form (Packing.form)."""
 
     context: VarContext
     order: OrderSpec
     packing: Packing
-    forms: tuple
-    active: tuple
+    entries: tuple
+
+    @staticmethod
+    def of(polys, ctx, order, fit=()):
+        """The basis of the nonzero polys, stored in any order, in fields
+        that hold every exponent of the polys and of fit."""
+        polys = [g for g in polys if not g.is_zero()]
+        packing = packing_for(compile_order(order, ctx), max_exponent([*polys, *fit]))
+        return GroebnerBasis(ctx, order, packing, tuple(map(packing.form, polys)))
 
     def compiled(self):
         return compile_order(self.order, self.context)
 
     @cached_property
     def elements(self):
-        """Every installed element as a monic Polynomial, retired ones
-        included, in installation order; built on first access."""
+        """The element of each entry as a monic Polynomial, in entry order;
+        built on first read."""
         return tuple(
-            self.packing.polynomial(((k, lm, lc), *tail), lc) for lm, k, lc, tail in self.forms
+            self.packing.polynomial(((k, lm, lc), *tail), lc) for lm, k, lc, tail in self.entries
         )
-
-    def entries(self):
-        """The packing and the active entries, as GroebnerBasis.entries."""
-        return self.packing, [self.forms[i] for i in self.active]
 
 
 @dataclass(frozen=True)
@@ -323,7 +312,9 @@ class Packing(ExponentPacking):
 
 
 @lru_cache(maxsize=None)
-def _packing(order, width):
+def order_packing(order, width):
+    """The order's packing with fields of the width, built once per
+    (order, width)."""
     return Packing(order, width)
 
 
@@ -336,7 +327,7 @@ def field_width(top):
 
 def packing_for(order, top):
     """The order's packing whose fields hold exponents up to top."""
-    return _packing(order, field_width(top))
+    return order_packing(order, field_width(top))
 
 
 def max_exponent(polys):
@@ -356,49 +347,37 @@ def _entry(terms):
     return (lm, key, lc // content, tuple((k, e, c // content) for k, e, c in terms[1:]))
 
 
-class Reducers(list):
-    """Divisor table: one entry (lm, K(lm), lc, tail) per nonzero divisor
-    (Packing.form), tried in list order, with the packing its entries
-    use."""
-
-    def __init__(self, polys, order, packing=None):
-        super().__init__()
-        polys = [g for g in polys if not g.is_zero()]
-        self.packing = packing or packing_for(order, max_exponent(polys))
-        self.extend(map(self.packing.form, polys))
-
-    def find(self, e):
-        """First entry whose leading monomial divides the packed e, or None."""
-        guard = self.packing.guard
-        e |= guard
-        for entry in self:
-            if (e - entry[0]) & guard == guard:
-                return entry
-        return None
+def _find(e, entries, guard):
+    """The first entry whose leading monomial divides the packed e, or
+    None."""
+    e |= guard
+    for entry in entries:
+        if (e - entry[0]) & guard == guard:
+            return entry
+    return None
 
 
-def _reduce(p, table):
+def _reduce(p, entries, packing):
     """Reduce p, an ascending list of (key, packed exponents, int), by the
-    table.
+    entries, tried in list order, all in the packing.
 
     Returns (remainder, factor): remainder is a descending list of
-    (key, packed exponents, int) with no term divisible by a table leading
-    monomial, and factor * p - remainder lies in the ideal of the table.
-    Each step cancels the leading term c x^e with an entry of leading
-    coefficient gc: when gc does not divide c, p and the remainder so far
-    are first multiplied by a = gc / gcd(c, gc), and so is factor.  A term
-    whose exponent has carried into a guard bit raises ScaleExceeded when
-    it leads.
+    (key, packed exponents, int) with no term divisible by an entry's
+    leading monomial, and factor * p - remainder lies in the ideal of the
+    entries.  Each step cancels the leading term c x^e with an entry of
+    leading coefficient gc: when gc does not divide c, p and the remainder
+    so far are first multiplied by a = gc / gcd(c, gc), and so is factor.
+    A term whose exponent has carried into a guard bit raises
+    ScaleExceeded when it leads.
     """
-    guard = table.packing.guard
-    find = table.find
+    guard = packing.guard
     remainder = []
     factor = 1
     while p:
         k, e, c = p.pop()
         if e & guard:
-            raise ScaleExceeded(f"an exponent outgrew its {table.packing.width}-bit field")
-        hit = find(e)
+            raise ScaleExceeded(f"an exponent outgrew its {packing.width}-bit field")
+        hit = _find(e, entries, guard)
         if hit is None:
             remainder.append((k, e, c))
             continue
@@ -428,21 +407,19 @@ def _reduce(p, table):
     return remainder, factor
 
 
-def normal_form(f, divisors, order):
-    """The remainder of divide(f, divisors, order), without quotients.
+def normal_form(f, basis):
+    """The remainder of divide(f, basis.elements, basis.compiled()),
+    without quotients.
 
-    divisors is a polynomial list or a prebuilt Reducers table.  f, stored
-    in any order, is packed with its denominators cleared and _reduce runs
-    on integers; the remainder comes back through Packing.polynomial.
+    f, stored in any order, must fit the basis's fields (GroebnerBasis.of
+    sizes them for it through fit).  It is packed with its denominators
+    cleared and _reduce runs on integers; the remainder comes back through
+    Packing.polynomial.
     """
-    if isinstance(divisors, Reducers):
-        table = divisors
-    else:
-        divisors = list(divisors)
-        table = Reducers(divisors, order, packing_for(order, max_exponent([f, *divisors])))
-    p, den = table.packing.pack_terms(f)
-    remainder, factor = _reduce(p, table)
-    return table.packing.polynomial(remainder, den * factor)
+    packing = basis.packing
+    p, den = packing.pack_terms(f)
+    remainder, factor = _reduce(p, basis.entries, packing)
+    return packing.polynomial(remainder, den * factor)
 
 
 def _s_polynomial(fi, fj, L, key):
@@ -516,7 +493,7 @@ def _homogeneous(g, w):
 
 
 def buchberger(ideal, order, config=None):
-    """S-pair-closed basis of the ideal, as a PackedBasis; not tail-reduced.
+    """S-pair-closed basis of the ideal; not tail-reduced.
 
     Elements are installed one at a time, generators first, each through
     the Gebauer-Moeller update (see the module docstring); every popped
@@ -526,10 +503,8 @@ def buchberger(ideal, order, config=None):
     A grading that is not positive, or under which some generator is not
     homogeneous, raises ValueError.  When every generator is a +-1
     binomial or a single term, so must every S-pair remainder be; one that
-    is not raises AssertionError.  The result keeps every installed entry,
-    retired ones included, in the run's packing, and marks the active ones;
-    reduce_basis takes those as they are, and its elements are Polynomials
-    only when read.
+    is not raises AssertionError.  The result holds every installed entry,
+    retired ones included, in installation order, in the run's packing.
     """
     cfg = config or GBConfig()
     ctx = ideal.context
@@ -547,7 +522,7 @@ def buchberger(ideal, order, config=None):
     shift = packing.width - 1
     forms = []  # the entry of each basis element
     active = []  # indices not retired: they take new pairs
-    reducers = Reducers((), ord_, packing)  # entries of the active elements, in installation order
+    reducers = []  # entries of the active elements, in installation order
     heap = []  # (w-degree of lcm, K(lcm), i, j, packed lcm), i < j
 
     def install(form):
@@ -586,7 +561,7 @@ def buchberger(ideal, order, config=None):
                 heapq.heappush(heap, (d, key(e), new[L][0], t, L))
 
         # every multiple of a retired lm is a multiple of lm_t, so the
-        # retired elements also leave the reducer table
+        # retired elements also leave the reducers
         active[:] = [i for i in active if ((forms[i][0] | guard) - lm_t) & guard != guard]
         reducers[:] = [forms[i] for i in active]
         active.append(t)
@@ -609,7 +584,7 @@ def buchberger(ideal, order, config=None):
             raise ScaleExceeded(
                 f"S-pair budget of {cfg.pair_cap} exhausted ({len(forms)} basis elements{at})"
             )
-        remainder, _ = _reduce(_s_polynomial(forms[i], forms[j], L, k), reducers)
+        remainder, _ = _reduce(_s_polynomial(forms[i], forms[j], L, k), reducers, packing)
         if not remainder:
             continue
         degree = max(sum(unpack(e)) for _, e, _ in remainder)
@@ -625,57 +600,53 @@ def buchberger(ideal, order, config=None):
             )
         install(form)
 
-    return PackedBasis(ctx, order, packing, tuple(forms), tuple(active))
+    return GroebnerBasis(ctx, order, packing, tuple(forms))
 
 
 def reduce_basis(gb):
-    """The unique reduced basis: minimal leading monomials, monic elements,
-    every tail in normal form with respect to the others.
+    """The unique reduced basis of gb's ideal, packed as gb: minimal leading
+    monomials, every tail in normal form with respect to the others, one
+    primitive entry (a monic element) per minimal leading monomial,
+    descending.
 
-    gb is a GroebnerBasis, whose elements are packed on the way in, or
-    buchberger's PackedBasis, whose active entries are taken as they are:
-    every retired leading monomial is a multiple of an active one, so the
-    active entries are a Groebner basis of the same ideal, and the reduced
-    basis is unique.  Polynomials are built once, per reduced element.
+    gb may be any Groebner basis, buchberger's with its retired entries
+    included: a retired leading monomial is a multiple of a later one, so
+    the first entry in ascending order of each minimal leading monomial is
+    kept, and the reduced basis is unique.
     """
-    packing, forms = gb.entries()
-    forms.sort(key=lambda form: form[1])
-    # the first entry in ascending order of each minimal leading monomial
-    minimal = Reducers((), gb.compiled(), packing)
-    for form in forms:
-        if minimal.find(form[0]) is None:
-            minimal.append(form)
+    packing, guard = gb.packing, gb.packing.guard
+    minimal = []
+    for entry in sorted(gb.entries, key=itemgetter(1)):
+        if _find(entry[0], minimal, guard) is None:
+            minimal.append(entry)
     # Every term of a tail, and of its reductions, lies below lm(g), so no
-    # lm(g) divides it and g may stay in the table that reduces its tail.
+    # lm(g) divides it and g may stay in the list that reduces its tail.
     reduced = []
     for lm, k, lc, tail in reversed(minimal):
-        remainder, factor = _reduce(list(reversed(tail)), minimal)
-        lc *= factor
-        reduced.append(packing.polynomial(((k, lm, lc), *remainder), lc))
-    return GroebnerBasis(gb.context, gb.order, tuple(reduced))
+        remainder, factor = _reduce(list(reversed(tail)), minimal, packing)
+        reduced.append(_entry([(k, lm, lc * factor), *remainder]))
+    return replace(gb, entries=tuple(reduced))
 
 
 def reduced_groebner_basis(ideal, order, config=None):
     return reduce_basis(buchberger(ideal, order, config))
 
 
-def membership(f, divisors, order):
-    """Whether f, stored in any order, reduces to zero over divisors: a
-    Groebner basis as a polynomial list or as a prebuilt Reducers table,
-    as normal_form takes it."""
-    return normal_form(f, divisors, order).is_zero()
+def membership(f, basis):
+    """Whether f, stored in any order, reduces to zero over the Groebner
+    basis, as normal_form reduces it."""
+    return normal_form(f, basis).is_zero()
 
 
-def is_spair_closed(elements, order, ctx, config=None):
-    """Buchberger criterion re-check: every S-pair reduces to zero.  Pairs
-    with coprime leading monomials are skipped; the pair cap counts the
-    others."""
+def is_spair_closed(basis, config=None):
+    """Buchberger criterion re-check: every S-pair of the basis reduces to
+    zero over it.  Pairs with coprime leading monomials are skipped; the
+    pair cap counts the others."""
     cfg = config or GBConfig()
-    ord_ = compile_order(order, ctx)
-    table = Reducers(elements, ord_)
-    pk = table.packing
+    pk, entries = basis.packing, basis.entries
+    size = len(entries)
     reduced = 0
-    for n, (fi, fj) in enumerate(combinations(table, 2), 1):
+    for n, (fi, fj) in enumerate(combinations(entries, 2), 1):
         L = pk.lcm(fi[0], fj[0])
         if L == fi[0] + fj[0]:  # coprime leading monomials
             continue
@@ -683,9 +654,9 @@ def is_spair_closed(elements, order, ctx, config=None):
         if reduced > cfg.pair_cap:
             raise ScaleExceeded(
                 f"S-pair budget of {cfg.pair_cap} exhausted at pair {n} of "
-                f"{len(table) * (len(table) - 1) // 2} ({len(table)} basis elements)"
+                f"{size * (size - 1) // 2} ({size} basis elements)"
             )
-        if _reduce(_s_polynomial(fi, fj, L, pk.key(pk.unpack(L))), table)[0]:
+        if _reduce(_s_polynomial(fi, fj, L, pk.key(pk.unpack(L))), entries, pk)[0]:
             return False
     return True
 
@@ -697,28 +668,25 @@ def is_spair_closed(elements, order, ctx, config=None):
 
 def eliminate(ideal, block, order, config=None):
     """The reduced basis of the contraction of the ideal to the subring
-    without the block variables, as an Ideal; requires an elimination
-    order for the block.
+    without the block variables, in the ideal's context and buchberger's
+    packing; requires an elimination order for the block.
 
-    Only the active entries of buchberger's basis whose leading monomial
-    meets none of the block's packed fields are reduced.  Under an
-    elimination order they form a Groebner basis of the contraction
-    (Elimination Theorem), so their reduced basis is exactly the
-    block-free part of the reduced basis of the whole ideal.
+    Only the entries of buchberger's basis whose leading monomial meets
+    none of the block's packed fields are reduced.  Under an elimination
+    order they form a Groebner basis of the contraction (Elimination
+    Theorem), so their reduced basis is exactly the block-free part of the
+    reduced basis of the whole ideal.
     """
     block = tuple(block)
     ctx = ideal.context
     if not is_elimination_order(order, ctx, block):
         raise ValueError("order does not eliminate the requested block")
-    block_idx = [ctx.index(v) for v in block]
     raw = buchberger(ideal, order, config)
-    mask = raw.packing.fields(block_idx)
-    free = tuple(i for i in raw.active if not raw.forms[i][0] & mask)
-    gb = reduce_basis(replace(raw, active=free))
-    for g in gb.elements:
-        if any(m.exps[i] for m, _ in g.terms for i in block_idx):
-            raise AssertionError("elimination order produced a mixed tail")
-    return Ideal(ctx, gb.elements)
+    mask = raw.packing.fields([ctx.index(v) for v in block])
+    gb = reduce_basis(replace(raw, entries=tuple(e for e in raw.entries if not e[0] & mask)))
+    if any(e & mask for entry in gb.entries for _, e, _ in entry[3]):
+        raise AssertionError("elimination order produced a mixed tail")
+    return gb
 
 
 # ---------------------------------------------------------------------------
@@ -727,4 +695,5 @@ def eliminate(ideal, block, order, config=None):
 
 
 def initial_ideal(gb):
-    return MonomialIdeal.make(g.lm() for g in gb.elements)
+    unpack = gb.packing.unpack
+    return MonomialIdeal.make(Monomial(unpack(entry[0])) for entry in gb.entries)

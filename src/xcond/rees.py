@@ -25,17 +25,16 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     MonomialIdeal,
-    Reducers,
     ScaleExceeded,
     criterion_m,
     eliminate,
     field_width,
     initial_ideal,
     normal_form,
+    order_packing,
 )
 from .ring import (
     Monomial,
-    Polynomial,
     VarContext,
     block_order,
     compile_order,
@@ -148,8 +147,9 @@ def rees_ideal(base_ctx, gens, order=None, fiber_names=None, config=None):
     y_j - u_j*t are +-1 binomials, so it checks that every element it adds
     is one too.  Its t-free elements, with the t coordinate dropped, are the
     reduced basis under `order` (Elimination Theorem), already listed in
-    descending order of leading monomial.  Every element is checked to
-    vanish under the substitution map.
+    descending order of leading monomial.  t is dropped on the packed
+    entries.  Every element is checked to vanish under the substitution
+    map.
     """
     gens = tuple(gens)
     _validate_generators(base_ctx, gens)
@@ -189,13 +189,19 @@ def rees_ideal(base_ctx, gens, order=None, fiber_names=None, config=None):
     grading = (1, *(u.degree() + 1 for u in gens), *(1,) * base_ctx.nvars)
     ideal = Ideal.make(relations, elim_ctx, grading)
     contracted = eliminate(ideal, (ELIM_VAR,), elim_order, config)
-    # ELIM_VAR is coordinate 0 of elim_ctx and the rest is `extended`; t-free
-    # terms compare under elim_order exactly as under `order`
-    elements = tuple(
-        Polynomial(tuple((Monomial(m.exps[1:]), c) for m, c in g.terms))
-        for g in contracted.generators
+    # ELIM_VAR is field 0 of the packing and the rest is `extended`, so a
+    # t-free vector shifted down one field is its vector in `extended`.
+    # elim_order's matrix is one t row on top of the rows of `order`, with
+    # the same shift, so a t-free key is also its key under `order`.
+    width = contracted.packing.width
+    packing = order_packing(compile_order(order, extended), width)
+    if packing.units != contracted.packing.units[1:]:
+        raise AssertionError("the elimination key does not extend the order's key")
+    entries = tuple(
+        (lm >> width, k, lc, tuple((k2, e >> width, c) for k2, e, c in tail))
+        for lm, k, lc, tail in contracted.entries
     )
-    gb = GroebnerBasis(extended, order, elements)
+    gb = GroebnerBasis(extended, order, packing, entries)
     presentation = ReesPresentation(base_ctx, gens, extended, order, gb)
     for g in gb.elements:
         if not kernel_member(g, gens, extended):
@@ -320,12 +326,11 @@ def standard_rewrites(presentation, k):
     order = presentation.gb.compiled()
     fiber_idx = set(presentation.fiber_indices())
     standard = set(standard_monomials(presentation, k).monomials())
-    reducers = Reducers(presentation.gb.elements, order)
     out = []
     for w in _fiber_monomials(presentation, k):
         if not blocked(w):
             continue
-        remainder = normal_form(monomial_poly(w), reducers, order)
+        remainder = normal_form(monomial_poly(w), presentation.gb)
         for m, _c in remainder.terms:
             part = Monomial.from_pairs(
                 [(i, e) for i, e in enumerate(m.exps) if e and i in fiber_idx],
@@ -395,12 +400,6 @@ def quotient_steps(images):
         if any(sum(q) > 1 for q in quotients):
             ok = False
     return QuotientReport(tuple(steps), ok, minimal)
-
-
-def is_minimal_sequence(monomials):
-    """Whether no monomial of the sequence divides another, a repeat
-    included."""
-    return quotient_steps(monomials).minimal
 
 
 def colon_cross_check(presentation, k):
@@ -501,8 +500,10 @@ def componentwise_certificate(presentation, k):
 
     oracle_verdict = None
     oracle_match = None
-    power = MonomialIdeal.make(images)
-    if len(power.generators) <= GENERATOR_CAP:
+    # minimal images are the power's minimal generators, so their count
+    # decides the gate without building the ideal
+    power = None if minimal and len(images) > GENERATOR_CAP else MonomialIdeal.make(images)
+    if power is not None and len(power.generators) <= GENERATOR_CAP:
         power_table = betti_numbers(power)
         if table is not None and minimal:
             oracle_match = power_table == table

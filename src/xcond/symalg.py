@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import itemgetter
 
 from .betti import matrix_rank
 from .graphs import peo, relabel
@@ -24,6 +25,7 @@ from .groebner import (
     Ideal,
     ScaleExceeded,
     initial_ideal,
+    packing_for,
     reduced_groebner_basis,
 )
 from .ring import (
@@ -149,28 +151,38 @@ def admissible_paths(graph):
 
 def admissible_path_basis(graph):
     """The combinatorial basis u_pi * (x_i y_j - x_j y_i), one element per
-    admissible path, sorted the way a reduced basis is sorted."""
+    admissible path, each written straight into its packed entry
+    (lm, K(lm), 1, ((K(tail), tail, -1),)) and sorted the way a reduced
+    basis is sorted."""
     n = graph.n
     ctx = pair_context(n)
     order = lex_order(*ctx.names)
-    key = compile_order(order, ctx)
-    elements = []
+    packing = packing_for(compile_order(order, ctx), 1)
+    units, width = packing.units, packing.width
+
+    def pair(a, b):
+        """(K, packed exponents) of x_a * y_b."""
+        return units[a] + units[n + b], (1 << width * a) + (1 << width * (n + b))
+
+    entries = []
     for path in admissible_paths(graph):
+        k, e = packing.key(path.u_pi.exps), packing.pack(path.u_pi.exps)
         # x_i y_j > x_j y_i in lex as i < j, and u_pi preserves that
-        lead = Monomial.from_pairs([(path.i, 1), (n + path.j, 1)], 2 * n)
-        tail = Monomial.from_pairs([(path.j, 1), (n + path.i, 1)], 2 * n)
-        terms = ((lead.mul(path.u_pi), _ONE), (tail.mul(path.u_pi), -_ONE))
-        elements.append(Polynomial(terms))
-    elements.sort(key=lambda g: key.key(g.lm()), reverse=True)
-    return GroebnerBasis(ctx, order, tuple(elements))
+        lead_k, lead_e = pair(path.i, path.j)
+        tail_k, tail_e = pair(path.j, path.i)
+        entries.append((e + lead_e, k + lead_k, 1, ((k + tail_k, e + tail_e, -1),)))
+    entries.sort(key=itemgetter(1), reverse=True)
+    return GroebnerBasis(ctx, order, packing, tuple(entries))
 
 
 def same_basis(a, b):
     """Whether two bases, each sorted under its order as a reduced basis
-    is, are equal: the same context and order and the same terms tuple
-    element by element, without the dicts Polynomial.__eq__ builds."""
+    is, are equal: the same context and order, and the same entries when
+    they share a packing, else the same terms tuple element by element."""
     if (a.context, a.order) != (b.context, b.order):
         return False
+    if a.packing is b.packing:
+        return a.entries == b.entries
     return [g.terms for g in a.elements] == [g.terms for g in b.elements]
 
 
@@ -245,7 +257,10 @@ def equivalence_check(graph, config=None):
     x_condition = not violations
 
     basis = admissible_path_basis(working)
-    basis_x_condition = all(g.lm().degree_on(x_idx) == 1 for g in basis.elements)
+    unpack = basis.packing.unpack
+    basis_x_condition = all(
+        Monomial(unpack(entry[0])).degree_on(x_idx) == 1 for entry in basis.entries
+    )
     basis_matches = same_basis(basis, gb)
 
     colon_route_linear = all(

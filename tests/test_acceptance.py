@@ -46,7 +46,6 @@ from xcond.rees import (
     betti_from_quotients,
     colon_cross_check,
     componentwise_certificate,
-    is_minimal_sequence,
     kernel_member,
     quotient_steps,
     rees_ideal,
@@ -305,8 +304,8 @@ def test_criterion_5_power_pipeline():
     for name, pres in families.items():
         for k in (1, 2, 3):
             images = standard_monomials(pres, k).images()
-            assert is_minimal_sequence(images), (name, k)
             report = quotient_steps(images)
+            assert report.minimal, (name, k)
             assert report.ok, (name, k)
             assert colon_cross_check(pres, k), (name, k)
             if len(images) <= 16:
@@ -368,7 +367,7 @@ def test_criterion_7_nonminimal_counterexample():
     ok = (
         report.ok
         and colons == [[], ["x1"], ["x1"]]
-        and not is_minimal_sequence((x1sq, x1x2sq, x2sq))
+        and not report.minimal
         and beta14 != 0
         and not has_linear_resolution(component)
         and not is_componentwise_linear(ideal)
@@ -381,7 +380,7 @@ def test_criterion_7_nonminimal_counterexample():
     )
     assert report.ok
     assert colons == [[], ["x1"], ["x1"]]
-    assert not is_minimal_sequence((x1sq, x1x2sq, x2sq))
+    assert not report.minimal
     assert beta14 != 0
     assert not has_linear_resolution(component)
     assert not is_componentwise_linear(ideal)

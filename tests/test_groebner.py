@@ -15,7 +15,6 @@ from xcond.groebner import (
     GroebnerBasis,
     Ideal,
     MonomialIdeal,
-    Reducers,
     ScaleExceeded,
     buchberger,
     divide,
@@ -49,7 +48,7 @@ from xcond.rees import (
     rees_ideal,
     weight_order,
 )
-from xcond.symalg import edge_module
+from xcond.symalg import edge_module, equivalence_check
 
 
 # (1 + x3 + x2^3 + x1*x3^2, 1 + x2*x3^2 + x1*x2, x1^3), as in tests/test_oracle.py
@@ -65,6 +64,11 @@ def mono(ctx, **powers):
     for name, p in powers.items():
         e[ctx.index(name)] = p
     return Monomial(tuple(e))
+
+
+def basis_of(polys, order, fit=()):
+    """GroebnerBasis.of the polys under a compiled order."""
+    return GroebnerBasis.of(polys, order.context, order.spec, fit)
 
 
 @pytest.fixture
@@ -95,19 +99,19 @@ class TestDivision:
         ctx = VarContext.make(("x1", "x2", "y1", "y2"))
         ord_ = compile_order(lex_order("x1", "x2", "y1", "y2"), ctx)
         f = parse_polynomial("x1*y2 - x2*y1", ctx, ord_)
-        assert normal_form(f, [f], ord_).is_zero()
+        assert normal_form(f, basis_of([f], ord_)).is_zero()
 
     def test_multiple_of_generator(self, ctx3):
         ord_ = compile_order(lex_order("x1", "x2", "x3"), ctx3)
         g = parse_polynomial("x2", ctx3, ord_)
         f = parse_polynomial("x2*x1*x3", ctx3, ord_)
-        assert normal_form(f, [g], ord_).is_zero()
+        assert normal_form(f, basis_of([g], ord_)).is_zero()
 
     def test_lex_square_rewrite(self, ctx2):
         ord_ = compile_order(lex_order("x1", "x2"), ctx2)
         f = parse_polynomial("x1^2*x2^2", ctx2, ord_)
         g = parse_polynomial("x1^2 - x2", ctx2, ord_)
-        assert render_polynomial(normal_form(f, [g], ord_), ctx2) == "x2^3"
+        assert render_polynomial(normal_form(f, basis_of([g], ord_)), ctx2) == "x2^3"
 
     def test_remainder_reduced_and_combination_exact(self, ctx3):
         ord_ = compile_order(lex_order("x1", "x2", "x3"), ctx3)
@@ -146,9 +150,9 @@ def textbook_s_polynomial(f, g, ord_):
 def integer_s_polynomial(f, g, ord_):
     """The engine's S-polynomial, checked to be a nonzero integer multiple
     of the textbook one."""
-    table = Reducers([f, g], ord_)
-    pk = table.packing
-    fi, fj = table
+    basis = basis_of([f, g], ord_)
+    pk = basis.packing
+    fi, fj = basis.entries
     L = pk.lcm(fi[0], fj[0])
     packed = groebner._s_polynomial(fi, fj, L, pk.key(pk.unpack(L)))
     assert packed == sorted(packed)
@@ -262,21 +266,22 @@ class TestBuchberger:
             parse_polynomial("x1*x3 - x2", ctx3, ord_),
         ]
         gb = buchberger(Ideal.make(gens, ctx3), spec)
-        assert is_spair_closed(gb.elements, spec, ctx3)
+        assert is_spair_closed(gb)
 
     def test_spair_check_caps_reduced_pairs_only(self, ctx3):
         """Coprime pairs are skipped before the pair cap counts them."""
         spec = lex_order("x1", "x2", "x3")
         variables = [parse_polynomial(v, ctx3) for v in ("x1", "x2", "x3")]
-        assert is_spair_closed(variables, spec, ctx3, GBConfig(pair_cap=1))
+        assert is_spair_closed(GroebnerBasis.of(variables, ctx3, spec), GBConfig(pair_cap=1))
         # the first of the three pairs is coprime
-        basis = [parse_polynomial(f, ctx3) for f in ("x1*x2", "x3^2", "x2*x3")]
-        assert is_spair_closed(basis, spec, ctx3, GBConfig(pair_cap=2))
+        texts = ("x1*x2", "x3^2", "x2*x3")
+        basis = GroebnerBasis.of([parse_polynomial(f, ctx3) for f in texts], ctx3, spec)
+        assert is_spair_closed(basis, GBConfig(pair_cap=2))
         with pytest.raises(
             ScaleExceeded,
             match=r"^S-pair budget of 1 exhausted at pair 3 of 3 \(3 basis elements\)$",
         ):
-            is_spair_closed(basis, spec, ctx3, GBConfig(pair_cap=1))
+            is_spair_closed(basis, GBConfig(pair_cap=1))
 
     def test_pair_cap_raises(self, ctx3):
         spec = lex_order("x1", "x2", "x3")
@@ -365,6 +370,38 @@ def sym_ideal(vertices, edges):
     """Sym(M_G) of the graph under lex: quadrics x_a*y_b - x_b*y_a."""
     em = edge_module(Graph.make(vertices, edges))
     return em.sym_ideal, em.order
+
+
+def counted_polynomials(monkeypatch):
+    """The calls to Packing.polynomial from then on, one item each."""
+    calls = []
+    polynomial = groebner.Packing.polynomial
+
+    def counted(self, terms, den):
+        calls.append(den)
+        return polynomial(self, terms, den)
+
+    monkeypatch.setattr(groebner.Packing, "polynomial", counted)
+    return calls
+
+
+class TestPolynomialsOnRead:
+    """A basis stays packed: its Polynomials are built on the first read
+    of its elements, once."""
+
+    def test_reduced_basis(self, monkeypatch):
+        ideal, spec = sym_ideal(*C5)
+        calls = counted_polynomials(monkeypatch)
+        gb = reduced_groebner_basis(ideal, spec)
+        assert calls == []
+        assert len(gb.elements) == len(calls) == len(gb.entries) > 1
+        assert gb.elements and len(calls) == len(gb.entries)
+
+    def test_equivalence_check(self, monkeypatch):
+        calls = counted_polynomials(monkeypatch)
+        report = equivalence_check(Graph.make(*C5))
+        assert report.equivalence_ok and not report.chordal
+        assert calls == []
 
 
 class TestGradedSelection:
@@ -471,8 +508,8 @@ class TestEliminate:
             parse_polynomial("y2 - x2*_t", ctx, ord_),
         ]
         contracted = eliminate(Ideal.make(gens, ctx), ("_t",), spec)
-        assert len(contracted.generators) == 1
-        g = contracted.generators[0]
+        assert len(contracted.elements) == 1
+        g = contracted.elements[0]
         assert g == parse_polynomial("x2*y1 - x1*x3*y2", ctx, ord_)
 
     def test_block_absent(self, p3_rees_ctx):
@@ -485,14 +522,14 @@ class TestEliminate:
         ord_ = compile_order(spec, ctx)
         gens = [parse_polynomial("x2*y1 - x1*y2", ctx, ord_)]
         contracted = eliminate(Ideal.make(gens, ctx), ("_t",), spec)
-        assert contracted.generators == tuple(gens)
+        assert contracted.elements == tuple(gens)
 
     def test_eliminate_everything(self, ctx2):
         spec = lex_order("x1", "x2")
         ord_ = compile_order(spec, ctx2)
         gens = [parse_polynomial("x1 - x2", ctx2, ord_)]
         contracted = eliminate(Ideal.make(gens, ctx2), ("x1", "x2"), spec)
-        assert contracted.generators == ()
+        assert contracted.elements == ()
 
     @pytest.mark.parametrize(
         "names,ranking,texts,block,want",
@@ -517,7 +554,7 @@ class TestEliminate:
         ord_ = compile_order(spec, ctx)
         gens = [parse_polynomial(t, ctx, ord_) for t in texts]
         contracted = eliminate(Ideal.make(gens, ctx), block, spec)
-        assert [g.terms for g in contracted.generators] == [
+        assert [g.terms for g in contracted.elements] == [
             parse_polynomial(t, ctx, ord_).terms for t in want
         ]
 
@@ -555,7 +592,7 @@ class TestEliminate:
         idx = [ideal.context.index(v) for v in block]
         want = [g.terms for g in full if not any(g.lm().exps[i] for i in idx)]
         assert 1 < len(want) < len(full)
-        assert [g.terms for g in eliminate(ideal, block, spec, config).generators] == want
+        assert [g.terms for g in eliminate(ideal, block, spec, config).elements] == want
 
     def test_non_elimination_order_rejected(self, p3_rees_ctx):
         ctx = p3_rees_ctx
@@ -580,15 +617,15 @@ class TestMembership:
         combo = gens[0].mul(parse_polynomial("x3 + 2", ctx3, ord_), ord_).add(
             gens[1].mul(parse_polynomial("x1*x2 - 1/3", ctx3, ord_), ord_), ord_
         )
-        assert membership(combo, gb.elements, ord_)
-        assert membership(combo, Reducers(gb.elements, ord_), ord_)
+        assert membership(combo, gb)
+        assert membership(combo, GroebnerBasis.of(gb.elements, ctx3, spec, fit=[combo]))
 
     def test_one_not_member_of_proper_ideal(self, ctx3):
         spec = lex_order("x1", "x2", "x3")
         ord_ = compile_order(spec, ctx3)
         gens = [parse_polynomial("x1*x2 - x3", ctx3, ord_)]
         gb = reduce_basis(buchberger(Ideal.make(gens, ctx3), spec))
-        assert not membership(parse_polynomial("1", ctx3, ord_), gb.elements, ord_)
+        assert not membership(parse_polynomial("1", ctx3, ord_), gb)
 
 
 def quotient_colon(ideal, m):
@@ -663,13 +700,13 @@ class TestMonomialIdeal:
     def test_initial_ideal_minimalizes(self, ctx2):
         spec = lex_order("x1", "x2")
         ord_ = compile_order(spec, ctx2)
-        gb = GroebnerBasis(
-            ctx2,
-            spec,
+        gb = GroebnerBasis.of(
             (
                 parse_polynomial("x1 - x2", ctx2, ord_),
                 parse_polynomial("x1^2 - 2", ctx2, ord_),
             ),
+            ctx2,
+            spec,
         )
         assert initial_ideal(gb).generators == (mono(ctx2, x1=1),)
 
@@ -711,20 +748,21 @@ class TestForeignTermOrder:
         lex_ = compile_order(lex_order("a", "b", "c"), self.ctx)
         foreign = tuple(poly_from_dict(dict(g.terms), lex_) for g in gb.elements)
         assert [g.terms for g in foreign] != [g.terms for g in gb.elements]
-        a = reduce_basis(GroebnerBasis(self.ctx, self.spec, foreign))
+        repacked = GroebnerBasis.of(foreign, self.ctx, self.spec)
+        a = reduce_basis(repacked)
         b = reduce_basis(gb)
         assert [g.terms for g in a.elements] == [g.terms for g in b.elements]
-        assert is_spair_closed(foreign, self.spec, self.ctx)
-        assert not is_spair_closed(self.gens, self.spec, self.ctx)
-        assert not is_spair_closed(self.presorted(self.gens), self.spec, self.ctx)
-        ord_ = gb.compiled()
+        assert is_spair_closed(repacked)
+        for gens in (self.gens, self.presorted(self.gens)):
+            assert not is_spair_closed(GroebnerBasis.of(gens, self.ctx, self.spec))
         for text in ("b*c - a", "a^3*b - a*c^2", "a*b*c - c", "a^2 + b"):
             q = parse_polynomial(text, self.ctx)
             (presorted,) = self.presorted([q])
-            assert normal_form(q, [], ord_).terms == presorted.terms
-            want = normal_form(presorted, gb.elements, ord_)
-            assert normal_form(q, foreign, ord_).terms == want.terms
-            assert membership(q, foreign, ord_) == want.is_zero()
+            empty = GroebnerBasis.of([], self.ctx, self.spec, fit=[q])
+            assert normal_form(q, empty).terms == presorted.terms
+            want = normal_form(presorted, gb)
+            assert normal_form(q, repacked).terms == want.terms
+            assert membership(q, repacked) == want.is_zero()
 
     def test_permutation_stability(self):
         base = reduced_groebner_basis(Ideal.make(self.gens, self.ctx), self.spec)
@@ -737,7 +775,7 @@ class TestForeignTermOrder:
     def test_membership_resorts_the_query(self):
         gb = reduced_groebner_basis(Ideal.make(self.gens, self.ctx), self.spec)
         q = parse_polynomial("b*c - a", self.ctx)
-        assert membership(q, gb.elements, gb.compiled())
+        assert membership(q, gb)
 
 
 # ---------------------------------------------------------------------------
@@ -811,14 +849,14 @@ class TestEngineInvariants:
     def test_raw_output_is_spair_closed_on_systems(self, name, arrangement):
         ideal, spec = system(name)
         gb = buchberger(arranged(ideal, arrangement), spec)
-        assert is_spair_closed(gb.elements, spec, ideal.context)
+        assert is_spair_closed(gb)
 
     @pytest.mark.parametrize("arrangement", ARRANGEMENTS)
     @pytest.mark.parametrize("n", (6, 7))
     def test_raw_output_is_spair_closed_on_rees_kernels(self, n, arrangement, monkeypatch):
         _, gb = path_kernel(n, monkeypatch, arrangement)
         assert len(gb.elements) > {6: 7, 7: 15}[n]
-        assert is_spair_closed(gb.elements, gb.order, gb.context)
+        assert is_spair_closed(gb)
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_arrangement_does_not_change_reduced_basis_on_systems(self, name):
@@ -857,14 +895,14 @@ class TestEngineInvariants:
 
 def polynomial_route(raw):
     """The reduced basis by way of Polynomials: every element buchberger
-    installed, retired ones included, packed again by reduce_basis."""
-    return reduce_basis(GroebnerBasis(raw.context, raw.order, raw.elements))
+    installed, retired ones included, packed again by GroebnerBasis.of."""
+    return reduce_basis(GroebnerBasis.of(raw.elements, raw.context, raw.order))
 
 
 class TestPackedHandoff:
-    """reduce_basis takes buchberger's active entries as they are; the
-    Polynomial route over every installed element must agree term for
-    term."""
+    """reduce_basis takes buchberger's entries as they are, retired ones
+    included; the Polynomial route over every installed element must agree
+    term for term."""
 
     @pytest.mark.parametrize("arrangement", ARRANGEMENTS)
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -872,8 +910,9 @@ class TestPackedHandoff:
         ideal, spec = system(name)
         raw = self.assert_handoff(arranged(ideal, arrangement), spec)
         if arrangement == "reversed":
-            # retired elements: the two routes reduce different inputs
-            assert len(raw.active) < len(raw.forms)
+            # a retired element: the raw basis holds a non-minimal lm
+            lms = [g.lm() for g in raw.elements]
+            assert any(a.divides(b) for a, b in itertools.permutations(lms, 2))
 
     @pytest.mark.parametrize("graph", ("c5", "anchor8"))
     def test_sym_ideals(self, graph):
@@ -898,7 +937,7 @@ class TestPackedHandoff:
         want = [g.terms for g in polynomial_route(raw).elements]
         assert [g.terms for g in reduced_groebner_basis(ideal, spec).elements] == want
         assert [g.terms for g in reduce_basis(raw).elements] == want
-        assert len(raw.elements) == len(raw.forms)
+        assert len(raw.elements) == len(raw.entries)
         return raw
 
 
@@ -930,8 +969,7 @@ class TestQuotientFreeNormalForm:
         f = poly_from_dict(f, ord_)
         gs = [poly_from_dict(g, ord_) for g in divisors]
         _, r = divide(f, gs, ord_)
-        assert normal_form(f, gs, ord_).terms == r.terms
-        assert normal_form(f, Reducers(gs, ord_), ord_).terms == r.terms
+        assert normal_form(f, basis_of(gs, ord_, [f])).terms == r.terms
 
     @settings(max_examples=200, deadline=None)
     # x1^3 goes to the remainder before 2*x2 + x3^2 rescales the rest
@@ -952,10 +990,9 @@ class TestQuotientFreeNormalForm:
         f = poly_from_dict(f, ord_)
         gs = [poly_from_dict(g, ord_) for g in divisors]
         _, r = divide(f, gs, ord_)
-        for table in (gs, Reducers(gs, ord_)):
-            got = normal_form(f, table, ord_)
-            assert got.terms == r.terms
-            assert all(type(c) is Fraction for _, c in got.terms)
+        got = normal_form(f, basis_of(gs, ord_, [f]))
+        assert got.terms == r.terms
+        assert all(type(c) is Fraction for _, c in got.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,9 +1061,10 @@ class TestPackedExponents:
         pk = groebner.Packing(order, width)
         pa, pb = pk.pack(a), pk.pack(b)
         assert pk.unpack(pa) == a
-        table = Reducers([monomial_poly(Monomial(a))], order, pk)
-        assert (table.find(pb) is not None) == all(x <= y for x, y in zip(a, b))
-        assert table.find(pa) is table[0]
+        entries = [pk.form(monomial_poly(Monomial(a)))]
+        hit = groebner._find(pb, entries, pk.guard)
+        assert (hit is not None) == all(x <= y for x, y in zip(a, b))
+        assert groebner._find(pa, entries, pk.guard) is entries[0]
         lcm = pk.lcm(pa, pb)
         assert pk.unpack(lcm) == tuple(map(max, a, b))
         assert (lcm == pa + pb) == (not set(Monomial(a).support()) & set(Monomial(b).support()))
@@ -1046,12 +1084,12 @@ class TestPackedExponents:
             pk.pack((8, 0))
         # x1^2 -> x1*x2^4 -> x2^8: the last product carries into a guard bit
         g = parse_polynomial("x1 - x2^4", ctx2, order)
-        table = Reducers([g], order, pk)
+        narrow = GroebnerBasis(ctx2, order.spec, pk, (pk.form(g),))
         f = parse_polynomial("x1^2", ctx2, order)
         with pytest.raises(ScaleExceeded):
-            normal_form(f, table, order)
+            normal_form(f, narrow)
         # the default width reduces the same input
-        assert render_polynomial(normal_form(f, [g], order), ctx2) == "x2^8"
+        assert render_polynomial(normal_form(f, basis_of([g], order)), ctx2) == "x2^8"
 
     def test_exponents_beyond_a_64_bit_field(self, ctx2):
         """Inputs with huge exponents get a wider field, not a refusal."""

@@ -73,7 +73,6 @@ LIBRARY_ONLY = (
     ("divide", "textbook division, the oracle for normal_form"),
     ("standard_rewrites", "the paper's rewrite check for standard monomials"),
     ("colon_cross_check", "the paper's colon-ideal check of linear quotients"),
-    ("is_minimal_sequence", "quotient_steps' minimality verdict alone, asserted on sequences"),
     ("weight_order", "builds the order of the weighted certificate route"),
     ("ascending_degree", "the weighted certificate route's sort"),
     ("is_chordal", "wrapped by the benchmark tracer; the oracle for peo"),

@@ -10,7 +10,7 @@ from xcond import betti, rees
 from xcond.betti import betti_numbers, is_componentwise_linear
 from xcond.families import biclique_claimed, cw_claimed
 from xcond.graphs import biclique_graph, cameron_walker_graph, minimal_vertex_covers, path_graph
-from xcond.groebner import Ideal, MonomialIdeal, reduced_groebner_basis
+from xcond.groebner import GroebnerBasis, Ideal, MonomialIdeal, reduced_groebner_basis
 from xcond.rees import (
     ascending_degree,
     betti_from_quotients,
@@ -18,7 +18,6 @@ from xcond.rees import (
     componentwise_certificate,
     default_fiber_names,
     extended_context,
-    is_minimal_sequence,
     kernel_member,
     quotient_steps,
     rees_ideal,
@@ -143,6 +142,31 @@ class TestOnePass:
         self.assert_closed(cw_claimed(cameron_walker_graph((1, 1), (1,))).presentation())
 
 
+class TestPackedStrip:
+    """rees_ideal drops t from the packed entries of the elimination basis,
+    each vector shifted down one field under an unchanged key: the entries
+    equal those of the kernel's Polynomials packed again under the order."""
+
+    @staticmethod
+    def assert_strip(pres):
+        again = GroebnerBasis.of(pres.gb.elements, pres.extended, pres.order)
+        assert again.packing is pres.gb.packing
+        assert pres.gb.entries == again.entries and pres.gb.entries
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_paths(self, n):
+        self.assert_strip(path_presentation(n))
+
+    def test_cw_revlex_fiber(self):
+        self.assert_strip(cw_claimed(cameron_walker_graph((1, 1), (0,))).presentation())
+
+    def test_weighted_fiber(self):
+        g = path_graph(7)
+        gens = ascending_degree(minimal_vertex_covers(g).monomials())
+        order = weight_order(gens, default_fiber_names(len(gens)), lex_order(*g.context().names))
+        self.assert_strip(rees_ideal(g.context(), gens, order=order))
+
+
 class TestPathEight:
     def test_basis_size_and_purity(self):
         pres = path_presentation(8)
@@ -224,7 +248,7 @@ class TestQuotients:
         gens = [step.colon.generators for step in report.steps]
         assert gens == [(), (Monomial((1, 0)),), (Monomial((1, 0)),)]
         assert [step.mu for step in report.steps] == [0, 1, 1]
-        assert not is_minimal_sequence(seq)
+        assert not report.minimal
 
     def test_nonlinear_colon_flagged(self):
         seq = (Monomial((2, 0, 0)), Monomial((0, 1, 2)))
@@ -236,8 +260,9 @@ class TestQuotients:
         for n in (5, 6):
             pres = path_presentation(n)
             for k in (1, 2, 3):
-                assert is_minimal_sequence(standard_monomials(pres, k).images())
-                assert quotient_steps(standard_monomials(pres, k).images()).ok
+                report = quotient_steps(standard_monomials(pres, k).images())
+                assert report.minimal
+                assert report.ok
                 assert colon_cross_check(pres, k)
 
     def test_cross_check_requires_linear_quotients(self):
@@ -293,7 +318,7 @@ class TestQuotientsAgainstDefinitions:
         steps, ok = literal_steps(images)
         assert [(s.j, s.colon.generators, s.mu, s.degree) for s in report.steps] == steps
         assert report.ok == ok
-        assert report.minimal == is_minimal_sequence(images) == literal_minimal(images)
+        assert report.minimal == literal_minimal(images)
 
 
 class TestBettiFromQuotients:
@@ -384,7 +409,7 @@ class TestCertificate:
         # quotients pass but the images are redundant and degrees dip
         seq = (Monomial((2, 0)), Monomial((1, 2)), Monomial((0, 2)))
         report = quotient_steps(seq)
-        assert report.ok and not is_minimal_sequence(seq)
+        assert report.ok and not report.minimal
         ideal = MonomialIdeal.make(seq)
         table = betti_numbers(ideal)
         assert table.get(1, 4) == 1

@@ -1,6 +1,7 @@
 """Edge modules, admissible paths, the chordality equivalence, cycle
 complexes, and the depth bound graph-stats reports."""
 
+from dataclasses import replace
 from itertools import chain, combinations, permutations
 
 import pytest
@@ -15,7 +16,14 @@ from xcond.graphs import (
     path_graph,
 )
 from xcond.groebner import GroebnerBasis, ScaleExceeded, reduced_groebner_basis
-from xcond.ring import Monomial, Polynomial, lex_order, render_monomial, render_polynomial
+from xcond.ring import (
+    Monomial,
+    Polynomial,
+    lex_order,
+    monomial_poly,
+    render_monomial,
+    render_polynomial,
+)
 from xcond.symalg import (
     admissible_path_basis,
     admissible_paths,
@@ -177,15 +185,24 @@ class TestAdmissibleBasis:
         gb = reduced_groebner_basis(em.sym_ideal, em.order)
         assert same_basis(basis, gb) and basis == gb
         first, *rest = gb.elements
-        flipped = Polynomial(tuple((m, -c) for m, c in first.terms))
+        flipped = Polynomial((first.terms[0], *((m, -c) for m, c in first.terms[1:])))
         reordered = lex_order(*reversed(gb.context.names))
         for other in (
-            GroebnerBasis(gb.context, gb.order, gb.elements[:-1]),
-            GroebnerBasis(gb.context, gb.order, (flipped, *rest)),
-            GroebnerBasis(gb.context, reordered, gb.elements),
-            GroebnerBasis(pair_context(5), gb.order, gb.elements),
+            GroebnerBasis.of(gb.elements[:-1], gb.context, gb.order),
+            GroebnerBasis.of((flipped, *rest), gb.context, gb.order),
+            GroebnerBasis.of(gb.elements, gb.context, reordered),
+            replace(gb, context=pair_context(5)),
         ):
             assert not same_basis(basis, other) and basis != other
+        # in another packing (an exponent of 2^15 in fit forces 64-bit
+        # fields) same_basis is term-tuple equality
+        big = monomial_poly(Monomial.from_pairs([(0, 1 << 15)], 8))
+        cases = ((gb.elements, True), (gb.elements[:-1], False), ((flipped, *rest), False))
+        for polys, want in cases:
+            wide = GroebnerBasis.of(polys, gb.context, gb.order, fit=[big])
+            assert (basis.packing.width, wide.packing.width) == (32, 64)
+            assert want == ([g.terms for g in basis.elements] == [g.terms for g in wide.elements])
+            assert same_basis(basis, wide) == same_basis(wide, basis) == want
 
     def test_four_cycle_elements(self):
         basis = admissible_path_basis(labeled(4, C4))
