@@ -46,12 +46,6 @@ class BettiTable:
         reg = max(j - i for (i, j), _ in items)
         return BettiTable(items, projdim, reg)
 
-    def as_dict(self):
-        return dict(self.entries)
-
-    def get(self, i, j):
-        return self.as_dict().get((i, j), 0)
-
     def generator_degrees(self):
         """Degree distribution of the beta_0 row."""
         return {j: v for (i, j), v in self.entries if i == 0}

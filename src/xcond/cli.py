@@ -44,7 +44,6 @@ from .groebner import (
     GBConfig,
     Ideal,
     ScaleExceeded,
-    initial_ideal,
     reduced_groebner_basis,
 )
 from .rees import (
@@ -257,7 +256,7 @@ def cmd_gb(args):
         "vars": list(ctx.names),
         "order": render_order_spec(spec),
         "elements": [render_polynomial(g, ctx) for g in gb.elements],
-        "initial": [render_monomial(m, ctx) for m in initial_ideal(gb).generators],
+        "initial": [render_monomial(m, ctx) for m in gb.initial.generators],
         "reduced": True,
     }
     return payload, 0
@@ -273,11 +272,11 @@ def cmd_rees(args):
 
 def cmd_xcond(args):
     pres = cover_presentation(args)
-    rep = x_condition(pres)
+    rep = x_condition(pres.gb)
     payload = {
         "x_condition": rep.holds,
         "violations": [render_monomial(m, pres.extended) for m in rep.violations],
-        "initial_generators": len(pres.initial.generators),
+        "initial_generators": len(pres.gb.initial.generators),
         "generators": len(pres.gens),
     }
     return payload, 0 if rep.holds else 1

@@ -639,7 +639,7 @@ def verify_claim(claim, config=None):
     spair_ok = is_spair_closed(claimed, config)
 
     claimed_ini = MonomialIdeal.make(claim.claimed_initials)
-    true_ini = presentation.initial
+    true_ini = presentation.gb.initial
     claimed_gens = set(claimed_ini.generators)
     true_gens = set(true_ini.generators)
     initial_match = claimed_gens == true_gens

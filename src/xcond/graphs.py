@@ -43,9 +43,6 @@ class Graph:
     def n(self):
         return len(self.vertices)
 
-    def index(self, name):
-        return self.vertices.index(name)
-
     def adjacency(self):
         adj = [set() for _ in self.vertices]
         for a, b in self.edges:

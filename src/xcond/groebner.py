@@ -58,8 +58,9 @@ eliminate's, and GroebnerBasis.of's, which packs Polynomials.  A
 polynomial crosses the boundary through Packing only: pack_terms packs
 and sorts its terms on the way in, and polynomial builds a Polynomial
 from packed terms on the way out, once per normal_form and once per
-element of a basis whose elements are read.  divide stays the Fraction
-textbook oracle.
+element of a basis whose elements are read.  A basis's initial ideal is
+likewise built on first read, from its packed leading monomials.  divide
+stays the Fraction textbook oracle.
 """
 
 from __future__ import annotations
@@ -147,6 +148,13 @@ class GroebnerBasis:
         return tuple(
             self.packing.polynomial(((k, lm, lc), *tail), lc) for lm, k, lc, tail in self.entries
         )
+
+    @cached_property
+    def initial(self):
+        """The initial ideal, minimally generated by the leading monomials;
+        built on first read."""
+        unpack = self.packing.unpack
+        return MonomialIdeal.make(Monomial(unpack(entry[0])) for entry in self.entries)
 
 
 @dataclass(frozen=True)
@@ -688,12 +696,3 @@ def eliminate(ideal, block, order, config=None):
         raise AssertionError("elimination order produced a mixed tail")
     return gb
 
-
-# ---------------------------------------------------------------------------
-# monomial utilities
-# ---------------------------------------------------------------------------
-
-
-def initial_ideal(gb):
-    unpack = gb.packing.unpack
-    return MonomialIdeal.make(Monomial(unpack(entry[0])) for entry in gb.entries)

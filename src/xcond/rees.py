@@ -6,17 +6,21 @@ y_j to u_j*t and fixing the x_i.  The kernel J is computed here by a
 single Buchberger run that eliminates t under block(t; fiber; base): by
 the Elimination Theorem the t-free part of that reduced basis is already
 the reduced basis of J under the block order comparing the fiber
-variables first.  Everything downstream reads off the reduced basis of
-J: the x-condition, the standard fiber monomials of each degree k (which
-present I^k), the successive colon ideals of their images, the
-closed-form Betti table those colons determine, and the final
-componentwise-linearity certificate.
+variables first.  t is the last variable of the elimination context, so
+those packed entries are J's as they stand.  Everything downstream reads
+off the reduced basis of J: the x-condition, the standard fiber
+monomials of each degree k (which present I^k), the successive colon
+ideals of their images, the closed-form Betti table those colons
+determine, and the final componentwise-linearity certificate.
+
+The x-condition is read off any reduced basis whose context names a
+"base" block, the variables of S: symalg presents Sym(M) in K[x, y] with
+its x_i as that block, so x_condition serves both algebras.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .betti import GENERATOR_CAP, BettiTable, betti_numbers, is_componentwise_linear
@@ -29,18 +33,17 @@ from .groebner import (
     criterion_m,
     eliminate,
     field_width,
-    initial_ideal,
     normal_form,
     order_packing,
 )
 from .ring import (
     Monomial,
+    Polynomial,
     VarContext,
     block_order,
     compile_order,
     lex_order,
     monomial_poly,
-    poly_from_dict,
     weighted_order,
 )
 
@@ -72,14 +75,6 @@ class ReesPresentation:
 
     def fiber_indices(self):
         return self.extended.block_indices(FIBER_BLOCK)
-
-    def base_indices(self):
-        return self.extended.block_indices(BASE_BLOCK)
-
-    @cached_property
-    def initial(self):
-        """The initial ideal of the kernel, built once per presentation."""
-        return initial_ideal(self.gb)
 
 
 def default_fiber_names(count):
@@ -143,13 +138,13 @@ def _validate_generators(base_ctx, gens):
 def rees_ideal(base_ctx, gens, order=None, fiber_names=None, config=None):
     """Reduced kernel basis of y_j -> u_j*t via t-elimination.
 
-    One Buchberger run under block(t; fiber; base); its generators
-    y_j - u_j*t are +-1 binomials, so it checks that every element it adds
-    is one too.  Its t-free elements, with the t coordinate dropped, are the
+    One Buchberger run under block(t; fiber; base), t the last variable of
+    its context; its generators y_j - u_j*t are +-1 binomials, so it checks
+    that every element it adds is one too.  Its t-free elements are the
     reduced basis under `order` (Elimination Theorem), already listed in
-    descending order of leading monomial.  t is dropped on the packed
-    entries.  Every element is checked to vanish under the substitution
-    map.
+    descending order of leading monomial, and their packed entries are
+    kept as they are.  Every element is checked to vanish under the
+    substitution map.
     """
     gens = tuple(gens)
     _validate_generators(base_ctx, gens)
@@ -163,45 +158,34 @@ def rees_ideal(base_ctx, gens, order=None, fiber_names=None, config=None):
         raise ValueError("order must compare the fiber block before the base block")
 
     elim_ctx = VarContext.make(
-        (ELIM_VAR,) + extended.names,
-        (("elim", (ELIM_VAR,)),) + extended.blocks,
+        extended.names + (ELIM_VAR,),
+        extended.blocks + (("elim", (ELIM_VAR,)),),
     )
     elim_order = block_order(("elim", lex_order(ELIM_VAR)), *order.parts)
-    elim_compiled = compile_order(elim_order, elim_ctx)
-    fiber = extended.block_vars(FIBER_BLOCK)
-    relations = []
-    for j, u in enumerate(gens):
-        image = [0] * elim_ctx.nvars
-        image[elim_ctx.index(ELIM_VAR)] = 1
-        for i, e in enumerate(u.exps):
-            image[elim_ctx.index(base_ctx.names[i])] = e
-        relations.append(
-            poly_from_dict(
-                {
-                    Monomial.var(elim_ctx.index(fiber[j]), elim_ctx.nvars): Fraction(1),
-                    Monomial(tuple(image)): Fraction(-1),
-                },
-                elim_compiled,
+    # u_j*t leads y_j - u_j*t, as the elimination order compares t first
+    no_fiber = (0,) * len(gens)
+    relations = [
+        Polynomial(
+            (
+                (Monomial(no_fiber + u.exps + (1,)), Fraction(-1)),
+                (Monomial.var(j, elim_ctx.nvars), Fraction(1)),
             )
         )
-    # y_j - u_j*t is homogeneous for deg t = 1, deg y_j = deg u_j + 1 and
-    # deg x_i = 1, so buchberger selects its pairs degree by degree
-    grading = (1, *(u.degree() + 1 for u in gens), *(1,) * base_ctx.nvars)
+        for j, u in enumerate(gens)
+    ]
+    # y_j - u_j*t is homogeneous for deg y_j = deg u_j + 1, deg x_i = 1 and
+    # deg t = 1, so buchberger selects its pairs degree by degree
+    grading = (*(u.degree() + 1 for u in gens), *(1,) * base_ctx.nvars, 1)
     ideal = Ideal.make(relations, elim_ctx, grading)
     contracted = eliminate(ideal, (ELIM_VAR,), elim_order, config)
-    # ELIM_VAR is field 0 of the packing and the rest is `extended`, so a
-    # t-free vector shifted down one field is its vector in `extended`.
+    # ELIM_VAR is the last field of the packing and the fields below it are
+    # `extended`'s, so a t-free vector is already its vector in `extended`.
     # elim_order's matrix is one t row on top of the rows of `order`, with
     # the same shift, so a t-free key is also its key under `order`.
-    width = contracted.packing.width
-    packing = order_packing(compile_order(order, extended), width)
-    if packing.units != contracted.packing.units[1:]:
+    packing = order_packing(compile_order(order, extended), contracted.packing.width)
+    if packing.units != contracted.packing.units[:-1]:
         raise AssertionError("the elimination key does not extend the order's key")
-    entries = tuple(
-        (lm >> width, k, lc, tuple((k2, e >> width, c) for k2, e, c in tail))
-        for lm, k, lc, tail in contracted.entries
-    )
-    gb = GroebnerBasis(extended, order, packing, entries)
+    gb = GroebnerBasis(extended, order, packing, contracted.entries)
     presentation = ReesPresentation(base_ctx, gens, extended, order, gb)
     for g in gb.elements:
         if not kernel_member(g, gens, extended):
@@ -252,12 +236,12 @@ class XConditionReport:
     violations: tuple
 
 
-def x_condition(presentation):
-    """Every minimal generator of the initial ideal is allowed at most one
-    base variable (counted with multiplicity)."""
-    base_idx = presentation.base_indices()
-    ini = presentation.initial
-    violations = tuple(m for m in ini.generators if m.degree_on(base_idx) > 1)
+def x_condition(gb):
+    """Every minimal generator of the initial ideal of the basis is allowed
+    at most one variable of its context's base block (counted with
+    multiplicity)."""
+    base_idx = gb.context.block_indices(BASE_BLOCK)
+    violations = tuple(m for m in gb.initial.generators if m.degree_on(base_idx) > 1)
     return XConditionReport(not violations, violations)
 
 
@@ -276,19 +260,17 @@ class StandardBasisK:
         return tuple(h for _, h in self.entries)
 
 
-def _blocked(presentation, k):
-    """Whether a degree-k fiber monomial is a multiple of a pure-fiber
-    generator of the initial ideal, tested on packed exponents."""
-    base_idx = presentation.base_indices()
-    blockers = [m.exps for m in presentation.initial.generators if m.degree_on(base_idx) == 0]
-    top = max([k, *map(max, blockers)])
-    fields = ExponentPacking(presentation.extended.nvars, field_width(top))
-    guard, pack = fields.guard, fields.pack
-    packed = [pack(v) for v in blockers]
+def _blocked(presentation):
+    """Whether a fiber monomial is a multiple of a pure-fiber leading
+    monomial of the basis, tested in the basis's packing."""
+    packing = presentation.gb.packing
+    guard, pack = packing.guard, packing.pack
+    base = packing.fields(presentation.extended.block_indices(BASE_BLOCK))
+    blockers = [lm for lm, _, _, _ in presentation.gb.entries if not lm & base]
 
     def blocked(w):
         above = pack(w.exps) | guard
-        return any((above - v) & guard == guard for v in packed)
+        return any((above - v) & guard == guard for v in blockers)
 
     return blocked
 
@@ -308,7 +290,7 @@ def _fiber_monomials(presentation, k):
 def standard_monomials(presentation, k):
     if k < 1:
         raise ValueError("power must be at least 1")
-    blocked = _blocked(presentation, k)
+    blocked = _blocked(presentation)
     order = presentation.gb.compiled()
     ws = [w for w in _fiber_monomials(presentation, k) if not blocked(w)]
     ws.sort(key=order.key)
@@ -322,7 +304,7 @@ def standard_rewrites(presentation, k):
     smaller standard fiber monomials of the same degree; violations raise.
     Returns the (monomial, remainder) pairs.
     """
-    blocked = _blocked(presentation, k)
+    blocked = _blocked(presentation)
     order = presentation.gb.compiled()
     fiber_idx = set(presentation.fiber_indices())
     standard = set(standard_monomials(presentation, k).monomials())
@@ -410,7 +392,7 @@ def colon_cross_check(presentation, k):
     report = quotient_steps(basis.images())
     if not report.ok:
         raise ValueError("cross-check requires a linear-quotients pipeline")
-    ini = presentation.initial
+    ini = presentation.gb.initial
     extended = presentation.extended
     for step, w in zip(report.steps, basis.monomials()):
         if any(g.is_one() for g in step.colon.generators):
@@ -474,8 +456,8 @@ def componentwise_certificate(presentation, k):
     Betti table is attached whenever either hypothesis validates it, and the
     brute-force verdict is attached whenever the power is small enough.
     """
-    xc = x_condition(presentation)
-    quadratic = all(m.degree() <= 2 for m in presentation.initial.generators)
+    xc = x_condition(presentation.gb)
+    quadratic = all(m.degree() <= 2 for m in presentation.gb.initial.generators)
     basis = standard_monomials(presentation, k)
     images = basis.images()
     report = quotient_steps(images)

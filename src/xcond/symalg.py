@@ -24,10 +24,10 @@ from .groebner import (
     GroebnerBasis,
     Ideal,
     ScaleExceeded,
-    initial_ideal,
     packing_for,
     reduced_groebner_basis,
 )
+from .rees import BASE_BLOCK, FIBER_BLOCK, x_condition
 from .ring import (
     Monomial,
     Polynomial,
@@ -46,10 +46,14 @@ _ONE = Fraction(1)
 
 
 def pair_context(n):
-    """K[x_1..x_n, y_1..y_n] with the x-block listed (and compared) first."""
+    """K[x_1..x_n, y_1..y_n] with the x-block listed (and compared) first.
+
+    The x_i form the base block and the y_i the fiber block, the block
+    names of a Rees presentation, so rees.x_condition reads either
+    algebra's basis."""
     xs = tuple(f"x{i}" for i in range(1, n + 1))
     ys = tuple(f"y{i}" for i in range(1, n + 1))
-    return VarContext.make(xs + ys, blocks=(("x", xs), ("y", ys)))
+    return VarContext.make(xs + ys, blocks=((BASE_BLOCK, xs), (FIBER_BLOCK, ys)))
 
 
 # ---------------------------------------------------------------------------
@@ -247,39 +251,34 @@ def equivalence_check(graph, config=None):
     ctx = presentation.context
     n = working.n
     gb = reduced_groebner_basis(presentation.sym_ideal, presentation.order, config)
-    gens = initial_ideal(gb).generators
-    x_idx = ctx.block_indices("x")
-    y_idx = ctx.block_indices("y")
-
-    violations = tuple(
-        render_monomial(m, ctx) for m in gens if m.degree_on(x_idx) > 1
-    )
-    x_condition = not violations
+    xc = x_condition(gb)
 
     basis = admissible_path_basis(working)
     unpack = basis.packing.unpack
+    x_idx = ctx.block_indices(BASE_BLOCK)
     basis_x_condition = all(
         Monomial(unpack(entry[0])).degree_on(x_idx) == 1 for entry in basis.entries
     )
     basis_matches = same_basis(basis, gb)
 
-    colon_route_linear = all(
-        m.degree_on(x_idx) <= 1 for m in gens if m.degree_on(y_idx) == 1
-    )
-
+    # one bidegree pass: the x-part is exps[:n] and the y-part exps[n:]
+    colon_route_linear = True
     bilinear = set()
-    for m in gens:
-        if m.degree_on(x_idx) == 1 and m.degree_on(y_idx) == 1:
-            a = next(v for v in m.support() if v < n)
-            b = next(v - n for v in m.support() if v >= n)
-            bilinear.add((min(a, b), max(a, b)))
+    for m in gb.initial.generators:
+        xs, ys = m.exps[:n], m.exps[n:]
+        if sum(ys) == 1:
+            x_degree = sum(xs)
+            colon_route_linear = colon_route_linear and x_degree <= 1
+            if x_degree == 1:
+                a, b = xs.index(1), ys.index(1)
+                bilinear.add((min(a, b), max(a, b)))
     back_edges_match = bilinear == set(working.edges)
 
     return EquivalenceReport(
         chordal,
         labeling,
-        x_condition,
-        violations,
+        xc.holds,
+        tuple(render_monomial(m, ctx) for m in xc.violations),
         basis_x_condition,
         basis_matches,
         colon_route_linear,

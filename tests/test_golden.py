@@ -64,6 +64,8 @@ INPUTS = {
         "x*z^2 - y^2 + z\n"
     ),
     "c4.graph": "v1 v2\nv2 v3\nv3 v4\nv1 v4\n",
+    # the star's cover ideal (a, bcd) fails the x-condition: y1*b*c*d
+    "star.graph": "a b\na c\na d\n",
     # the fixed eight-vertex graph of the edge-sweep benchmark
     "g8.graph": (
         "v1 v3\nv1 v4\nv1 v5\nv1 v6\nv1 v7\nv1 v8\n"
@@ -83,6 +85,9 @@ GOLDEN = (
     ("rees --biclique 2 2 2 --k 1", 0, "9e21ed691a5120accf0b4679f8f116e4c916745f0199c6057b1116aee23e8c59"),
     ("rees --cw p=1 q=1 --k 2", 0, "e16d9ef9aeeef2c66196b926743e8eea41d9a89f87b41388002a583596923197"),
     ("xcond --path 8", 0, "53e84c15e8d62cd39b2fe2543a960d01d10f1167f27f193c0c91b185a2cd34c6"),
+    # exit 1: the x-condition fails, violations ["y1*b*c*d"]
+    ("xcond --graph star.graph", 1, "bba40f019ec2c4b04fa4a1f7464eb25ba509dd090f9aa71d9fe7c63bccbd25cd"),
+    ("rees --graph star.graph --k 1", 1, "3774dc1217cfa3ff816768e5ac59a5d394c8d19ecdd1b6d80c68ffc0fc07ca3c"),
     ("powers --path 6 --kmax 3", 0, "f6ba7d4b51d5a780d5d4c3cde594a4120fefb45b94e4be2fc4b027879e1ab3a8"),
     ("powers --cw p=2 q=1 --kmax 3", 0, "9fc215f84a5aa4ed474a6b7abf7da8f26228c243b1db7888ff36e54deacd091f"),
     ("powers --path 5 --kmax 3", 0, "4f450511c25baaf6b82a390ab210ac4af678907d911f86df10f43328b776f2cd"),

@@ -50,20 +50,20 @@ class TestConstruction:
         g = biclique_graph(2, 3, 2)
         assert g.n == 7
         # x-side is a clique with each of the two sides, no y-z edges
-        assert g.has_edge(g.index("x1"), g.index("x2"))
-        assert g.has_edge(g.index("x1"), g.index("y2"))
-        assert g.has_edge(g.index("x2"), g.index("z1"))
-        assert g.has_edge(g.index("y1"), g.index("y3"))
-        assert g.has_edge(g.index("z1"), g.index("z2"))
-        assert not g.has_edge(g.index("y1"), g.index("z1"))
+        assert g.has_edge(g.vertices.index("x1"), g.vertices.index("x2"))
+        assert g.has_edge(g.vertices.index("x1"), g.vertices.index("y2"))
+        assert g.has_edge(g.vertices.index("x2"), g.vertices.index("z1"))
+        assert g.has_edge(g.vertices.index("y1"), g.vertices.index("y3"))
+        assert g.has_edge(g.vertices.index("z1"), g.vertices.index("z2"))
+        assert not g.has_edge(g.vertices.index("y1"), g.vertices.index("z1"))
 
     def test_cw_smallest(self):
         g = cameron_walker_graph((1,), (1,))
         assert set(g.vertices) == {"a1_1", "b1_1", "c1_1", "zeta1", "xi1"}
-        assert g.has_edge(g.index("xi1"), g.index("zeta1"))
-        assert g.has_edge(g.index("xi1"), g.index("a1_1"))
-        assert g.has_edge(g.index("zeta1"), g.index("b1_1"))
-        assert g.has_edge(g.index("b1_1"), g.index("c1_1"))
+        assert g.has_edge(g.vertices.index("xi1"), g.vertices.index("zeta1"))
+        assert g.has_edge(g.vertices.index("xi1"), g.vertices.index("a1_1"))
+        assert g.has_edge(g.vertices.index("zeta1"), g.vertices.index("b1_1"))
+        assert g.has_edge(g.vertices.index("b1_1"), g.vertices.index("c1_1"))
 
     def test_cw_vertex_order(self):
         g = cameron_walker_graph((3, 1, 2, 1), (2, 0, 1))

@@ -19,7 +19,6 @@ from xcond.groebner import (
     buchberger,
     divide,
     eliminate,
-    initial_ideal,
     is_spair_closed,
     membership,
     normal_form,
@@ -708,7 +707,7 @@ class TestMonomialIdeal:
             ctx2,
             spec,
         )
-        assert initial_ideal(gb).generators == (mono(ctx2, x1=1),)
+        assert gb.initial.generators == (mono(ctx2, x1=1),)
 
 
 class TestForeignTermOrder:
@@ -920,14 +919,14 @@ class TestPackedHandoff:
 
     @pytest.mark.parametrize("n", (6, 7, 8))
     def test_path_eliminations(self, n, monkeypatch):
-        """eliminate keeps the active entries free of t (coordinate 0 of
-        the elimination context): the t-free part of the Polynomial route's
-        basis, t dropped, is the Rees kernel."""
+        """eliminate keeps the active entries free of t (the last
+        coordinate of the elimination context): the t-free part of the
+        Polynomial route's basis, t dropped, is the Rees kernel."""
         pres, raw = path_kernel(n, monkeypatch)
         want = [
-            tuple((Monomial(m.exps[1:]), c) for m, c in g.terms)
+            tuple((Monomial(m.exps[:-1]), c) for m, c in g.terms)
             for g in polynomial_route(raw).elements
-            if not g.lm().exps[0]
+            if not g.lm().exps[-1]
         ]
         assert [g.terms for g in pres.gb.elements] == want
 
@@ -1009,7 +1008,7 @@ def _rees_orders():
     extended = extended_context(base, gens)
     default = default_order(extended)
     elim_ctx = VarContext.make(
-        (ELIM_VAR,) + extended.names, (("elim", (ELIM_VAR,)),) + extended.blocks
+        extended.names + (ELIM_VAR,), extended.blocks + (("elim", (ELIM_VAR,)),)
     )
     elim = block_order(("elim", lex_order(ELIM_VAR)), *default.parts)
     weighted = weight_order(gens, extended.block_vars("fiber"), lex_order(*base.names))

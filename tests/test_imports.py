@@ -75,7 +75,7 @@ LIBRARY_ONLY = (
     ("colon_cross_check", "the paper's colon-ideal check of linear quotients"),
     ("weight_order", "builds the order of the weighted certificate route"),
     ("ascending_degree", "the weighted certificate route's sort"),
-    ("is_chordal", "wrapped by the benchmark tracer; the oracle for peo"),
+    ("is_chordal", "kept only because the benchmark tracer wraps it; it is peo(graph) is not None"),
     ("Polynomial.is_binomial_pm1", "the toric shape the Rees kernel tests assert"),
     ("Polynomial.scale", "rescales the inputs of the reduced-basis uniqueness tests"),
 )

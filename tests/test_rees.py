@@ -1,6 +1,7 @@
 """Rees presentations, the x-condition, and the quotients pipeline."""
 
 from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +10,14 @@ from hypothesis import strategies as st
 from xcond import betti, rees
 from xcond.betti import betti_numbers, is_componentwise_linear
 from xcond.families import biclique_claimed, cw_claimed
-from xcond.graphs import biclique_graph, cameron_walker_graph, minimal_vertex_covers, path_graph
-from xcond.groebner import GroebnerBasis, Ideal, MonomialIdeal, reduced_groebner_basis
+from xcond.graphs import (
+    Graph,
+    biclique_graph,
+    cameron_walker_graph,
+    minimal_vertex_covers,
+    path_graph,
+)
+from xcond.groebner import GroebnerBasis, Ideal, MonomialIdeal, eliminate, reduced_groebner_basis
 from xcond.rees import (
     ascending_degree,
     betti_from_quotients,
@@ -35,6 +42,7 @@ from xcond.ring import (
     render_monomial,
     render_polynomial,
 )
+from xcond.symalg import edge_module
 
 
 def path_presentation(n, **kwargs):
@@ -72,7 +80,7 @@ class TestConstruction:
         ctx = VarContext.make(("x1",))
         pres = rees_ideal(ctx, (Monomial((1,)),))
         assert pres.gb.elements == ()
-        assert x_condition(pres).holds
+        assert x_condition(pres.gb).holds
 
     def test_generators_must_be_minimal(self):
         ctx = VarContext.make(("x1", "x2"))
@@ -143,9 +151,10 @@ class TestOnePass:
 
 
 class TestPackedStrip:
-    """rees_ideal drops t from the packed entries of the elimination basis,
-    each vector shifted down one field under an unchanged key: the entries
-    equal those of the kernel's Polynomials packed again under the order."""
+    """rees_ideal keeps the packed entries of the elimination basis as they
+    are: t is the last field, so a t-free vector and its key are already
+    those of the presentation's packing, and the entries equal those of
+    the kernel's Polynomials packed again under the order."""
 
     @staticmethod
     def assert_strip(pres):
@@ -167,6 +176,46 @@ class TestPackedStrip:
         self.assert_strip(rees_ideal(g.context(), gens, order=order))
 
 
+class TestHandoff:
+    """The elimination basis reaches the presentation without re-layout."""
+
+    @pytest.mark.parametrize("n", (4, 6, 8))
+    def test_entries_are_eliminates(self, n, monkeypatch):
+        calls = []
+
+        def recording(ideal, block, *args, **kwargs):
+            gb = eliminate(ideal, block, *args, **kwargs)
+            calls.append((ideal.context, block, gb))
+            return gb
+
+        monkeypatch.setattr(rees, "eliminate", recording)
+        pres = path_presentation(n)
+        ((ctx, block, contracted),) = calls
+        assert ctx.names[-1] == rees.ELIM_VAR and block == (rees.ELIM_VAR,)
+        assert ctx.names[:-1] == pres.extended.names
+        assert pres.gb.entries is contracted.entries
+
+
+class TestXConditionBlocks:
+    """x_condition reads the base block of the basis's context, so one
+    function serves R(I) and Sym(M_G)."""
+
+    def test_star_rees_algebra(self):
+        g = Graph.make(("a", "b", "c", "d"), [("a", "b"), ("a", "c"), ("a", "d")])
+        pres = rees_ideal(g.context(), minimal_vertex_covers(g).monomials())
+        report = x_condition(pres.gb)
+        assert not report.holds
+        assert [render_monomial(m, pres.extended) for m in report.violations] == ["y1*b*c*d"]
+
+    def test_four_cycle_symmetric_algebra(self):
+        names = ("v1", "v2", "v3", "v4")
+        g = Graph.make(names, [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v1", "v4")])
+        em = edge_module(g)
+        report = x_condition(reduced_groebner_basis(em.sym_ideal, em.order))
+        assert not report.holds
+        assert [render_monomial(m, em.context) for m in report.violations] == ["x1*x4*y3"]
+
+
 class TestPathEight:
     def test_basis_size_and_purity(self):
         pres = path_presentation(8)
@@ -185,10 +234,10 @@ class TestPathEight:
 
     def test_x_condition_holds(self):
         pres = path_presentation(8)
-        report = x_condition(pres)
+        report = x_condition(pres.gb)
         assert report.holds
         assert report.violations == ()
-        assert all(m.degree() == 2 for m in pres.initial.generators)
+        assert all(m.degree() == 2 for m in pres.gb.initial.generators)
 
 
 class TestBiclique:
@@ -200,7 +249,7 @@ class TestBiclique:
 
     def test_x_condition(self):
         for shape in ((2, 2, 2), (2, 3, 2)):
-            assert x_condition(biclique_presentation(*shape)).holds
+            assert x_condition(biclique_presentation(*shape).gb).holds
 
     def test_standard_count_232(self):
         pres = biclique_presentation(2, 3, 2)
@@ -325,13 +374,13 @@ class TestBettiFromQuotients:
     def test_two_generator_example(self):
         steps = quotient_steps((Monomial((0, 1, 0)), Monomial((1, 0, 1)))).steps
         table = betti_from_quotients(steps)
-        assert table.as_dict() == {(0, 1): 1, (0, 2): 1, (1, 3): 1}
+        assert dict(table.entries) == {(0, 1): 1, (0, 2): 1, (1, 3): 1}
         assert table.projdim == 1
         assert table.regularity == 2
 
     def test_single_generator(self):
         steps = quotient_steps((Monomial((3,)),)).steps
-        assert betti_from_quotients(steps).as_dict() == {(0, 3): 1}
+        assert dict(betti_from_quotients(steps).entries) == {(0, 3): 1}
 
     def test_decreasing_degrees_need_minimal_flag(self):
         seq = (Monomial((2, 0)), Monomial((1, 2)), Monomial((0, 2)))
@@ -340,7 +389,7 @@ class TestBettiFromQuotients:
             betti_from_quotients(steps)
         # with the flag asserted the closed form is still produced
         table = betti_from_quotients(steps, minimal=True)
-        assert table.get(0, 2) == 2
+        assert dict(table.entries)[(0, 2)] == 2
 
     def test_oracle_equality_on_powers(self):
         for n in (5, 6):
@@ -391,18 +440,20 @@ class TestCertificate:
                 assert rep.oracle_componentwise == is_componentwise_linear(power)
 
     def test_one_initial_ideal_per_presentation(self, monkeypatch):
-        pres = path_presentation(5)
-        original = rees.initial_ideal
+        original = GroebnerBasis.initial.func
         builds = []
 
         def counted(gb):
             builds.append(gb)
             return original(gb)
 
-        monkeypatch.setattr(rees, "initial_ideal", counted)
+        initial = cached_property(counted)
+        initial.__set_name__(GroebnerBasis, "initial")
+        monkeypatch.setattr(GroebnerBasis, "initial", initial)
+        pres = path_presentation(5)
         for k in (1, 2, 3):
             componentwise_certificate(pres, k)
-        x_condition(pres)
+        x_condition(pres.gb)
         assert builds == [pres.gb]
 
     def test_degenerate_sequence_withholds_certificate(self):
@@ -412,7 +463,7 @@ class TestCertificate:
         assert report.ok and not report.minimal
         ideal = MonomialIdeal.make(seq)
         table = betti_numbers(ideal)
-        assert table.get(1, 4) == 1
+        assert dict(table.entries)[(1, 4)] == 1
 
     def test_biclique_222_k3(self):
         cert = componentwise_certificate(biclique_presentation(2, 2, 2), 3)
@@ -426,7 +477,7 @@ class TestCertificate:
         fn = tuple(f"y{j}" for j in range(1, len(gens) + 1))
         order = weight_order(gens, fn, lex_order(*ctx.names))
         pres = rees_ideal(ctx, gens, order=order, fiber_names=fn)
-        assert x_condition(pres).holds
+        assert x_condition(pres.gb).holds
         for k in (1, 2, 3):
             degrees = [h.degree() for h in standard_monomials(pres, k).images()]
             assert degrees == sorted(degrees)

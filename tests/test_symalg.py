@@ -94,7 +94,8 @@ class TestEdgeModule:
     def test_context_blocks(self):
         ctx = pair_context(3)
         assert ctx.names == ("x1", "x2", "x3", "y1", "y2", "y3")
-        assert ctx.block_indices("x") == (0, 1, 2)
+        assert ctx.block_indices("base") == (0, 1, 2)
+        assert ctx.block_indices("fiber") == (3, 4, 5)
 
 
 class TestAdmissiblePaths:
