@@ -6,10 +6,14 @@ for a multidegree b, the complex has a face tau (a subset of supp(b))
 exactly when x^(b-tau) still lies in the ideal, and beta_{i,b} is the
 rank of the (i-1)-st reduced homology.  Only multidegrees that are lcms
 of generator subsets can contribute, so the oracle enumerates those.
-Each generator g dividing x^b spans the facet {v : g_v < b_v}, held as a
-bitmask over the variables, and the complex is every subset of a facet.
-Boundary ranks come from fraction-free (Bareiss) elimination over the
-integers.
+Each generator g dividing x^b spans the facet {v : g_v < b_v}, and the
+complex is every subset of a facet.  The lcm lattice and the facets are
+computed on exponent tuples packed into ints by a packing of this
+module's own, not the Groebner engine's, so that one packing bug cannot
+hide in both the engine and its oracle; a facet is the set of guard bits
+of its fields.  Boundary ranks come from one sparse echelon pass over
+int, exact over Q: +-1 pivots are subtracted as they are, any other
+pivot combines fraction-free.
 
 Every call cross-checks itself against the Hilbert series numerator
 obtained by Bigatti's pivot recursion; a mismatch is a bug, not data.
@@ -58,22 +62,38 @@ def _check_cap(generators):
         )
 
 
-def _subset_lcms(generators):
-    """All lcms of nonempty subsets of the exponent tuples, deduplicated
-    incrementally."""
+def _lattice(generators):
+    """The lcm lattice of the exponent tuples on packed ints.
+
+    Each tuple becomes one int with a field per variable: the field holds
+    the largest exponent, which no lcm exceeds, with a bit to spare, and
+    its top bit is a guard.  Returns the packed generators, the guard bits
+    and the lcms of all nonempty subsets as (exponent tuple, packed int)
+    pairs sorted by degree and then exponents."""
+    nvars = len(generators[0])
+    width = max(itertools.chain.from_iterable(generators), default=0).bit_length() + 2
+    value = (1 << (width - 1)) - 1
+    guard = sum(1 << (width * v + width - 1) for v in range(nvars))
+    packed = [sum(e << (width * v) for v, e in enumerate(g)) for g in generators]
     acc = set()
-    for g in generators:
-        acc |= {g} | {tuple(map(max, m, g)) for m in acc}
-    return acc
+    for g in packed:
+        lcms = {g}
+        for m in acc:
+            ge = ((m | guard) - g) & guard  # guard bit set where m_v >= g_v
+            lcms.add(g ^ ((m ^ g) & (ge - (ge >> (width - 1)))))
+        acc |= lcms
+    unpacked = ((tuple(b >> (width * v) & value for v in range(nvars)), b) for b in acc)
+    return packed, guard, sorted(unpacked, key=lambda eb: (sum(eb[0]), eb[0]))
 
 
-def _koszul_facets(generators, b):
-    """Facets of the upper Koszul complex at b as bitmasks: the maximal
-    sets {v : g_v < b_v} over the generators g dividing x^b."""
-    masks = set()
-    for g in generators:
-        if all(map(le, g, b)):
-            masks.add(sum(1 << v for v, (e, f) in enumerate(zip(g, b)) if e < f))
+def _koszul_facets(packed, b, guard):
+    """Facets of the upper Koszul complex at b: the maximal sets
+    {v : g_v < b_v} over the generators g dividing x^b, each held as the
+    guard bits of its fields."""
+    above = b | guard
+    masks = {
+        guard ^ (((g | guard) - b) & guard) for g in packed if (above - g) & guard == guard
+    }
     facets = []
     for m in sorted(masks, key=int.bit_count, reverse=True):
         if all(m & f != m for f in facets):
@@ -81,26 +101,50 @@ def _koszul_facets(generators, b):
     return facets
 
 
-def matrix_rank(rows):
-    """Rank over Q by fraction-free (Bareiss) elimination over int.
+def _rank(rows):
+    """Rank over Q of integer rows held as dicts {column: nonzero int}, by
+    one echelon pass keyed on each row's leading column.  A +-1 pivot is
+    subtracted as it is; any other combines fraction-free and the row is
+    then divided by its content, so the arithmetic stays exact in int.
+    The rows are consumed."""
+    pivots = {}
+    for row in rows:
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            a, p = row[col], pivot[col]
+            unit = p == 1 or p == -1
+            if unit:
+                f = a * p
+            else:
+                g = math.gcd(a, p)
+                f, s = a // g, p // g
+                row = {c: s * x for c, x in row.items()}
+            for c, x in pivot.items():
+                y = row.get(c, 0) - f * x
+                if y:
+                    row[c] = y
+                else:
+                    del row[c]
+            if not unit and (content := math.gcd(*row.values())) > 1:
+                row = {c: x // content for c, x in row.items()}
+    return len(pivots)
 
-    Entries are ints or Fractions; each row is first scaled by the lcm of
-    its denominators, which leaves the rank unchanged."""
-    m = []
+
+def matrix_rank(rows):
+    """Rank over Q of a dense matrix of ints or Fractions.
+
+    Each row is first scaled by the lcm of its denominators, which leaves
+    the rank unchanged, and then goes through the sparse routine of the
+    boundary ranks."""
+    sparse = []
     for r in rows:
         den = math.lcm(*(e.denominator for e in r))
-        m.append([e.numerator * (den // e.denominator) for e in r])
-    rank = 0
-    prev = 1
-    while m := [r for r in m if any(r)]:
-        top = m.pop()
-        col = next(c for c, x in enumerate(top) if x)
-        p = top[col]
-        # each entry stays a minor of the input, so the division is exact
-        m = [[(p * x - r[col] * y) // prev for x, y in zip(r, top)] for r in m]
-        prev = p
-        rank += 1
-    return rank
+        sparse.append({c: e.numerator * (den // e.denominator) for c, e in enumerate(r) if e})
+    return _rank(sparse)
 
 
 def _reduced_homology_ranks(facets):
@@ -116,40 +160,41 @@ def _reduced_homology_ranks(facets):
             sub = (sub - 1) & f
     top = max(f.bit_count() for f in facets) - 1
     by_size = [[] for _ in range(top + 2)]
-    for f in sorted(faces):
+    for f in faces:
         by_size[f.bit_count()].append(f)
 
-    # ranks[d + 1] is the rank of the boundary map from dimension d to d - 1
+    # ranks[d + 1] is the rank of the boundary map from dimension d to
+    # d - 1; a row is a d-face, its columns the (d - 1)-faces themselves
     ranks = [0] * (top + 3)
     for d in range(0, top + 1):
-        lower, upper = by_size[d], by_size[d + 1]
-        index = {f: i for i, f in enumerate(lower)}
         rows = []
-        for f in upper:
-            row = [0] * len(lower)
+        for f in by_size[d + 1]:
+            row = {}
             rest = f
             while rest:
                 bit = rest & -rest
-                row[index[f ^ bit]] = -1 if (f & (bit - 1)).bit_count() % 2 else 1
+                row[f ^ bit] = -1 if (f & (bit - 1)).bit_count() % 2 else 1
                 rest ^= bit
             rows.append(row)
-        ranks[d + 1] = matrix_rank(rows)
+        ranks[d + 1] = _rank(rows)
     return {d: len(by_size[d + 1]) - ranks[d + 1] - ranks[d + 2] for d in range(-1, top + 1)}
 
 
 def multigraded_betti(ideal):
     """beta_{i,b} of the ideal for every contributing multidegree b."""
     _check_cap(ideal.generators)
-    gens = [g.exps for g in ideal.generators]
+    if ideal.is_zero():
+        return {}
+    packed, guard, lattice = _lattice([g.exps for g in ideal.generators])
     out = {}
-    for b in sorted(_subset_lcms(gens), key=lambda e: (sum(e), e)):
-        facets = _koszul_facets(gens, b)
+    for exps, b in lattice:
+        facets = _koszul_facets(packed, b, guard)
         # a vertex in every facet makes the complex a cone, hence acyclic
         if reduce(and_, facets):
             continue
         for d, rank in _reduced_homology_ranks(facets).items():
             if rank:
-                out[(d + 1, Monomial(b))] = rank
+                out[(d + 1, Monomial(exps))] = rank
     return out
 
 

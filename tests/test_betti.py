@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from xcond.betti import (
     BettiTable,
+    _reduced_homology_ranks,
     betti_numbers,
     degree_component,
     has_linear_resolution,
@@ -185,6 +186,7 @@ class TestAgainstReference:
     @example(I())
     @example(I((0, 0, 0)))
     @example(I((2, 1, 0), (1, 2, 1), (0, 1, 2), (1, 1, 1)))
+    @example(I((1000, 0, 1), (0, 2**20, 1), (3, 3, 0)))
     def test_multigraded_betti(self, ideal):
         assert multigraded_betti(ideal) == reference_multigraded_betti(ideal)
 
@@ -215,6 +217,8 @@ class TestMatrixRank:
     @example([[]])
     @example([[0, 0], [0, 0]])
     @example([[Fraction(1, 2), Fraction(1, 3)], [3, 2]])
+    @example([[2, 3], [4, 5]])
+    @example([[2, 4], [3, 6]])
     def test_against_fraction_elimination(self, rows):
         assert matrix_rank(rows) == fraction_rank(rows)
 
@@ -222,6 +226,24 @@ class TestMatrixRank:
         assert matrix_rank([[1, 0], [0, 1]]) == 2
         assert matrix_rank([[2, 4], [1, 2]]) == 1
         assert matrix_rank([[0, 1, 0], [0, 2, 0]]) == 1
+
+
+def faces(*triples):
+    """Bitmasks of faces given as strings of 1-based vertex digits."""
+    return [sum(1 << (int(v) - 1) for v in t) for t in triples]
+
+
+class TestReducedHomology:
+    def test_real_projective_plane_acyclic_over_q(self):
+        """The 6-vertex RP^2 has H_1 = Z/2, so its reduced homology over Q
+        vanishes; a rank mod 2, or one that drops non-unit pivots, gives
+        H~_1 = H~_2 = 1."""
+        rp2 = faces("124", "126", "135", "136", "145", "234", "235", "256", "346", "456")
+        assert _reduced_homology_ranks(rp2) == {-1: 0, 0: 0, 1: 0, 2: 0}
+
+    def test_tetrahedron_boundary_is_a_sphere(self):
+        sphere = faces("123", "124", "134", "234")
+        assert _reduced_homology_ranks(sphere) == {-1: 0, 0: 0, 1: 0, 2: 1}
 
 
 class TestHilbertNumerator:

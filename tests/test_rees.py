@@ -405,6 +405,17 @@ class TestBettiFromQuotients:
 
 
 class TestCertificate:
+    def test_p8_cover_ideal_componentwise_past_cap(self, monkeypatch):
+        """The paper's claim for k = 1 on P8, whose degree components
+        exceed the oracle's default cap."""
+        monkeypatch.setattr(betti, "GENERATOR_CAP", 1000)
+        images = standard_monomials(path_presentation(8), 1).images()
+        power = MonomialIdeal.make(images)
+        assert is_componentwise_linear(power) is True
+        report = quotient_steps(images)
+        assert report.ok and report.minimal
+        assert betti_numbers(power) == betti_from_quotients(report.steps, minimal=True)
+
     def test_p6_k2(self):
         cert = componentwise_certificate(path_presentation(6), 2)
         assert cert.certified == "quadratic-initial"
