@@ -71,7 +71,6 @@ from .symalg import (
     cycle_complex_checks,
     edge_module,
     equivalence_check,
-    same_basis,
 )
 
 
@@ -148,13 +147,16 @@ def read_ideal_file(path, override_text=None):
 
 
 def read_graph_file(path):
-    """One edge per line as two whitespace-separated vertex names."""
+    """One edge per line as two whitespace-separated variable names."""
     edges = []
     names = set()
     for no, text in _read_lines(path):
         parts = text.split()
         if len(parts) != 2:
             raise InputError(f"{path}:{no}: expected 'u v'")
+        for name in parts:
+            if not NAME_RE.fullmatch(name):
+                raise InputError(f"{path}:{no}: bad vertex name {name!r}")
         u, v = parts
         if u == v:
             raise InputError(f"{path}:{no}: loop edge {u!r}")
@@ -326,12 +328,12 @@ def cmd_binomial_edge(args):
     basis = admissible_path_basis(g)
     matches = None
     if g.n <= EQUIV_CAP:
-        matches = same_basis(basis, reduced_groebner_basis(em.sym_ideal, em.order, gb_config(args)))
+        matches = basis == reduced_groebner_basis(em.sym_ideal, em.order, gb_config(args))
     payload = {
         "vertices": g.n,
         "edges": len(g.edges),
         "admissible_paths": len(basis.elements),
-        "basis": [render_polynomial(p, em.context) for p in basis.elements],
+        "basis": [render_polynomial(p, basis.context) for p in basis.elements],
         "matches_computed": matches,
     }
     return payload, 0 if matches in (True, None) else 1

@@ -59,8 +59,9 @@ polynomial crosses the boundary through Packing only: pack_terms packs
 and sorts its terms on the way in, and polynomial builds a Polynomial
 from packed terms on the way out, once per normal_form and once per
 element of a basis whose elements are read.  A basis's initial ideal is
-likewise built on first read, from its packed leading monomials.  divide
-stays the Fraction textbook oracle.
+likewise built on first read, unpacking only the minimal leading
+monomials that reduce_basis keeps too (_minimal_entries).  divide stays
+the Fraction textbook oracle.
 """
 
 from __future__ import annotations
@@ -131,11 +132,11 @@ class GroebnerBasis:
     entries: tuple
 
     @staticmethod
-    def of(polys, ctx, order, fit=()):
+    def of(polys, ctx, order):
         """The basis of the nonzero polys, stored in any order, in fields
-        that hold every exponent of the polys and of fit."""
+        that hold every exponent of the polys."""
         polys = [g for g in polys if not g.is_zero()]
-        packing = packing_for(compile_order(order, ctx), max_exponent([*polys, *fit]))
+        packing = packing_for(compile_order(order, ctx), max_exponent(polys))
         return GroebnerBasis(ctx, order, packing, tuple(map(packing.form, polys)))
 
     def compiled(self):
@@ -151,10 +152,11 @@ class GroebnerBasis:
 
     @cached_property
     def initial(self):
-        """The initial ideal, minimally generated by the leading monomials;
-        built on first read."""
-        unpack = self.packing.unpack
-        return MonomialIdeal.make(Monomial(unpack(entry[0])) for entry in self.entries)
+        """The initial ideal, generated by the leading monomials of the
+        minimal entries sorted by (degree, exps); built on first read."""
+        minimal = _minimal_entries(self.entries, self.packing.guard)
+        exps = sorted((self.packing.unpack(e[0]) for e in minimal), key=lambda e: (sum(e), e))
+        return MonomialIdeal(tuple(map(Monomial, exps)))
 
 
 @dataclass(frozen=True)
@@ -355,7 +357,7 @@ def _entry(terms):
     return (lm, key, lc // content, tuple((k, e, c // content) for k, e, c in terms[1:]))
 
 
-def _find(e, entries, guard):
+def find_divisor(e, entries, guard):
     """The first entry whose leading monomial divides the packed e, or
     None."""
     e |= guard
@@ -363,6 +365,17 @@ def _find(e, entries, guard):
         if (e - entry[0]) & guard == guard:
             return entry
     return None
+
+
+def _minimal_entries(entries, guard):
+    """The entries, ascending by key, whose leading monomial no kept one
+    divides (a divisor has the smaller key): one per minimal leading
+    monomial, the first in entry order of those that share it."""
+    minimal = []
+    for entry in sorted(entries, key=itemgetter(1)):
+        if find_divisor(entry[0], minimal, guard) is None:
+            minimal.append(entry)
+    return minimal
 
 
 def _reduce(p, entries, packing):
@@ -385,7 +398,7 @@ def _reduce(p, entries, packing):
         k, e, c = p.pop()
         if e & guard:
             raise ScaleExceeded(f"an exponent outgrew its {packing.width}-bit field")
-        hit = _find(e, entries, guard)
+        hit = find_divisor(e, entries, guard)
         if hit is None:
             remainder.append((k, e, c))
             continue
@@ -419,8 +432,8 @@ def normal_form(f, basis):
     """The remainder of divide(f, basis.elements, basis.compiled()),
     without quotients.
 
-    f, stored in any order, must fit the basis's fields (GroebnerBasis.of
-    sizes them for it through fit).  It is packed with its denominators
+    f, stored in any order, must fit the basis's fields, which hold every
+    exponent below 2^(width - 1).  It is packed with its denominators
     cleared and _reduce runs on integers; the remainder comes back through
     Packing.polynomial.
     """
@@ -619,14 +632,11 @@ def reduce_basis(gb):
 
     gb may be any Groebner basis, buchberger's with its retired entries
     included: a retired leading monomial is a multiple of a later one, so
-    the first entry in ascending order of each minimal leading monomial is
-    kept, and the reduced basis is unique.
+    _minimal_entries keeps one entry per minimal leading monomial, and the
+    reduced basis is unique.
     """
-    packing, guard = gb.packing, gb.packing.guard
-    minimal = []
-    for entry in sorted(gb.entries, key=itemgetter(1)):
-        if _find(entry[0], minimal, guard) is None:
-            minimal.append(entry)
+    packing = gb.packing
+    minimal = _minimal_entries(gb.entries, packing.guard)
     # Every term of a tail, and of its reductions, lies below lm(g), so no
     # lm(g) divides it and g may stay in the list that reduces its tail.
     reduced = []

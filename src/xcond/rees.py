@@ -33,6 +33,7 @@ from .groebner import (
     criterion_m,
     eliminate,
     field_width,
+    find_divisor,
     normal_form,
     order_packing,
 )
@@ -262,15 +263,14 @@ class StandardBasisK:
 
 def _blocked(presentation):
     """Whether a fiber monomial is a multiple of a pure-fiber leading
-    monomial of the basis, tested in the basis's packing."""
+    monomial of the basis: the engine's divisor scan in its packing."""
     packing = presentation.gb.packing
     guard, pack = packing.guard, packing.pack
     base = packing.fields(presentation.extended.block_indices(BASE_BLOCK))
-    blockers = [lm for lm, _, _, _ in presentation.gb.entries if not lm & base]
+    blockers = [entry for entry in presentation.gb.entries if not entry[0] & base]
 
     def blocked(w):
-        above = pack(w.exps) | guard
-        return any((above - v) & guard == guard for v in blockers)
+        return find_divisor(pack(w.exps), blockers, guard) is not None
 
     return blocked
 

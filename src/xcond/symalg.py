@@ -63,14 +63,12 @@ def pair_context(n):
 
 @dataclass(frozen=True)
 class EdgeModulePresentation:
-    """Relations x_i e_j - x_j e_i of the edge module, stored sparsely as
-    ((slot, coefficient), (slot, coefficient)) pairs, together with the
-    ideal presenting the symmetric algebra in K[x, y]: one generator per
-    relation, its image sum coefficient * y_slot."""
+    """The ideal presenting the symmetric algebra of the edge module in
+    K[x, y] (its context is pair_context(n)), one generator per relation
+    x_i e_j - x_j e_i, its image x_i y_j - x_j y_i, and the lex order the
+    binomial-edge checks reduce it under."""
 
-    context: object
     order: object
-    relations: tuple
     sym_ideal: object
 
 
@@ -80,16 +78,12 @@ def edge_module(graph):
     a < b."""
     n = graph.n
     ctx = pair_context(n)
-    order = lex_order(*ctx.names)
-    relations = []
     gens = []
     for a, b in sorted(graph.edges):
-        xa, xb = Monomial.var(a, 2 * n), Monomial.var(b, 2 * n)
-        relations.append(((b, Polynomial(((xa, _ONE),))), (a, Polynomial(((xb, -_ONE),)))))
-        lead = xa.mul(Monomial.var(n + b, 2 * n))
-        tail = xb.mul(Monomial.var(n + a, 2 * n))
+        lead = Monomial.from_pairs(((a, 1), (n + b, 1)), 2 * n)
+        tail = Monomial.from_pairs(((b, 1), (n + a, 1)), 2 * n)
         gens.append(Polynomial(((lead, _ONE), (tail, -_ONE))))
-    return EdgeModulePresentation(ctx, order, tuple(relations), Ideal.make(gens, ctx))
+    return EdgeModulePresentation(lex_order(*ctx.names), Ideal.make(gens, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +173,6 @@ def admissible_path_basis(graph):
     return GroebnerBasis(ctx, order, packing, tuple(entries))
 
 
-def same_basis(a, b):
-    """Whether two bases, each sorted under its order as a reduced basis
-    is, are equal: the same context and order, and the same entries when
-    they share a packing, else the same terms tuple element by element."""
-    if (a.context, a.order) != (b.context, b.order):
-        return False
-    if a.packing is b.packing:
-        return a.entries == b.entries
-    return [g.terms for g in a.elements] == [g.terms for g in b.elements]
-
-
 # ---------------------------------------------------------------------------
 # the chordality equivalence
 # ---------------------------------------------------------------------------
@@ -248,7 +231,7 @@ def equivalence_check(graph, config=None):
     labeling = tuple(graph.vertices[v] for v in order_used)
 
     presentation = edge_module(working)
-    ctx = presentation.context
+    ctx = presentation.sym_ideal.context
     n = working.n
     gb = reduced_groebner_basis(presentation.sym_ideal, presentation.order, config)
     xc = x_condition(gb)
@@ -259,7 +242,8 @@ def equivalence_check(graph, config=None):
     width, x_fields = basis.packing.width, basis.packing.fields(x_idx)
     x_units = {1 << (width * i) for i in x_idx}
     basis_x_condition = all(entry[0] & x_fields in x_units for entry in basis.entries)
-    basis_matches = same_basis(basis, gb)
+    # both bases take the one cached packing of lex on pair_context(n)
+    basis_matches = basis == gb
 
     # one bidegree pass: the x-part is exps[:n] and the y-part exps[n:]
     colon_route_linear = True

@@ -475,7 +475,7 @@ def _fixed_ideals():
     return [
         toy1,
         toy2,
-        (em.context, em.order, em.sym_ideal.generators),
+        (em.sym_ideal.context, em.order, em.sym_ideal.generators),
         (p5.extended, p5.order, p5.distinct_polynomials()),
         (b222.extended, b222.order, b222.distinct_polynomials()),
     ]

@@ -465,6 +465,18 @@ class TestGraphStats:
         assert payload["chordal"]
         assert payload["edges"] == [["a", "hub"], ["b", "hub"]]
 
+    @pytest.mark.parametrize(
+        "text,name", [("a*b c\n", "a*b"), ("1 2\n2 3\n", "1"), ("x-1 y\n", "x-1")]
+    )
+    def test_vertex_name_must_be_a_variable_name(self, capsys, tmp_path, text, name):
+        # a vertex becomes a variable of the cover ideal, which would print
+        # "1*3" or "x-1" unreadably
+        f = tmp_path / "bad.graph"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "graph-stats", "--graph", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and f"bad vertex name {name!r}" in err
+
 
 class TestOutput:
     def test_byte_determinism(self, capsys):

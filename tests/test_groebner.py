@@ -65,9 +65,9 @@ def mono(ctx, **powers):
     return Monomial(tuple(e))
 
 
-def basis_of(polys, order, fit=()):
+def basis_of(polys, order):
     """GroebnerBasis.of the polys under a compiled order."""
-    return GroebnerBasis.of(polys, order.context, order.spec, fit)
+    return GroebnerBasis.of(polys, order.context, order.spec)
 
 
 @pytest.fixture
@@ -617,7 +617,7 @@ class TestMembership:
             gens[1].mul(parse_polynomial("x1*x2 - 1/3", ctx3, ord_), ord_), ord_
         )
         assert membership(combo, gb)
-        assert membership(combo, GroebnerBasis.of(gb.elements, ctx3, spec, fit=[combo]))
+        assert membership(combo, GroebnerBasis.of(gb.elements, ctx3, spec))
 
     def test_one_not_member_of_proper_ideal(self, ctx3):
         spec = lex_order("x1", "x2", "x3")
@@ -757,7 +757,7 @@ class TestForeignTermOrder:
         for text in ("b*c - a", "a^3*b - a*c^2", "a*b*c - c", "a^2 + b"):
             q = parse_polynomial(text, self.ctx)
             (presorted,) = self.presorted([q])
-            empty = GroebnerBasis.of([], self.ctx, self.spec, fit=[q])
+            empty = GroebnerBasis.of([], self.ctx, self.spec)
             assert normal_form(q, empty).terms == presorted.terms
             want = normal_form(presorted, gb)
             assert normal_form(q, repacked).terms == want.terms
@@ -956,6 +956,28 @@ _rational_polys3 = st.dictionaries(
 )
 
 
+class TestInitialIdeal:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        polys=st.lists(_polys3, min_size=1, max_size=4),
+        scales=st.lists(st.sampled_from((Fraction(-2), Fraction(3), Fraction(1, 2))), max_size=3),
+        shifts=st.lists(st.tuples(*[st.integers(0, 2)] * 3).map(Monomial), max_size=3),
+        which=st.sampled_from(range(len(_ORDERS3))),
+    )
+    def test_matches_make_on_the_leading_monomials(self, polys, scales, shifts, which):
+        """initial keeps the minimal packed entries and sorts them as
+        MonomialIdeal.make does, on inputs whose leading monomials repeat
+        (a scalar multiple, a polynomial cut to its leading term) or are
+        not minimal (a monomial multiple)."""
+        ord_ = _ORDERS3[which]
+        gs = [g for g in (poly_from_dict(d, ord_) for d in polys) if not g.is_zero()]
+        gs += [g.scale(c) for g, c in zip(gs, scales)]
+        gs += [g.term_mul(m) for g, m in zip(gs, shifts)]
+        gs += [Polynomial(g.terms[:1]) for g in gs[:2]]
+        want = MonomialIdeal.make(g.lm() for g in gs)
+        assert basis_of(gs, ord_).initial.generators == want.generators
+
+
 class TestQuotientFreeNormalForm:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -968,7 +990,7 @@ class TestQuotientFreeNormalForm:
         f = poly_from_dict(f, ord_)
         gs = [poly_from_dict(g, ord_) for g in divisors]
         _, r = divide(f, gs, ord_)
-        assert normal_form(f, basis_of(gs, ord_, [f])).terms == r.terms
+        assert normal_form(f, basis_of(gs, ord_)).terms == r.terms
 
     @settings(max_examples=200, deadline=None)
     # x1^3 goes to the remainder before 2*x2 + x3^2 rescales the rest
@@ -989,7 +1011,7 @@ class TestQuotientFreeNormalForm:
         f = poly_from_dict(f, ord_)
         gs = [poly_from_dict(g, ord_) for g in divisors]
         _, r = divide(f, gs, ord_)
-        got = normal_form(f, basis_of(gs, ord_, [f]))
+        got = normal_form(f, basis_of(gs, ord_))
         assert got.terms == r.terms
         assert all(type(c) is Fraction for _, c in got.terms)
 
@@ -1061,9 +1083,9 @@ class TestPackedExponents:
         pa, pb = pk.pack(a), pk.pack(b)
         assert pk.unpack(pa) == a
         entries = [pk.form(monomial_poly(Monomial(a)))]
-        hit = groebner._find(pb, entries, pk.guard)
+        hit = groebner.find_divisor(pb, entries, pk.guard)
         assert (hit is not None) == all(x <= y for x, y in zip(a, b))
-        assert groebner._find(pa, entries, pk.guard) is entries[0]
+        assert groebner.find_divisor(pa, entries, pk.guard) is entries[0]
         lcm = pk.lcm(pa, pb)
         assert pk.unpack(lcm) == tuple(map(max, a, b))
         assert (lcm == pa + pb) == (not set(Monomial(a).support()) & set(Monomial(b).support()))

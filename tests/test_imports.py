@@ -216,3 +216,72 @@ def test_dead_scan_follows_chains():
     }
     assert dead_definitions(sources) == [("e", "Box.orphan"), ("e", "Box.unused")]
     assert dead_definitions(sources, ["Box.unused"]) == []
+
+
+# ---------------------------------------------------------------------------
+# dead fields: every field of a package dataclass is read as an attribute
+# somewhere in the package, or its class is listed here with its reason
+# ---------------------------------------------------------------------------
+
+PRINTED_FIELD_BY_FIELD = (
+    ("VerificationReport", "verify-family's JSON: cli.report_payload prints every field"),
+    ("CertificateReport", "rees and powers JSON: cli.report_payload prints every field"),
+    ("EquivalenceReport", "binomial-edge --check JSON: cli.report_payload prints every field"),
+    ("CycleComplexReport", "cycle-complex JSON: cli.report_payload prints every field"),
+)
+
+
+def _is_dataclass(node):
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(isinstance(t, ast.Name) and t.id == "dataclass" for t in targets)
+
+
+def unread_fields(sources, exempt=()):
+    """(module, "Class.field") of each field of a module-level dataclass,
+    outside the exempt classes, that no source reads as an attribute of
+    that name; assigning an attribute or passing a keyword is not a read."""
+    fields = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node) and node.name not in exempt:
+                fields += [
+                    (module, node.name, sub.target.id)
+                    for sub in node.body
+                    if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+                ]
+    return sorted((module, f"{cls}.{name}") for module, cls, name in fields if name not in read)
+
+
+def test_no_unread_fields():
+    exempt = [name for name, _ in PRINTED_FIELD_BY_FIELD]
+    assert unread_fields(package_sources(), exempt) == []
+
+
+def test_every_field_exemption_is_needed():
+    # a listed class whose fields the package all reads leaves the list
+    unread = {name.partition(".")[0] for _, name in unread_fields(package_sources())}
+    assert [name for name, _ in PRINTED_FIELD_BY_FIELD if name not in unread] == []
+
+
+def test_field_scan_reads_only_loads():
+    sources = {
+        "a": "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass Shown:\n    kept: int\n    written: int\n"
+        "    passed: int\n    LIMIT = 3\n\n"
+        "@dataclass\nclass Printed:\n    silent: int\n\n"
+        "class Plain:\n    untyped: int\n",
+        "b": "def use(s, p):\n    s.written = s.kept\n    return Shown(1, 2, passed=3)\n",
+    }
+    assert unread_fields(sources) == [
+        ("a", "Printed.silent"),
+        ("a", "Shown.passed"),
+        ("a", "Shown.written"),
+    ]
+    assert unread_fields(sources, ["Printed"]) == [("a", "Shown.passed"), ("a", "Shown.written")]

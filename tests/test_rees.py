@@ -2,6 +2,7 @@
 
 from collections import Counter
 from functools import cached_property
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings
@@ -213,7 +214,8 @@ class TestXConditionBlocks:
         em = edge_module(g)
         report = x_condition(reduced_groebner_basis(em.sym_ideal, em.order))
         assert not report.holds
-        assert [render_monomial(m, em.context) for m in report.violations] == ["x1*x4*y3"]
+        ctx = em.sym_ideal.context
+        assert [render_monomial(m, ctx) for m in report.violations] == ["x1*x4*y3"]
 
 
 class TestPathEight:
@@ -287,6 +289,27 @@ class TestStandardMonomials:
     def test_invalid_power(self):
         with pytest.raises(ValueError):
             standard_monomials(path_presentation(3), 0)
+
+    @pytest.mark.parametrize(
+        "graph",
+        [path_graph(5), path_graph(6), cameron_walker_graph((1,), (1,))],
+        ids=["P5", "P6", "cw p=1 q=1"],
+    )
+    def test_blockers_match_the_initial_ideal(self, graph):
+        """The packed blocker test keeps exactly the degree-k fiber
+        monomials outside the initial ideal, ascending in the order."""
+        pres = rees_ideal(graph.context(), minimal_vertex_covers(graph).monomials())
+        fiber, nvars = pres.fiber_indices(), pres.extended.nvars
+        for k in (1, 2, 3):
+            candidates = (
+                Monomial.from_pairs([(i, 1) for i in combo], nvars)
+                for combo in combinations_with_replacement(fiber, k)
+            )
+            literal = sorted(
+                (w for w in candidates if not pres.gb.initial.contains(w)),
+                key=pres.gb.compiled().key,
+            )
+            assert standard_monomials(pres, k).monomials() == tuple(literal)
 
 
 class TestQuotients:

@@ -20,7 +20,6 @@ from xcond.ring import (
     Monomial,
     Polynomial,
     lex_order,
-    monomial_poly,
     render_monomial,
     render_polynomial,
 )
@@ -32,7 +31,6 @@ from xcond.symalg import (
     edge_module,
     equivalence_check,
     pair_context,
-    same_basis,
 )
 
 
@@ -82,14 +80,6 @@ class TestEdgeModule:
     def test_one_generator_per_edge(self):
         assert len(edge_module(labeled(3, [(1, 2), (2, 3)])).sym_ideal.generators) == 2
         assert len(edge_module(labeled(4, C4)).sym_ideal.generators) == 4
-
-    def test_relations_mirror_generators(self):
-        em = edge_module(labeled(3, [(1, 2), (1, 3)]))
-        assert len(em.relations) == 2
-        (slot_b, coeff_a), (slot_a, coeff_b) = em.relations[0]
-        assert (slot_a, slot_b) == (0, 1)
-        assert render_polynomial(coeff_a, em.context) == "x1"
-        assert render_polynomial(coeff_b, em.context) == "-x2"
 
     def test_context_blocks(self):
         ctx = pair_context(3)
@@ -179,12 +169,15 @@ class TestAdmissibleBasis:
             em.sym_ideal, em.order
         )
 
-    def test_same_basis_agrees_with_equality(self):
+    def test_equality_compares_context_order_packing_and_entries(self):
+        """Both bases take the one cached packing of lex on pair_context(n),
+        so == compares their entries; any other basis differs."""
         g = labeled(4, C4)
         em = edge_module(g)
         basis = admissible_path_basis(g)
         gb = reduced_groebner_basis(em.sym_ideal, em.order)
-        assert same_basis(basis, gb) and basis == gb
+        assert basis.packing is gb.packing and basis == gb
+        assert GroebnerBasis.of(gb.elements, gb.context, gb.order) == basis
         first, *rest = gb.elements
         flipped = Polynomial((first.terms[0], *((m, -c) for m, c in first.terms[1:])))
         reordered = lex_order(*reversed(gb.context.names))
@@ -194,16 +187,7 @@ class TestAdmissibleBasis:
             GroebnerBasis.of(gb.elements, gb.context, reordered),
             replace(gb, context=pair_context(5)),
         ):
-            assert not same_basis(basis, other) and basis != other
-        # in another packing (an exponent of 2^15 in fit forces 64-bit
-        # fields) same_basis is term-tuple equality
-        big = monomial_poly(Monomial.from_pairs([(0, 1 << 15)], 8))
-        cases = ((gb.elements, True), (gb.elements[:-1], False), ((flipped, *rest), False))
-        for polys, want in cases:
-            wide = GroebnerBasis.of(polys, gb.context, gb.order, fit=[big])
-            assert (basis.packing.width, wide.packing.width) == (32, 64)
-            assert want == ([g.terms for g in basis.elements] == [g.terms for g in wide.elements])
-            assert same_basis(basis, wide) == same_basis(wide, basis) == want
+            assert basis != other
 
     def test_four_cycle_elements(self):
         basis = admissible_path_basis(labeled(4, C4))
