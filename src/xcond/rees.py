@@ -291,9 +291,9 @@ def standard_monomials(presentation, k):
     if k < 1:
         raise ValueError("power must be at least 1")
     blocked = _blocked(presentation)
-    order = presentation.gb.compiled()
+    packing = presentation.gb.packing
     ws = [w for w in _fiber_monomials(presentation, k) if not blocked(w)]
-    ws.sort(key=order.key)
+    ws.sort(key=lambda w: packing.key(w.exps))
     return StandardBasisK(k, tuple((w, _image(presentation, w)) for w in ws))
 
 

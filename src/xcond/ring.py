@@ -4,12 +4,11 @@ Variables live in a VarContext that partitions them into named blocks
 (base variables, fiber variables, elimination helpers).  Monomial orders
 are declarative OrderSpec values: pure lex, graded reverse lex, block
 orders that compare one block before the next, and weight-first orders
-with a tie-break.  Each spec compiles to a key function so comparisons
-reduce to tuple comparisons, and to the matrix of integer rows whose dot
-products with an exponent vector are that key, flattened.  All values
-are immutable.  Polynomials and order specs are read from text by one
-tokenizer and one token cursor; the two grammars differ only in their
-punctuation.
+with a tie-break.  Each spec compiles to one matrix of integer rows; the
+dot products of the rows with an exponent vector are its key, so a
+comparison is a tuple comparison.  All values are immutable.
+Polynomials and order specs are read from text by one tokenizer and one
+token cursor; the two grammars differ only in their punctuation.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, le, mul, neg, sub
+from operator import add, le, sub
 
 
 class ParseError(ValueError):
@@ -186,39 +185,33 @@ def weighted_order(weights, tie):
 
 
 class MonomialOrder:
-    """OrderSpec compiled against a VarContext into a sort key.
+    """OrderSpec compiled against a VarContext into its matrix: one row of
+    integer weights per entry of the key, so every order here is a matrix
+    order.
 
-    exps_key is the same key taken on a raw exponent tuple, without the
-    length check, for loops that hold exponents instead of Monomials.
-    matrix holds one row of integer weights per entry of the flattened
-    key: exps_key(e), flattened, is the tuple of the dot products row . e,
-    so every order here is a matrix order.
+    key(m) is the tuple of the dot products row . e over the rows, e the
+    exponent vector of m, and compares as the order; exps_key is the same
+    key taken on a raw exponent tuple, without the length check, for loops
+    that hold exponents instead of Monomials.
     """
 
-    __slots__ = ("spec", "context", "exps_key", "matrix", "_nvars")
+    __slots__ = ("spec", "context", "matrix", "_sparse")
 
-    def __init__(self, spec, context, key_fn, matrix):
+    def __init__(self, spec, context, matrix):
         self.spec = spec
         self.context = context
-        self.exps_key = key_fn
         self.matrix = matrix
-        self._nvars = context.nvars
+        # each row's nonzero entries (index, weight): most rows are units
+        self._sparse = tuple(tuple((i, w) for i, w in enumerate(row) if w) for row in matrix)
+
+    def exps_key(self, e):
+        return tuple([sum([w * e[i] for i, w in row]) for row in self._sparse])
 
     def key(self, monomial):
         e = monomial.exps
-        if len(e) != self._nvars:
+        if len(e) != self.context.nvars:
             raise ValueError("monomial does not match the order's context")
         return self.exps_key(e)
-
-
-def _picker(idx):
-    """The function e -> tuple(e[i] for i in idx)."""
-    if len(idx) == 1:
-        (i,) = idx
-        return lambda e: (e[i],)
-    if not idx:
-        return lambda e: ()
-    return itemgetter(*idx)
 
 
 def _unit(i, n, value=1):
@@ -227,33 +220,25 @@ def _unit(i, n, value=1):
     return tuple(row)
 
 
-def _build_key(spec, ctx, scope):
-    """Compile spec to (key on raw exponent tuples, matrix rows of the
-    flattened key); scope = variable names covered."""
+def _rows(spec, ctx, scope):
+    """The matrix rows of spec on a context; scope = variable names covered."""
     imap = _index_map(ctx)
     n = ctx.nvars
-    if spec.kind == "lex":
+    if spec.kind in ("lex", "revlex"):
         if set(spec.vars) != set(scope) or len(spec.vars) != len(scope):
-            raise ValueError("lex order must rank each variable of its scope exactly once")
+            raise ValueError(f"{spec.kind} order must rank each variable of its scope exactly once")
         idx = tuple(imap[v] for v in spec.vars)
-        return _picker(idx), tuple(_unit(i, n) for i in idx)
-    if spec.kind == "revlex":
-        if set(spec.vars) != set(scope) or len(spec.vars) != len(scope):
-            raise ValueError("revlex order must rank each variable of its scope exactly once")
-        idx = tuple(imap[v] for v in spec.vars)
-        descending = _picker(idx)
-        ascending = _picker(idx[::-1])
+        if spec.kind == "lex":
+            return tuple(_unit(i, n) for i in idx)
         degree = tuple(int(i in idx) for i in range(n))
-        rows = (degree,) + tuple(_unit(i, n, -1) for i in idx[::-1])
-        return lambda e: (sum(descending(e)), tuple(map(neg, ascending(e)))), rows
+        return (degree,) + tuple(_unit(i, n, -1) for i in idx[::-1])
     if spec.kind == "block":
+        if set(scope) != set(ctx.names):
+            raise ValueError("block order must span the whole context, not one block part")
         part_names = [bn for bn, _ in spec.parts]
         if sorted(part_names) != sorted(ctx.block_names()):
             raise ValueError("block order must cover every context block exactly once")
-        compiled = [_build_key(sub, ctx, ctx.block_vars(bn)) for bn, sub in spec.parts]
-        subs = tuple(k for k, _ in compiled)
-        rows = tuple(row for _, sub_rows in compiled for row in sub_rows)
-        return lambda e: tuple([k(e) for k in subs]), rows
+        return tuple(row for bn, sub in spec.parts for row in _rows(sub, ctx, ctx.block_vars(bn)))
     if spec.kind == "weighted":
         scope_idx = tuple(imap[v] for v in ctx.names if v in set(scope))
         if len(spec.weights) != len(scope_idx):
@@ -262,27 +247,18 @@ def _build_key(spec, ctx, scope):
             raise ValueError("weights must be nonnegative")
         if spec.tie is None:
             raise ValueError("weighted order needs a tie-break")
-        weights, scoped = spec.weights, _picker(scope_idx)
-        tie_key, tie_rows = _build_key(spec.tie, ctx, scope)
         row = [0] * n
-        for i, w in zip(scope_idx, weights):
+        for i, w in zip(scope_idx, spec.weights):
             row[i] = w
-        return (
-            lambda e: (sum(map(mul, weights, scoped(e))), tie_key(e)),
-            (tuple(row),) + tie_rows,
-        )
+        return (tuple(row),) + _rows(spec.tie, ctx, scope)
     raise ValueError(f"unknown order kind {spec.kind!r}")
 
 
-_ORDER_CACHE = {}
-
-
-def compile_order(spec, ctx):
-    cached = _ORDER_CACHE.get((spec, ctx))
-    if cached is None:
-        cached = MonomialOrder(spec, ctx, *_build_key(spec, ctx, ctx.names))
-        _ORDER_CACHE[(spec, ctx)] = cached
-    return cached
+@functools.lru_cache(maxsize=None)
+def compile_order(spec, ctx, /):
+    """spec compiled against ctx, one object per equal (spec, ctx), since
+    groebner.order_packing caches each packing on that object."""
+    return MonomialOrder(spec, ctx, _rows(spec, ctx, ctx.names))
 
 
 def is_elimination_order(spec, ctx, elim_vars):

@@ -1046,6 +1046,12 @@ PACKED_ORDERS = [
     compile_order(
         parse_order_spec("weighted(w=[100000000000000000000,0,7,1]; tie=lex[d>c>b>a])"), _CTX4
     ),
+    compile_order(
+        parse_order_spec("weighted(w=[2,0,1,3]; tie=block(q:lex[d>c]; p:revlex[a>b]))"), _CTX4
+    ),
+    compile_order(
+        parse_order_spec("block(p:weighted(w=[1,4]; tie=lex[b>a]); q:revlex[c>d])"), _CTX4
+    ),
     *_rees_orders(),
 ]
 

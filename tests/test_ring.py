@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xcond.groebner import Ideal, eliminate
 from xcond.ring import (
     Monomial,
     ParseError,
@@ -147,6 +148,32 @@ class TestWeightedOrder:
             compile_order(weighted_order((1, 2), lex_order("x", "y", "z")), ctx3)
 
 
+_CTX_PQ = VarContext.make(("a", "b", "c", "d"), blocks=(("p", ("a", "b")), ("q", ("c", "d"))))
+
+
+class TestNestedBlockOrder:
+    def test_block_in_a_block_part_rejected(self):
+        # the inner block would rank c, d inside part p, before a and b
+        spec = parse_order_spec("block(p:block(q:lex[c>d]; p:lex[a>b]); q:lex[d>c])")
+        with pytest.raises(ValueError, match="whole context"):
+            compile_order(spec, _CTX_PQ)
+        gens = [parse_polynomial(f, _CTX_PQ) for f in ("a - c", "b - d^2")]
+        with pytest.raises(ValueError):
+            eliminate(Ideal.make(gens, _CTX_PQ), ("a", "b"), spec)
+
+    def test_block_in_the_one_block_of_a_context(self):
+        ctx = VarContext.make(("a", "b"))
+        ord_ = compile_order(parse_order_spec("block(main:block(main:lex[a>b]))"), ctx)
+        assert ord_.matrix == ((1, 0), (0, 1))
+
+    def test_block_as_the_tie_of_a_top_level_weighted_order(self):
+        spec = parse_order_spec("weighted(w=[1,1,0,0]; tie=block(q:lex[c>d]; p:lex[a>b]))")
+        ord_ = compile_order(spec, _CTX_PQ)
+        # equal weight: the tie's q block decides before its p block
+        assert ord_.key(mono(_CTX_PQ, a=1, c=1)) > ord_.key(mono(_CTX_PQ, b=1, d=5))
+        assert ord_.key(mono(_CTX_PQ, b=1, d=1)) > ord_.key(mono(_CTX_PQ, a=1))
+
+
 class TestEliminationRecognition:
     def test_block_prefix(self, ctx_xy):
         spec = block_order(
@@ -191,6 +218,78 @@ def test_order_axioms(a, b, c, spec_i):
     # multiplicativity
     kac, kbc = ord_.key(ma.mul(mc)), ord_.key(mb.mul(mc))
     assert (kac < kbc, kac == kbc) == (ka < kb, ka == kb)
+
+
+def _sign(x, y):
+    return (x > y) - (x < y)
+
+
+def _compare(spec, ctx, scope, a, b):
+    """-1, 0 or 1 as a <, = or > b under spec on the scope, read off the
+    definitions of the four kinds rather than off the order's matrix."""
+    if spec.kind == "lex":
+        # the first differing exponent in rank order decides
+        for v in spec.vars:
+            i = ctx.index(v)
+            if a[i] != b[i]:
+                return _sign(a[i], b[i])
+        return 0
+    if spec.kind == "revlex":
+        # the degree decides, then the last-ranked differing variable,
+        # where the smaller exponent wins
+        idx = [ctx.index(v) for v in spec.vars]
+        verdict = _sign(sum(a[i] for i in idx), sum(b[i] for i in idx))
+        if verdict:
+            return verdict
+        for i in reversed(idx):
+            if a[i] != b[i]:
+                return _sign(b[i], a[i])
+        return 0
+    if spec.kind == "block":
+        # the first part that differs decides
+        for bn, sub in spec.parts:
+            verdict = _compare(sub, ctx, ctx.block_vars(bn), a, b)
+            if verdict:
+                return verdict
+        return 0
+    # weighted: the weighted degree on the scope decides, then the tie
+    idx = [i for i, v in enumerate(ctx.names) if v in scope]
+    wa = sum(w * a[i] for w, i in zip(spec.weights, idx))
+    wb = sum(w * b[i] for w, i in zip(spec.weights, idx))
+    return _sign(wa, wb) or _compare(spec.tie, ctx, scope, a, b)
+
+
+DEFINED_ORDERS = [
+    parse_order_spec(text)
+    for text in (
+        "lex[c>a>d>b]",
+        "revlex[a>b>c>d]",
+        "block(q:revlex[d>c]; p:weighted(w=[2,5]; tie=lex[b>a]))",
+        "weighted(w=[100000000000000000000,0,7,1]; tie=lex[d>c>b>a])",
+        "weighted(w=[3,0,1,2]; tie=block(p:revlex[b>a]; q:lex[c>d]))",
+    )
+]
+
+_small = st.integers(0, 3)
+_entry = st.one_of(_small, st.integers(0, 1 << 30), st.integers((1 << 30) - 3, 1 << 30))
+_exps4 = st.one_of(st.tuples(*[_small] * 4), st.tuples(*[_entry] * 4))
+
+
+@st.composite
+def _exps_pairs(draw):
+    """Two exponent vectors of _CTX_PQ, small entries mixed with ones near
+    2^30; b is often a permutation of a, so that degrees tie."""
+    a = draw(_exps4)
+    return a, draw(st.one_of(_exps4, st.permutations(a).map(tuple)))
+
+
+@given(pair=_exps_pairs(), spec=st.sampled_from(DEFINED_ORDERS))
+@settings(max_examples=400, deadline=None)
+def test_key_compares_as_the_defined_order(pair, spec):
+    a, b = pair
+    ord_ = compile_order(spec, _CTX_PQ)
+    verdict = _compare(spec, _CTX_PQ, _CTX_PQ.names, a, b)
+    assert _sign(ord_.key(Monomial(a)), ord_.key(Monomial(b))) == verdict
 
 
 class TestPolynomialArithmetic:
