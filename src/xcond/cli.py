@@ -23,8 +23,8 @@ from dataclasses import fields
 from .betti import BettiTable
 from .families import (
     biclique_claimed,
-    biclique_fiber_names,
     cw_claimed,
+    fiber_names,
     path_claimed,
     verify_claim,
 )
@@ -49,7 +49,6 @@ from .groebner import (
 from .rees import (
     ELIM_VAR,
     componentwise_certificate,
-    default_fiber_names,
     rees_ideal,
     x_condition,
 )
@@ -202,10 +201,7 @@ def resolve_graph(args, allow_file=True):
 def cover_presentation(args):
     g = resolve_graph(args)
     gens = minimal_vertex_covers(g).monomials()
-    if g.family and g.family[0] == "biclique":
-        fiber = biclique_fiber_names(*g.family[1:])
-    else:
-        fiber = default_fiber_names(len(gens))
+    fiber = fiber_names(g, len(gens))
     clash = sorted(set(fiber) & set(g.vertices))
     if clash:
         raise InputError(

@@ -7,9 +7,11 @@ pendant leaves on one side, pendant triangles on the other).  Each constructor
 scans the descending-lex list of minimal covers u_1 > ... > u_s, emits every
 binomial matching its family's divisibility patterns together with a
 designated leading monomial, and catalogues the monomials expected to generate
-the initial ideal.  ``verify_claim`` compares a candidate against the basis
-computed from scratch for the presentation the claim's own covers, fiber
-names and order fix.
+the initial ideal.  ``fiber_names`` is the one place that names a graph's
+fiber variables, for these claims and for the CLI's presentations alike.
+``verify_claim`` compares a candidate against the basis computed from
+scratch for the presentation the claim's own covers, fiber names and order
+fix.
 
 Two hard guarantees are enforced at construction time: every predicted cover
 is looked up by value in the actual cover list, and every designated leading
@@ -30,7 +32,6 @@ from .groebner import (
 )
 from .rees import (
     default_fiber_names,
-    default_order,
     extended_context,
     kernel_member,
     presentation_order,
@@ -64,7 +65,6 @@ class ClaimedElement:
 
 @dataclass(frozen=True)
 class ClaimedBasis:
-    family: str
     base: object
     gens: tuple
     fiber_names: tuple
@@ -97,22 +97,71 @@ class ClaimedBasis:
         )
 
 
-def _monomial(ext, nfiber, fiber, base_idx):
-    """fiber entries are 1-based cover positions, base entries 0-based
-    base-context indices."""
-    pairs = [(r - 1, 1) for r in fiber] + [(nfiber + t, 1) for t in base_idx]
-    return Monomial.from_pairs(pairs, ext.nvars)
+def biclique_fiber_names(p, q, r):
+    """phi_i tracks the cover missing x_i, psi_j_k the cover missing y_j and
+    z_k; the listing matches the descending cover order."""
+    names = [f"phi{i}" for i in range(1, p + 1)]
+    for j in range(1, q + 1):
+        names.extend(f"psi{j}_{k}" for k in range(r, 0, -1))
+    return tuple(names)
 
 
-def _element(key, ext, nfiber, tag, lead_fiber, lead_base, tail_fiber, tail_base):
-    lead = _monomial(ext, nfiber, lead_fiber, lead_base)
-    tail = _monomial(ext, nfiber, tail_fiber, tail_base)
-    poly = poly_from_terms([(lead, 1), (tail, -1)], key)
-    if poly.lm() != lead:
-        raise AssertionError(
-            f"designated initial is not leading in {tag}: {render_polynomial(poly, ext)}"
+def fiber_names(graph, count):
+    """The fiber variables of graph's Rees presentation on its count covers:
+    phi/psi for a biclique, y1..y_count for every other graph."""
+    if graph.family and graph.family[0] == "biclique":
+        return biclique_fiber_names(*graph.family[1:])
+    return default_fiber_names(count)
+
+
+class _Catalogue:
+    """A claim under construction: graph's covers in descending order, its
+    presentation (fiber_order on the fiber block, lex on the base) and the
+    elements emitted so far."""
+
+    def __init__(self, graph, fiber_order=lex_order):
+        self.base = graph.context()
+        covers = minimal_vertex_covers(graph)
+        self.gens, self.sets = covers.monomials(), covers.covers
+        self.index_of = {c: t + 1 for t, c in enumerate(self.sets)}
+        self.fiber = fiber_names(graph, len(self.gens))
+        self.ext = extended_context(self.base, self.gens, self.fiber)
+        self.order = presentation_order(fiber_order(*self.fiber), lex_order(*self.base.names))
+        self.key = compile_order(self.order, self.ext)
+        self.elements = []
+
+    def monomial(self, fiber, base):
+        """fiber entries are 1-based cover positions, base entries 0-based
+        base-context indices."""
+        nf = len(self.fiber)
+        pairs = [(r - 1, 1) for r in fiber] + [(nf + t, 1) for t in base]
+        return Monomial.from_pairs(pairs, self.ext.nvars)
+
+    def emit(self, tag, lead_fiber, lead_base, tail_fiber, tail_base):
+        """Append lead - tail, lead re-checked as its leading monomial."""
+        lead = self.monomial(lead_fiber, lead_base)
+        tail = self.monomial(tail_fiber, tail_base)
+        poly = poly_from_terms([(lead, 1), (tail, -1)], self.key)
+        if poly.lm() != lead:
+            raise AssertionError(
+                f"designated initial is not leading in {tag}: {render_polynomial(poly, self.ext)}"
+            )
+        self.elements.append(ClaimedElement(poly, lead, tag))
+
+    def claim(self, initials=None):
+        """The frozen claim; its catalogued initials default to the
+        designated ones, in emission order."""
+        if initials is None:
+            initials = (e.initial for e in self.elements)
+        return ClaimedBasis(
+            self.base,
+            self.gens,
+            self.fiber,
+            self.ext,
+            self.order,
+            tuple(self.elements),
+            tuple(dict.fromkeys(initials)),
         )
-    return ClaimedElement(poly, lead, tag)
 
 
 def _locate(index_of, target, described):
@@ -127,28 +176,12 @@ def _locate(index_of, target, described):
 # ---------------------------------------------------------------------------
 
 
-def biclique_fiber_names(p, q, r):
-    """phi_i tracks the cover missing x_i, psi_j_k the cover missing y_j and
-    z_k; the listing matches the descending cover order."""
-    names = [f"phi{i}" for i in range(1, p + 1)]
-    for j in range(1, q + 1):
-        names.extend(f"psi{j}_{k}" for k in range(r, 0, -1))
-    return tuple(names)
-
-
 def biclique_claimed(p, q, r):
     """Four binomial patterns generate the kernel: the phi swap against the
     last psi, row moves y_j psi_j^k -> y_q psi_q^k, column moves
     z_k psi_j^k -> z_1 psi_j^1, and the two-by-two psi exchanges."""
-    graph = biclique_graph(p, q, r)
-    base = graph.context()
-    covers = minimal_vertex_covers(graph)
-    gens, sets = covers.monomials(), covers.covers
-    fiber = biclique_fiber_names(p, q, r)
-    ext = extended_context(base, gens, fiber)
-    order = presentation_order(lex_order(*fiber), lex_order(*base.names))
-    key = compile_order(order, ext)
-    nf = len(fiber)
+    cat = _Catalogue(biclique_graph(p, q, r))
+    base, sets, fiber = cat.base, cat.sets, cat.fiber
 
     xs = {i: base.index(f"x{i}") for i in range(1, p + 1)}
     ys = {j: base.index(f"y{j}") for j in range(1, q + 1)}
@@ -171,46 +204,18 @@ def biclique_claimed(p, q, r):
     def psi(j, k):
         return fpos[f"psi{j}_{k}"]
 
-    elements = []
     for i in range(1, p + 1):
-        elements.append(
-            _element(key, ext, nf, "x-phi", [phi(i)], [xs[i]], [psi(q, 1)], [ys[q], zs[1]])
-        )
+        cat.emit("x-phi", [phi(i)], [xs[i]], [psi(q, 1)], [ys[q], zs[1]])
     for j in range(1, q):
         for k in range(1, r + 1):
-            elements.append(
-                _element(key, ext, nf, "y-psi", [psi(j, k)], [ys[j]], [psi(q, k)], [ys[q]])
-            )
+            cat.emit("y-psi", [psi(j, k)], [ys[j]], [psi(q, k)], [ys[q]])
     for j in range(1, q + 1):
         for k in range(2, r + 1):
-            elements.append(
-                _element(key, ext, nf, "z-psi", [psi(j, k)], [zs[k]], [psi(j, 1)], [zs[1]])
-            )
+            cat.emit("z-psi", [psi(j, k)], [zs[k]], [psi(j, 1)], [zs[1]])
     for j1, j2 in combinations(range(1, q + 1), 2):
         for k1, k2 in combinations(range(1, r + 1), 2):
-            elements.append(
-                _element(
-                    key,
-                    ext,
-                    nf,
-                    "psi-psi",
-                    [psi(j1, k2), psi(j2, k1)],
-                    [],
-                    [psi(j1, k1), psi(j2, k2)],
-                    [],
-                )
-            )
-
-    return ClaimedBasis(
-        "biclique",
-        base,
-        gens,
-        fiber,
-        ext,
-        order,
-        tuple(elements),
-        tuple(dict.fromkeys(e.initial for e in elements)),
-    )
+            cat.emit("psi-psi", [psi(j1, k2), psi(j2, k1)], [], [psi(j1, k1), psi(j2, k2)], [])
+    return cat.claim()
 
 
 # ---------------------------------------------------------------------------
@@ -227,36 +232,14 @@ def path_claimed(n):
     """
     if n < 3:
         raise ValueError("need a path on at least three vertices")
-    graph = path_graph(n)
-    base = graph.context()
-    covers = minimal_vertex_covers(graph)
-    gens, sets = covers.monomials(), covers.covers
-    s = len(gens)
-    fiber = default_fiber_names(s)
-    ext = extended_context(base, gens, fiber)
-    order = default_order(ext)
-    key = compile_order(order, ext)
-    index_of = {c: t + 1 for t, c in enumerate(sets)}
+    cat = _Catalogue(path_graph(n))
+    sets, index_of, s = cat.sets, cat.index_of, len(cat.gens)
 
+    # has reads x_i by its 1-based name; emit and monomial take x_i's
+    # 0-based base index i - 1
     def has(cover, i):
         # x_i divides the cover, with x_0 and x_{n+1} dividing everything
         return i < 1 or i > n or (i - 1) in cover
-
-    elements = []
-
-    def emit(tag, lead_f, lead_x, tail_f, tail_x):
-        elements.append(
-            _element(
-                key,
-                ext,
-                s,
-                tag,
-                lead_f,
-                [i - 1 for i in lead_x],
-                tail_f,
-                [i - 1 for i in tail_x],
-            )
-        )
 
     # single step: x_{i+1} y_j -> x_i y_k shifts one cover vertex right
     for j in range(1, s + 1):
@@ -266,12 +249,12 @@ def path_claimed(n):
                 k = _locate(index_of, cj - {i - 1} | {i}, "single-step image")
                 if not j < k:
                     raise AssertionError("single step must move down the cover list")
-                emit("path-1", [j], [i + 1], [k], [i])
+                cat.emit("path-1", [j], [i], [k], [i - 1])
         if has(cj, n - 2) and has(cj, n - 1):
             k = _locate(index_of, cj - {n - 2} | {n - 1}, "end-step image")
             if not j < k:
                 raise AssertionError("end step must move down the cover list")
-            emit("path-1", [j], [n], [k], [n - 1])
+            cat.emit("path-1", [j], [n - 1], [k], [n - 2])
 
     # double step: x_{i+1} y_j -> x_i x_{i+2} y_k merges two cover vertices
     for j in range(1, s + 1):
@@ -281,7 +264,7 @@ def path_claimed(n):
                 k = _locate(index_of, cj - {i - 1, i + 1} | {i}, "double-step image")
                 if not j < k:
                     raise AssertionError("double step must move down the cover list")
-                emit("path-2", [j], [i + 1], [k], [i, i + 2])
+                cat.emit("path-2", [j], [i], [k], [i - 1, i + 1])
 
     # prefix exchange: y_j y_k -> y_a y_b trades the covers' prefixes at x_{i-1}
     for j, k in combinations(range(1, s + 1), 2):
@@ -303,7 +286,7 @@ def path_claimed(n):
             b = _locate(index_of, vk | {i - 2, i - 1} | wj, "prefix exchange image")
             if not (j < a and j < b):
                 raise AssertionError("prefix exchange must move down the cover list")
-            emit("path-3", [j, k], [], [a, b], [])
+            cat.emit("path-3", [j, k], [], [a, b], [])
 
     # straddle with the upper pair first: y_j y_k -> x_i y_a y_b
     for j, k in combinations(range(1, s + 1), 2):
@@ -321,7 +304,7 @@ def path_claimed(n):
             b = _locate(index_of, vk | {i - 2, i} | wj, "straddle image")
             if not (j < a and k < b):
                 raise AssertionError("straddle must move down the cover list")
-            emit("path-4", [j, k], [], [a, b], [i])
+            cat.emit("path-4", [j, k], [], [a, b], [i - 1])
 
     # straddle with the lower pair first: y_j y_k -> x_i y_a y_b
     for j, k in combinations(range(1, s + 1), 2):
@@ -339,7 +322,7 @@ def path_claimed(n):
             b = _locate(index_of, vk | {i - 1} | wj, "straddle image")
             if not (j < a and k < b):
                 raise AssertionError("straddle must move down the cover list")
-            emit("path-5", [j, k], [], [a, b], [i])
+            cat.emit("path-5", [j, k], [], [a, b], [i - 1])
 
     # initial-monomial catalogue, generated from the covers alone
     catalogue = []
@@ -347,7 +330,7 @@ def path_claimed(n):
         cj = sets[j - 1]
         for i in range(1, n):
             if has(cj, i - 1) and has(cj, i):
-                catalogue.append(_monomial(ext, s, [j], [i]))
+                catalogue.append(cat.monomial([j], [i]))
     for j, k in combinations(range(1, s + 1), 2):
         cj, ck = sets[j - 1], sets[k - 1]
 
@@ -376,23 +359,13 @@ def path_claimed(n):
             )
 
         if bullet_one() or bullet_two() or bullet_three():
-            catalogue.append(_monomial(ext, s, [j, k], []))
+            catalogue.append(cat.monomial([j, k], []))
 
-    designated = {e.initial for e in elements}
+    designated = {e.initial for e in cat.elements}
     for m in catalogue:
         if m not in designated:
             raise AssertionError("catalogued initial without a matching binomial")
-
-    return ClaimedBasis(
-        "path",
-        base,
-        gens,
-        fiber,
-        ext,
-        order,
-        tuple(elements),
-        tuple(dict.fromkeys(catalogue)),
-    )
+    return cat.claim(catalogue)
 
 
 # ---------------------------------------------------------------------------
@@ -412,15 +385,8 @@ def cw_claimed(graph):
         raise ValueError("expected a cameron_walker-tagged graph")
     _, p, q = graph.family
     n, m = len(p), len(q)
-    base = graph.context()
-    covers = minimal_vertex_covers(graph)
-    gens, sets = covers.monomials(), covers.covers
-    s = len(gens)
-    fiber = default_fiber_names(s)
-    ext = extended_context(base, gens, fiber)
-    order = presentation_order(revlex_order(*fiber), lex_order(*base.names))
-    key = compile_order(order, ext)
-    index_of = {c: t + 1 for t, c in enumerate(sets)}
+    cat = _Catalogue(graph, revlex_order)
+    base, sets, index_of, s = cat.base, cat.sets, cat.index_of, len(cat.gens)
 
     xi = {i: base.index(f"xi{i}") for i in range(1, n + 1)}
     zeta = {j: base.index(f"zeta{j}") for j in range(1, m + 1)}
@@ -455,11 +421,6 @@ def cw_claimed(graph):
             return slack
         return frozenset()
 
-    elements = []
-
-    def emit(tag, lead_f, lead_b, tail_f, tail_b):
-        elements.append(_element(key, ext, s, tag, lead_f, lead_b, tail_f, tail_b))
-
     # leaf swap: xi_i enters, its leaves and the slack zetas leave
     for r in range(1, s + 1):
         cov = sets[r - 1]
@@ -472,7 +433,7 @@ def cw_claimed(graph):
             rp = _locate(index_of, cov - leaves[i] - w0 | {xi[i]}, "leaf swap image")
             if not r < rp:
                 raise AssertionError("leaf swap must move down the cover list")
-            emit("cw-1", [r], [xi[i]], [rp], sorted(leaves[i] | w0))
+            cat.emit("cw-1", [r], [xi[i]], [rp], sorted(leaves[i] | w0))
 
     # triangle swap: zeta_j enters, its b-corners leave
     for r in range(1, s + 1):
@@ -486,7 +447,7 @@ def cw_claimed(graph):
             rp = _locate(index_of, cov - bset | {zeta[j]}, "triangle swap image")
             if not r < rp:
                 raise AssertionError("triangle swap must move down the cover list")
-            emit("cw-2", [r], [zeta[j]], [rp], sorted(bset))
+            cat.emit("cw-2", [r], [zeta[j]], [rp], sorted(bset))
 
     # corner swap: c replaces b inside one pendant triangle
     for r in range(1, s + 1):
@@ -499,7 +460,7 @@ def cw_claimed(graph):
             rp = _locate(index_of, cov - {bvar[jk]} | {cvar[jk]}, "corner swap image")
             if not r < rp:
                 raise AssertionError("corner swap must move down the cover list")
-            emit("cw-3", [r], [cvar[jk]], [rp], [bvar[jk]])
+            cat.emit("cw-3", [r], [cvar[jk]], [rp], [bvar[jk]])
 
     # paired leaf swap: xi_i changes sides between two covers
     for i in range(1, n + 1):
@@ -520,7 +481,7 @@ def cw_claimed(graph):
                 rp1 = _locate(index_of, cov1 - {xi[i]} | leaves[i], "paired leaf image")
                 if not rp0 > r0 > r1 > rp1:
                     raise AssertionError("paired leaf swap order violated")
-                emit("cw-4", [r0, r1], [], [rp0, rp1], sorted(w0))
+                cat.emit("cw-4", [r0, r1], [], [rp0, rp1], sorted(w0))
 
     # paired corner swap: two covers trade b and c inside one triangle
     for jk in bvar:
@@ -540,7 +501,7 @@ def cw_claimed(graph):
                 )
                 if not rp0 > r0 > r1 > rp1:
                     raise AssertionError("paired corner swap order violated")
-                emit("cw-5", [r0, r1], [], [rp0, rp1], [])
+                cat.emit("cw-5", [r0, r1], [], [rp0, rp1], [])
 
     # paired triangle swap on the all-xi stratum: zeta_j trades places with
     # the other cover's whole b/c selection
@@ -568,18 +529,8 @@ def cw_claimed(graph):
                 )
                 if not rp0 > r0 > r1 > rp1:
                     raise AssertionError("paired triangle swap order violated")
-                emit("cw-6", [r0, r1], [], [rp0, rp1], [])
-
-    return ClaimedBasis(
-        "cameron_walker",
-        base,
-        gens,
-        fiber,
-        ext,
-        order,
-        tuple(elements),
-        tuple(dict.fromkeys(e.initial for e in elements)),
-    )
+                cat.emit("cw-6", [r0, r1], [], [rp0, rp1], [])
+    return cat.claim()
 
 
 # ---------------------------------------------------------------------------

@@ -168,12 +168,12 @@ def minimal_vertex_covers(graph):
     covers = [everything - s for s in independent]
     for c in covers:
         for a, b in graph.edges:
-            assert a in c or b in c, "cover misses an edge"
+            if a not in c and b not in c:
+                raise AssertionError("cover misses an edge")
         for v in sorted(c):
             smaller = c - {v}
-            assert any(
-                a not in smaller and b not in smaller for a, b in graph.edges
-            ), "cover is not minimal"
+            if not any(a not in smaller and b not in smaller for a, b in graph.edges):
+                raise AssertionError("cover is not minimal")
     covers.sort(key=lambda c: tuple(1 if i in c else 0 for i in range(n)), reverse=True)
     return CoverSet(graph, tuple(covers))
 

@@ -1,6 +1,7 @@
 """Claimed bases for bicliques, paths, and Cameron-Walker graphs."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -12,7 +13,7 @@ from xcond.families import (
     verify_claim,
 )
 from xcond.graphs import cameron_walker_graph, path_graph
-from xcond.ring import Monomial, render_polynomial
+from xcond.ring import Monomial, render_monomial, render_polynomial
 
 
 def renders(claim):
@@ -27,6 +28,44 @@ def fiber_monomial(claim, positions, base_names=()):
     pairs = [(r - 1, 1) for r in positions]
     pairs += [(nf + claim.base.index(name), 1) for name in base_names]
     return Monomial.from_pairs(pairs, claim.extended.nvars)
+
+
+def claim_digest(claim):
+    """sha256 of the claim in emission order: its fiber names, each element's
+    tag, polynomial and designated initial, then the catalogued initials."""
+    ext = claim.extended
+    lines = [",".join(claim.fiber_names)]
+    lines += [
+        f"{e.tag}|{render_polynomial(e.polynomial, ext)}|{render_monomial(e.initial, ext)}"
+        for e in claim.elements
+    ]
+    lines += [render_monomial(m, ext) for m in claim.claimed_initials]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# every catalogue's output pinned element by element; a refactor of the
+# builders that changes a name, a tag, an element or its position fails here
+CLAIM_DIGESTS = [
+    ("P3", lambda: path_claimed(3), "d5ca9b58f1470c69395abda7e99ac6158eae327846bebc538f447371becd2c60"),
+    ("P4", lambda: path_claimed(4), "43298546b9d4d3f87315a9382579b2d2833cafe78546ad5595129ff9bb26986b"),
+    ("P5", lambda: path_claimed(5), "0fd5ba98677edd31b6938513901431ee9a880d9f71d4b8dd54e199efe890c6dc"),
+    ("P6", lambda: path_claimed(6), "9cab051fc14462769e2c3452d5321e73b67afc4fd0424d9509a2160cb87f677c"),
+    ("P7", lambda: path_claimed(7), "70ba81d712197cea9e34d1a438effcd03e29cc22ee0f5ff457e07c9659a61d99"),
+    ("P8", lambda: path_claimed(8), "c57bed7cfc3184bbd9639e5bf3863ea2dcd8c1a127b93f53d5440d1845ef3276"),
+    ("P9", lambda: path_claimed(9), "4c1db56ecc2d6ac37ff51c9249f6e3a3e0a5ad04fe046238730986c568805318"),
+    ("K111", lambda: biclique_claimed(1, 1, 1), "1c507cbb9ed240603ccb58534ab57bb78cdd94db0522331285c95d6fed4cb92d"),
+    ("K222", lambda: biclique_claimed(2, 2, 2), "775e7ba73e4520451a0b53f137aae045df2ab08259b264ff8a097a9f05177d10"),
+    ("K232", lambda: biclique_claimed(2, 3, 2), "c582e99c4a107d1b5b932c627ffaeac89e91e8e0410be515406738cc7f1119d8"),
+    ("CW1-1", lambda: cw_claimed(cameron_walker_graph((1,), (1,))), "98b56821a4c9a9b06d3b002ce906f44d27d86c39f0ad120ea7a0c0d36703fa01"),
+    ("CW2-1", lambda: cw_claimed(cameron_walker_graph((2,), (1,))), "6fed8e0edc0d89ef4c61ca5c7b80ea2c357d674989ef3c8da5b94a5b41677965"),
+    ("CW11-0", lambda: cw_claimed(cameron_walker_graph((1, 1), (0,))), "15df8dbf811b98fda811c7de57b3264d1d8d587a8b8aed1a76e21e1e5ebd861d"),
+    ("CW11-1", lambda: cw_claimed(cameron_walker_graph((1, 1), (1,))), "9f30ca23dbade58aa10671be087532f006cd39d990bf5e18f8af3a28975a6511"),
+]
+
+
+@pytest.mark.parametrize("build,digest", [c[1:] for c in CLAIM_DIGESTS], ids=[c[0] for c in CLAIM_DIGESTS])
+def test_claim_is_pinned(build, digest):
+    assert claim_digest(build()) == digest
 
 
 class TestBiclique:
