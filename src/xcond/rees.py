@@ -453,8 +453,10 @@ def componentwise_certificate(presentation, k):
     Route "quadratic-initial": initial ideal generated in degree at most 2,
     images minimal, colons linear.  Route "weighted-nondecreasing": weighted
     fiber order, colons linear, image degrees nondecreasing.  The closed-form
-    Betti table is attached whenever either hypothesis validates it, and the
-    brute-force verdict is attached whenever the power is small enough.
+    Betti table is attached whenever either hypothesis validates it.  The
+    Betti oracle's verdict is attached unless the power, or one of its
+    degree components below its top generator degree, has more than
+    GENERATOR_CAP minimal generators.
     """
     xc = x_condition(presentation.gb)
     quadratic = all(m.degree() <= 2 for m in presentation.gb.initial.generators)

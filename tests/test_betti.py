@@ -1,14 +1,18 @@
 """Homological oracle: Betti tables, Hilbert numerators, linearity checks."""
 
 import itertools
+import json
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from xcond import betti
 from xcond.betti import (
     BettiTable,
     _reduced_homology_ranks,
@@ -20,6 +24,8 @@ from xcond.betti import (
     matrix_rank,
     multigraded_betti,
 )
+from xcond.cli import main
+from xcond.graphs import biclique_graph, cameron_walker_graph, minimal_vertex_covers, path_graph
 from xcond.groebner import MonomialIdeal, ScaleExceeded
 from xcond.ring import Monomial
 
@@ -94,6 +100,39 @@ def reference_multigraded_betti(ideal):
     return out
 
 
+def _is_linear(table, d):
+    return all(j == i + d for (i, j), _ in table.entries)
+
+
+def reference_componentwise(ideal, table=None):
+    """Check d-linearity of every degree component from the least generator
+    degree up to the regularity; higher components are multiples of the
+    regularity component by the maximal ideal and stay linear.
+
+    table, when given, must be betti_numbers(ideal); a component equal to
+    the ideal is judged by it instead of a second computation."""
+    if ideal.is_zero():
+        return True
+    if table is None:
+        table = betti_numbers(ideal)
+    nvars = len(ideal.generators[0].exps)
+    dmin = min(g.degree() for g in ideal.generators)
+    for d in range(dmin, table.regularity + 1):
+        component = degree_component(ideal, d, nvars)
+        if component.is_zero():
+            continue
+        if len(component.generators) > betti.GENERATOR_CAP:
+            raise ScaleExceeded(
+                f"degree-{d} component has {len(component.generators)} generators"
+            )
+        if component == ideal:
+            if not _is_linear(table, d):
+                return False
+        elif not has_linear_resolution(component):
+            return False
+    return True
+
+
 # up to 8 generators in up to 5 variables, exponents at most 3; an empty
 # list is the zero ideal and an all-zero generator the unit ideal
 random_ideals = st.integers(1, 5).flatmap(
@@ -101,6 +140,21 @@ random_ideals = st.integers(1, 5).flatmap(
         st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple), max_size=8
     ).map(lambda gens: MonomialIdeal.make(Monomial(g) for g in gens))
 )
+
+# up to 6 generators in 2 to 4 variables, exponents at most 3: small enough
+# that the reference builds every component up to the regularity quickly
+small_ideals = st.integers(2, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple), max_size=6
+    ).map(lambda gens: MonomialIdeal.make(Monomial(g) for g in gens))
+)
+
+
+@contextmanager
+def cap_lifted():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betti, "GENERATOR_CAP", math.inf)
+        yield mp
 
 
 class TestBettiNumbers:
@@ -325,6 +379,77 @@ class TestComponentwise:
     def test_degree_component_below_generators_is_zero(self):
         ideal = I((2, 0), (0, 2))
         assert degree_component(ideal, 1, 2).is_zero()
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_ideals)
+    @example(I((2, 0), (0, 2)))  # reg 3 > D = 2
+    @example(I((0, 2, 0), (0, 0, 2), (1, 1, 1)))  # reg 3 = D, (y^2, z^2) not linear
+    @example(I((1, 0, 1, 0), (0, 1, 1, 0), (0, 1, 0, 1)))  # equigenerated, linear
+    def test_agrees_with_reference(self, ideal):
+        with cap_lifted():
+            assert is_componentwise_linear(ideal) == reference_componentwise(ideal)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_ideals)
+    @example(I((2, 0), (0, 2)))
+    @example(I((0, 2, 0), (0, 0, 2), (1, 1, 1)))
+    @example(I((1, 0, 1, 0), (0, 1, 1, 0), (0, 1, 0, 1)))
+    def test_components_only_below_top_degree(self, ideal):
+        """Components are built in ascending degree from the least generator
+        degree, all below the top one D, none when reg > D or the ideal is
+        equigenerated, and all of them when the verdict is True."""
+        calls = []
+
+        def counted(of, d, nvars):
+            calls.append(d)
+            return degree_component(of, d, nvars)
+
+        with cap_lifted() as mp:
+            mp.setattr(betti, "degree_component", counted)
+            table = betti_numbers(ideal)
+            verdict = is_componentwise_linear(ideal, table)
+        if ideal.is_zero():
+            assert calls == []
+            return
+        degrees = [g.degree() for g in ideal.generators]
+        dmin, top = min(degrees), max(degrees)
+        if table.regularity > top or dmin == top:
+            assert calls == []
+        elif verdict:
+            assert calls == list(range(dmin, top))
+        else:
+            assert calls == list(range(dmin, dmin + len(calls)))
+            assert calls and calls[-1] < top
+
+
+def cover_power(graph, k):
+    """The k-th power of graph's cover ideal, from products of its covers."""
+    covers = minimal_vertex_covers(graph).monomials()
+    products = itertools.combinations_with_replacement(covers, k)
+    return MonomialIdeal.make(reduce(Monomial.mul, combo) for combo in products)
+
+
+# the six powers whose verdict the generator cap hid before the oracle
+# stopped building components at and above the top generator degree
+NEWLY_JUDGED = (
+    (("--path", "5"), path_graph(5), 2),
+    (("--biclique", "2", "2", "2"), biclique_graph(2, 2, 2), 1),
+    (("--path", "6"), path_graph(6), 1),
+    (("--path", "8"), path_graph(8), 1),
+    (("--cw", "p=2", "q=1"), cameron_walker_graph((2,), (1,)), 1),
+    (("--cw", "p=1,1", "q=0"), cameron_walker_graph((1, 1), (0,)), 2),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, graph, k", NEWLY_JUDGED, ids=[f"{' '.join(a)} k={k}" for a, _, k in NEWLY_JUDGED]
+)
+def test_cli_verdict_matches_uncapped_reference(capsys, argv, graph, k):
+    main(["rees", *argv, "--k", str(k)])
+    verdict = json.loads(capsys.readouterr().out)["oracle_componentwise"]
+    assert verdict is not None
+    with cap_lifted():
+        assert verdict == reference_componentwise(cover_power(graph, k))
 
 
 class TestBettiTable:

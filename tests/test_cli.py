@@ -354,6 +354,17 @@ class TestPowers:
         assert [r["k"] for r in payload["reports"]] == [1, 2, 3]
         assert all(r["certified"] == "quadratic-initial" for r in payload["reports"])
 
+    def test_cw_certificate_gap_stays_visible(self, capsys):
+        """The oracle calls the square of this cover ideal componentwise
+        linear, yet no route certifies it: its images are not minimal and
+        their degrees decrease.  A new route must close the gap on purpose."""
+        code, payload = run_json(capsys, "powers", "--cw", "p=1,1", "q=0", "--kmax", "3")
+        assert code == 1
+        square = payload["reports"][1]
+        assert square["k"] == 2
+        assert square["certified"] is None
+        assert square["oracle_componentwise"] is True
+
 
 class TestVerifyFamily:
     def test_biclique(self, capsys):

@@ -78,25 +78,25 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 GOLDEN = (
     ("rees --path 3 --k 2", 0, "623d5ba3b058e3dbe013f0a79dd11ff67ec2cb6d661f556cde71d115d7db79f1"),
     ("rees --path 4 --k 2", 0, "f05ecf967d799183012769c41c7811f19e22aa343c5a19671c213297916dd2c4"),
-    ("rees --path 5 --k 2", 0, "0047933a29772eef7c5422c1328b9e73a8187f1f1e80002802841d748b1a5d98"),
+    ("rees --path 5 --k 2", 0, "544415ba775f853757a1997fdbdd55cdd26db73c39715a6dde1cca78793020fa"),
     ("rees --path 6 --k 2", 0, "662a4e03ab5bb7a65f9d1523d0744f59f5205246a47b9e4227bb3cf166f41dd2"),
     ("rees --path 7 --k 2", 0, "5461c852165dabb8bf9811482d77c706ec0eea13e7f921b91a397ae57662863b"),
     ("rees --path 8 --k 2", 0, "ad210b35904238e8acfbfc66a593d511a251a8a5439f77fe28001dcdb97c9976"),
-    ("rees --biclique 2 2 2 --k 1", 0, "9e21ed691a5120accf0b4679f8f116e4c916745f0199c6057b1116aee23e8c59"),
+    ("rees --biclique 2 2 2 --k 1", 0, "b5e0dfc55e019fe5f4ca065c04b7b30c6008b104463d56e078e56b9d56b519f1"),
     ("rees --cw p=1 q=1 --k 2", 0, "e16d9ef9aeeef2c66196b926743e8eea41d9a89f87b41388002a583596923197"),
     ("xcond --path 8", 0, "53e84c15e8d62cd39b2fe2543a960d01d10f1167f27f193c0c91b185a2cd34c6"),
     # exit 1: the x-condition fails, violations ["y1*b*c*d"]
     ("xcond --graph star.graph", 1, "bba40f019ec2c4b04fa4a1f7464eb25ba509dd090f9aa71d9fe7c63bccbd25cd"),
     ("rees --graph star.graph --k 1", 1, "3774dc1217cfa3ff816768e5ac59a5d394c8d19ecdd1b6d80c68ffc0fc07ca3c"),
-    ("powers --path 6 --kmax 3", 0, "f6ba7d4b51d5a780d5d4c3cde594a4120fefb45b94e4be2fc4b027879e1ab3a8"),
-    ("powers --cw p=2 q=1 --kmax 3", 0, "9fc215f84a5aa4ed474a6b7abf7da8f26228c243b1db7888ff36e54deacd091f"),
-    ("powers --path 5 --kmax 3", 0, "4f450511c25baaf6b82a390ab210ac4af678907d911f86df10f43328b776f2cd"),
+    ("powers --path 6 --kmax 3", 0, "7dee75a32b615d386bc66e6eaaf74c7413acfa2808032b2970154d47a48f7f2e"),
+    ("powers --cw p=2 q=1 --kmax 3", 0, "ada0b0ccf665f7b4d48f61ef83d26607faaa236ed780cfe0e7971877e69abd51"),
+    ("powers --path 5 --kmax 3", 0, "6b0da2f644a8730cac2749302645b5f2c31b0551ddc4c33e04c4bd622384e312"),
     ("powers --path 7 --kmax 3", 0, "0e4ad226e53dc62a03542dd60d4a59b3950bda49f7483b93c6a87c4a01ba5c7e"),
-    ("powers --path 8 --kmax 3", 0, "4eededb61928f1f72a9dc10733b30de78326e772b26c473f1505db467704f801"),
+    ("powers --path 8 --kmax 3", 0, "a2d3df2e685589e37dce7335eea6cf9d36473dbde67d3deebfb02a64373afcb3"),
     ("powers --cw p=1 q=1 --kmax 3", 0, "7bba110860dab3de8f6c6f65ec7f0223d6bff682151acc1c71da61b6ab047bd1"),
     # exit 1: no power up to k = 3 is certified
-    ("powers --cw p=1,1 q=0 --kmax 3", 1, "d5ce00853dedea5fa7fae3e1d49c684b08f817dce1505c44345989934a213dcf"),
-    ("powers --biclique 2 2 2 --kmax 3", 0, "bcd69e27fd566e1eb8519856928f3c23a25edca3deaa9b9c285cc07b602da422"),
+    ("powers --cw p=1,1 q=0 --kmax 3", 1, "bd14497730a3413904fb182131e3f04983672b4990c576295cbc1456a823a5ae"),
+    ("powers --biclique 2 2 2 --kmax 3", 0, "2e357fe5c755f367b905893066d74b33241d9d30a7c104b3c19ff9561ed33910"),
     ("verify-family --path 8", 0, "aa6fc7403a9fd7db8fbe79383fe1152647f81622fb2c86223862c7c3431fe599"),
     ("verify-family --biclique 2 3 2", 0, "558a51490020acde11093ef8e30b6621133a26369b9ec1d99a778eafe73d6701"),
     ("verify-family --cw p=1,1 q=1", 0, "6c7cfbb8dacf93062edd3c00dd4105164e68e8b3934ceee79e2780b8904d8ed0"),
@@ -121,7 +121,7 @@ GOLDEN = (
     ("cycle-complex --r 7", 0, "3b392a04f55164366b9237482a0ecbca72fe3b2786b83722b5133e77343ac9cd"),
     ("graph-stats --path 4 --pretty", 0, "b585b8da0121562d0f6a83885793fb5e1b532a0041cc4430823ea4bab5a94889"),
     ("rees --path 6 --k 2 --pretty", 0, "0efaef93637d5e12598b88bd9b16b9dd003a6e93e1d692d302d69bf348bf901e"),
-    ("powers --path 5 --kmax 2 --pretty", 0, "2640436da0448beb6e6e374b96311a01d93c75a73af085674400a9b705677fd0"),
+    ("powers --path 5 --kmax 2 --pretty", 0, "021af0ea79988c007a36fa6df329b3ea40f07846e225001358d571a18ff913b8"),
     ("verify-family --biclique 2 3 2 --pretty", 0, "0d23cd19033a2865c89a0e3386e150bc0072cd8c5a441f416ae687e4bbbb7c28"),
     ("binomial-edge --graph c4.graph --check mg --pretty", 0, "04e09b4455532cdd84682c7edc03808e100ae31a0540febfb10b506390569f8d"),
     ("cycle-complex --r 5 --pretty", 0, "8aa742f46fae663c66229957977d284647c3380d200c5a91495a015b7ffc4a6f"),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from xcond import betti, rees
 from xcond.betti import betti_numbers, is_componentwise_linear
-from xcond.families import biclique_claimed, cw_claimed
+from xcond.families import biclique_claimed, cw_claimed, fiber_names
 from xcond.graphs import (
     Graph,
     biclique_graph,
@@ -53,21 +53,10 @@ def path_presentation(n, **kwargs):
     return rees_ideal(ctx, gens, **kwargs)
 
 
-def biclique_fiber_names(p, q, r):
-    names = [f"phi{i}" for i in range(1, p + 1)]
-    for j in range(1, q + 1):
-        for k in range(r, 0, -1):
-            names.append(f"psi{j}_{k}")
-    return tuple(names)
-
-
 def biclique_presentation(p, q, r):
     g = biclique_graph(p, q, r)
-    return rees_ideal(
-        g.context(),
-        minimal_vertex_covers(g).monomials(),
-        fiber_names=biclique_fiber_names(p, q, r),
-    )
+    gens = minimal_vertex_covers(g).monomials()
+    return rees_ideal(g.context(), gens, fiber_names=fiber_names(g, len(gens)))
 
 
 class TestConstruction:
