@@ -45,7 +45,6 @@ from .ring import (
     compile_order,
     lex_order,
     monomial_poly,
-    weighted_order,
 )
 
 ELIM_VAR = "_t"
@@ -107,20 +106,6 @@ def default_order(extended):
         lex_order(*extended.block_vars(FIBER_BLOCK)),
         lex_order(*extended.block_vars(BASE_BLOCK)),
     )
-
-
-def ascending_degree(gens):
-    """Stable relabeling with nondecreasing generator degrees, the labeling
-    the weight-vector order expects."""
-    return tuple(sorted(gens, key=lambda g: g.degree()))
-
-
-def weight_order(gens, fiber_names, base_spec):
-    """Fiber comparison by total image degree, ties won by the later fiber
-    variable, then the base comparison."""
-    weights = tuple(g.degree() for g in gens)
-    tie = lex_order(*reversed(tuple(fiber_names)))
-    return presentation_order(weighted_order(weights, tie), base_spec)
 
 
 def _validate_generators(base_ctx, gens):
@@ -439,7 +424,6 @@ class CertificateReport:
     minimal: bool
     linear_quotients: bool
     nondecreasing: bool
-    weighted: bool
     certified: "str | None"
     betti_route: "str | None"
     betti: "BettiTable | None"
@@ -451,9 +435,16 @@ def componentwise_certificate(presentation, k):
     """Certificate that the k-th power is componentwise linear.
 
     Route "quadratic-initial": initial ideal generated in degree at most 2,
-    images minimal, colons linear.  Route "weighted-nondecreasing": weighted
-    fiber order, colons linear, image degrees nondecreasing.  The closed-form
-    Betti table is attached whenever either hypothesis validates it.  The
+    images minimal, colons linear.  Route "nondecreasing-linear-quotients",
+    tried second: images minimal, colons linear, image degrees
+    nondecreasing.  The fiber block is compared first, so the images of the
+    standard degree-k fiber monomials generate I^k; `minimal` makes them
+    its minimal generators; the colons are taken in the printed order and
+    `nondecreasing` is checked in that same order.  An ideal with linear
+    quotients over its minimal generators in nondecreasing degree is
+    componentwise linear (Jahan & Zheng, "Ideals with linear quotients",
+    J. Combin. Theory Ser. A 117, 2010).  The closed-form Betti table is
+    attached whenever minimality or nondecreasing degrees validate it.  The
     Betti oracle's verdict is attached unless the power, or one of its
     degree components below its top generator degree, has more than
     GENERATOR_CAP minimal generators.
@@ -466,13 +457,12 @@ def componentwise_certificate(presentation, k):
     minimal = report.minimal
     degrees = [s.degree for s in report.steps]
     nondecreasing = all(a <= b for a, b in zip(degrees, degrees[1:]))
-    weighted = presentation.order.parts[0][1].kind == "weighted"
 
     certified = None
     if quadratic and minimal and report.ok:
         certified = "quadratic-initial"
-    elif weighted and report.ok and nondecreasing:
-        certified = "weighted-nondecreasing"
+    elif minimal and report.ok and nondecreasing:
+        certified = "nondecreasing-linear-quotients"
 
     betti_route = None
     table = None
@@ -503,7 +493,6 @@ def componentwise_certificate(presentation, k):
         minimal=minimal,
         linear_quotients=report.ok,
         nondecreasing=nondecreasing,
-        weighted=weighted,
         certified=certified,
         betti_route=betti_route,
         betti=table,

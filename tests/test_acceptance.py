@@ -41,15 +41,14 @@ from xcond.groebner import (
     reduced_groebner_basis,
 )
 from xcond.rees import (
-    ascending_degree,
     betti_from_quotients,
     colon_cross_check,
     componentwise_certificate,
     kernel_member,
+    presentation_order,
     quotient_steps,
     rees_ideal,
     standard_monomials,
-    weight_order,
 )
 from xcond.ring import (
     Monomial,
@@ -550,25 +549,24 @@ def test_criterion_9_property_suites():
 def test_criterion_10_weighted_route():
     g = path_graph(5)
     ctx = g.context()
-    gens = ascending_degree(minimal_vertex_covers(g).monomials())
+    gens = tuple(sorted(minimal_vertex_covers(g).monomials(), key=Monomial.degree))
     names = tuple(f"y{j}" for j in range(1, len(gens) + 1))
-    pres = rees_ideal(
-        ctx,
-        gens,
-        order=weight_order(gens, names, lex_order(*ctx.names)),
-        fiber_names=names,
+    tie = lex_order(*reversed(names))
+    order = presentation_order(
+        weighted_order(tuple(m.degree() for m in gens), tie), lex_order(*ctx.names)
     )
+    pres = rees_ideal(ctx, gens, order=order, fiber_names=names)
     results = []
     for k in (1, 2, 3):
         degrees = [h.degree() for h in standard_monomials(pres, k).images()]
         cert = componentwise_certificate(pres, k)
         results.append(
             degrees == sorted(degrees)
-            and cert.weighted
-            and cert.nondecreasing
+            and cert.minimal
             and cert.linear_quotients
+            and cert.nondecreasing
             and cert.certified is not None
         )
-    announce(10, all(results), "weighted order: image degrees nondecreasing and "
-             "quotients linear for k=1..3")
+    announce(10, all(results), "weighted order: images minimal, degrees nondecreasing "
+             "and quotients linear for k=1..3")
     assert all(results)

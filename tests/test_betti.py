@@ -24,7 +24,7 @@ from xcond.betti import (
     matrix_rank,
     multigraded_betti,
 )
-from xcond.cli import main
+from xcond.cli import betti_payload, main
 from xcond.graphs import biclique_graph, cameron_walker_graph, minimal_vertex_covers, path_graph
 from xcond.groebner import MonomialIdeal, ScaleExceeded
 from xcond.ring import Monomial
@@ -450,6 +450,27 @@ def test_cli_verdict_matches_uncapped_reference(capsys, argv, graph, k):
     assert verdict is not None
     with cap_lifted():
         assert verdict == reference_componentwise(cover_power(graph, k))
+
+
+# the powers that only the nondecreasing-linear-quotients route certifies
+NEWLY_CERTIFIED = (
+    (("--cw", "p=1,1", "q=0"), cameron_walker_graph((1, 1), (0,)), 1),
+    *((("--cw", "p=1,1", "q=1,1"), cameron_walker_graph((1, 1), (1, 1)), k) for k in (1, 2, 3)),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, graph, k", NEWLY_CERTIFIED, ids=[f"{' '.join(a)} k={k}" for a, _, k in NEWLY_CERTIFIED]
+)
+def test_new_route_agrees_with_uncapped_oracle(capsys, argv, graph, k):
+    assert main(["rees", *argv, "--k", str(k)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["certified"] == "nondecreasing-linear-quotients"
+    power = cover_power(graph, k)
+    with cap_lifted():
+        table = betti_numbers(power)
+        assert is_componentwise_linear(power, table) is True
+    assert out["betti"] == betti_payload(table)
 
 
 class TestBettiTable:

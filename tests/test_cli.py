@@ -161,14 +161,13 @@ class TestRees:
                     "oracle_betti_match": None,
                     "oracle_componentwise": None,
                     "quadratic": True,
-                    "weighted": False,
                     "x_condition": True,
                 },
             ),
             (
                 ("--cw", "p=1,1", "q=1,1"),
                 "2",
-                1,
+                0,
                 156,
                 {
                     "betti": {
@@ -180,7 +179,7 @@ class TestRees:
                         "regularity": 12,
                     },
                     "betti_route": "both",
-                    "certified": None,
+                    "certified": "nondecreasing-linear-quotients",
                     "generators": 21,
                     "k": 2,
                     "linear_quotients": True,
@@ -189,7 +188,6 @@ class TestRees:
                     "oracle_betti_match": None,
                     "oracle_componentwise": None,
                     "quadratic": False,
-                    "weighted": False,
                     "x_condition": True,
                 },
             ),
@@ -199,9 +197,9 @@ class TestRees:
     def test_larger_power_certificates(self, capsys, family, k, code, images, report):
         """Every field of two certificates on powers with hundreds of
         images, cheap since the colons run on packed exponents.  The Betti
-        table's row 0 counts the images.  CW p=1,1 q=1,1 is not certified
-        (exit 1): no route covers it yet, though its images are minimal,
-        have linear quotients and nondecreasing degrees."""
+        table's row 0 counts the images.  CW p=1,1 q=1,1 has no quadratic
+        initial ideal, but its images are minimal, have linear quotients and
+        nondecreasing degrees, so the second route certifies it."""
         got_code, payload = run_json(capsys, "rees", *family, "--k", k)
         assert (got_code, payload) == (code, report)
         assert sum(n for i, _, n in payload["betti"]["entries"] if i == 0) == images
@@ -357,13 +355,19 @@ class TestPowers:
     def test_cw_certificate_gap_stays_visible(self, capsys):
         """The oracle calls the square of this cover ideal componentwise
         linear, yet no route certifies it: its images are not minimal and
-        their degrees decrease.  A new route must close the gap on purpose."""
+        their degrees decrease.  A new route must close the gap on purpose.
+        The ideal itself is certified from linear quotients in
+        nondecreasing degree; the cube is not certified either."""
         code, payload = run_json(capsys, "powers", "--cw", "p=1,1", "q=0", "--kmax", "3")
         assert code == 1
-        square = payload["reports"][1]
+        first, square, cube = payload["reports"]
+        assert first["k"] == 1
+        assert first["certified"] == "nondecreasing-linear-quotients"
         assert square["k"] == 2
         assert square["certified"] is None
         assert square["oracle_componentwise"] is True
+        assert cube["k"] == 3
+        assert cube["certified"] is None
 
 
 class TestVerifyFamily:

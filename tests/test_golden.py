@@ -76,27 +76,28 @@ INPUTS = {
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 GOLDEN = (
-    ("rees --path 3 --k 2", 0, "623d5ba3b058e3dbe013f0a79dd11ff67ec2cb6d661f556cde71d115d7db79f1"),
-    ("rees --path 4 --k 2", 0, "f05ecf967d799183012769c41c7811f19e22aa343c5a19671c213297916dd2c4"),
-    ("rees --path 5 --k 2", 0, "544415ba775f853757a1997fdbdd55cdd26db73c39715a6dde1cca78793020fa"),
-    ("rees --path 6 --k 2", 0, "662a4e03ab5bb7a65f9d1523d0744f59f5205246a47b9e4227bb3cf166f41dd2"),
-    ("rees --path 7 --k 2", 0, "5461c852165dabb8bf9811482d77c706ec0eea13e7f921b91a397ae57662863b"),
-    ("rees --path 8 --k 2", 0, "ad210b35904238e8acfbfc66a593d511a251a8a5439f77fe28001dcdb97c9976"),
-    ("rees --biclique 2 2 2 --k 1", 0, "b5e0dfc55e019fe5f4ca065c04b7b30c6008b104463d56e078e56b9d56b519f1"),
-    ("rees --cw p=1 q=1 --k 2", 0, "e16d9ef9aeeef2c66196b926743e8eea41d9a89f87b41388002a583596923197"),
+    ("rees --path 3 --k 2", 0, "91413c1cff1d2835188f2baa3d8a7c36b33f347b4a5bddfaed7186808bc29fc0"),
+    ("rees --path 4 --k 2", 0, "bceb67fc5726341232b26279bb2f7f8d9411701aea7f5b4ed605eb895da71e5b"),
+    ("rees --path 5 --k 2", 0, "17335478364ba4bb91dbcf9b24f0342eab7cf29f807c120703e2b78177b907dc"),
+    ("rees --path 6 --k 2", 0, "71acc2817fb2aa04fff6838797d05839c9949b0d26e4a109a72aeb65de3687d4"),
+    ("rees --path 7 --k 2", 0, "8ecb3621e83aff2d2d6b4beab004aedee323e450c85005333842e7a2f4e3facf"),
+    ("rees --path 8 --k 2", 0, "bd780a4e5e7e0c34a5f8fdb71122189c3d6a06ff9743b237afaa432d6894ea54"),
+    ("rees --biclique 2 2 2 --k 1", 0, "51b8c2a99fcef8a2575ed1c2716edad89cc3a6aad6d61aaa897320bf13981e1c"),
+    ("rees --cw p=1 q=1 --k 2", 0, "77601fbb6fcb3572d0273d8982da5120ca077d1cc59261da7cbc8441969a5358"),
     ("xcond --path 8", 0, "53e84c15e8d62cd39b2fe2543a960d01d10f1167f27f193c0c91b185a2cd34c6"),
     # exit 1: the x-condition fails, violations ["y1*b*c*d"]
     ("xcond --graph star.graph", 1, "bba40f019ec2c4b04fa4a1f7464eb25ba509dd090f9aa71d9fe7c63bccbd25cd"),
-    ("rees --graph star.graph --k 1", 1, "3774dc1217cfa3ff816768e5ac59a5d394c8d19ecdd1b6d80c68ffc0fc07ca3c"),
-    ("powers --path 6 --kmax 3", 0, "7dee75a32b615d386bc66e6eaaf74c7413acfa2808032b2970154d47a48f7f2e"),
-    ("powers --cw p=2 q=1 --kmax 3", 0, "ada0b0ccf665f7b4d48f61ef83d26607faaa236ed780cfe0e7971877e69abd51"),
-    ("powers --path 5 --kmax 3", 0, "6b0da2f644a8730cac2749302645b5f2c31b0551ddc4c33e04c4bd622384e312"),
-    ("powers --path 7 --kmax 3", 0, "0e4ad226e53dc62a03542dd60d4a59b3950bda49f7483b93c6a87c4a01ba5c7e"),
-    ("powers --path 8 --kmax 3", 0, "a2d3df2e685589e37dce7335eea6cf9d36473dbde67d3deebfb02a64373afcb3"),
-    ("powers --cw p=1 q=1 --kmax 3", 0, "7bba110860dab3de8f6c6f65ec7f0223d6bff682151acc1c71da61b6ab047bd1"),
-    # exit 1: no power up to k = 3 is certified
-    ("powers --cw p=1,1 q=0 --kmax 3", 1, "bd14497730a3413904fb182131e3f04983672b4990c576295cbc1456a823a5ae"),
-    ("powers --biclique 2 2 2 --kmax 3", 0, "2e357fe5c755f367b905893066d74b33241d9d30a7c104b3c19ff9561ed33910"),
+    ("rees --graph star.graph --k 1", 1, "eb8eaa619c44de802c837cc680c30d49c1509d127a6de0e61061e0a5215b4b0d"),
+    ("powers --path 6 --kmax 3", 0, "465a276aed20be1e9180c1d4a84e53056bc2628882e761fae6792960f209c22b"),
+    ("powers --cw p=2 q=1 --kmax 3", 0, "e40f4d74b36d5367f4ce72f6977747732c9a2265c8aeb07b13583e827b9e3580"),
+    ("powers --path 5 --kmax 3", 0, "733995faa1e6a4087e4b0ae000ecd0eac2410b10ab5e9696aa471fea93620d20"),
+    ("powers --path 7 --kmax 3", 0, "8c313d292268d761dff4957f3672ddfcd3511c8af75ed3680a284b7b99a3a019"),
+    ("powers --path 8 --kmax 3", 0, "35668a5c423da6255f59c0674438f6e2ea343ac94d506fd3eb9ed8d9ae6a6e7e"),
+    ("powers --cw p=1 q=1 --kmax 3", 0, "4d7522dfcf0f7320fae935b1e8b0d00b5d460f0ac6fe9f605e1acdb8f2a0ad45"),
+    # exit 1: k = 1 is certified, k = 2 and 3 are not
+    ("powers --cw p=1,1 q=0 --kmax 3", 1, "d6a317741f3d83225203cf3c2c9994f3fbfd22bbed6817f03a89ad4339844785"),
+    ("powers --cw p=1,1 q=1,1 --kmax 3", 0, "b18c5031318b5e49f3104e943ddfec1332536cf9cbdfc00bafb1dbe0ca88cb20"),
+    ("powers --biclique 2 2 2 --kmax 3", 0, "8e1370558a1abe0fc077a59bc5c25ebb69a9105041293e9c1897f4e2dc1f8a2b"),
     ("verify-family --path 8", 0, "aa6fc7403a9fd7db8fbe79383fe1152647f81622fb2c86223862c7c3431fe599"),
     ("verify-family --biclique 2 3 2", 0, "558a51490020acde11093ef8e30b6621133a26369b9ec1d99a778eafe73d6701"),
     ("verify-family --cw p=1,1 q=1", 0, "6c7cfbb8dacf93062edd3c00dd4105164e68e8b3934ceee79e2780b8904d8ed0"),
@@ -120,8 +121,8 @@ GOLDEN = (
     ("cycle-complex --r 6", 0, "5aa8a60baef7f782453d5051f6d8faeb3a63169b0a47d5e506ccff70e31785fe"),
     ("cycle-complex --r 7", 0, "3b392a04f55164366b9237482a0ecbca72fe3b2786b83722b5133e77343ac9cd"),
     ("graph-stats --path 4 --pretty", 0, "b585b8da0121562d0f6a83885793fb5e1b532a0041cc4430823ea4bab5a94889"),
-    ("rees --path 6 --k 2 --pretty", 0, "0efaef93637d5e12598b88bd9b16b9dd003a6e93e1d692d302d69bf348bf901e"),
-    ("powers --path 5 --kmax 2 --pretty", 0, "021af0ea79988c007a36fa6df329b3ea40f07846e225001358d571a18ff913b8"),
+    ("rees --path 6 --k 2 --pretty", 0, "4564a1163cc85bf252241b78780aeba98e98e96230eb471f94523b786eefca6c"),
+    ("powers --path 5 --kmax 2 --pretty", 0, "29a95cc8948b49ed25b0278ded6b5e6a47e1fcdad117dba14ec0df9b866f7f91"),
     ("verify-family --biclique 2 3 2 --pretty", 0, "0d23cd19033a2865c89a0e3386e150bc0072cd8c5a441f416ae687e4bbbb7c28"),
     ("binomial-edge --graph c4.graph --check mg --pretty", 0, "04e09b4455532cdd84682c7edc03808e100ae31a0540febfb10b506390569f8d"),
     ("cycle-complex --r 5 --pretty", 0, "8aa742f46fae663c66229957977d284647c3380d200c5a91495a015b7ffc4a6f"),

@@ -38,14 +38,15 @@ from xcond.ring import (
     poly_from_dict,
     render_polynomial,
     revlex_order,
+    weighted_order,
 )
 from xcond.rees import (
     ELIM_VAR,
     default_order,
     extended_context,
+    presentation_order,
     quotient_steps,
     rees_ideal,
-    weight_order,
 )
 from xcond.symalg import edge_module, equivalence_check
 
@@ -1023,17 +1024,19 @@ class TestQuotientFreeNormalForm:
 
 def _rees_orders():
     """rees_ideal's t-elimination order around the default order, and the
-    weighted certificate order, both on the cover ideal of P4."""
+    fiber weighted by image degree, both on the cover ideal of P4."""
     g = path_graph(4)
     base = g.context()
-    gens = minimal_vertex_covers(g).monomials()
+    gens = sorted(minimal_vertex_covers(g).monomials(), key=Monomial.degree)
     extended = extended_context(base, gens)
     default = default_order(extended)
     elim_ctx = VarContext.make(
         extended.names + (ELIM_VAR,), extended.blocks + (("elim", (ELIM_VAR,)),)
     )
     elim = block_order(("elim", lex_order(ELIM_VAR)), *default.parts)
-    weighted = weight_order(gens, extended.block_vars("fiber"), lex_order(*base.names))
+    tie = lex_order(*reversed(extended.block_vars("fiber")))
+    fiber = weighted_order(tuple(m.degree() for m in gens), tie)
+    weighted = presentation_order(fiber, lex_order(*base.names))
     return [compile_order(elim, elim_ctx), compile_order(weighted, extended)]
 
 

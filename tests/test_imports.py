@@ -73,8 +73,6 @@ LIBRARY_ONLY = (
     ("divide", "textbook division, the oracle for normal_form"),
     ("standard_rewrites", "the paper's rewrite check for standard monomials"),
     ("colon_cross_check", "the paper's colon-ideal check of linear quotients"),
-    ("weight_order", "builds the order of the weighted certificate route"),
-    ("ascending_degree", "the weighted certificate route's sort"),
     ("is_chordal", "kept only because the benchmark tracer wraps it; it is peo(graph) is not None"),
     ("Polynomial.is_binomial_pm1", "the toric shape the Rees kernel tests assert"),
     ("Polynomial.scale", "rescales the inputs of the reduced-basis uniqueness tests"),

@@ -20,18 +20,17 @@ from xcond.graphs import (
 )
 from xcond.groebner import GroebnerBasis, Ideal, MonomialIdeal, eliminate, reduced_groebner_basis
 from xcond.rees import (
-    ascending_degree,
     betti_from_quotients,
     colon_cross_check,
     componentwise_certificate,
     default_fiber_names,
     extended_context,
     kernel_member,
+    presentation_order,
     quotient_steps,
     rees_ideal,
     standard_monomials,
     standard_rewrites,
-    weight_order,
     x_condition,
 )
 from xcond.ring import (
@@ -42,6 +41,7 @@ from xcond.ring import (
     parse_polynomial,
     render_monomial,
     render_polynomial,
+    weighted_order,
 )
 from xcond.symalg import edge_module
 
@@ -51,6 +51,17 @@ def path_presentation(n, **kwargs):
     ctx = g.context()
     gens = minimal_vertex_covers(g).monomials()
     return rees_ideal(ctx, gens, **kwargs)
+
+
+def weighted_presentation(g):
+    """g's covers in nondecreasing degree, the fiber compared by image
+    degree with ties won by the later fiber variable, then lex on the base."""
+    ctx = g.context()
+    gens = tuple(sorted(minimal_vertex_covers(g).monomials(), key=Monomial.degree))
+    weights = tuple(m.degree() for m in gens)
+    tie = lex_order(*reversed(default_fiber_names(len(gens))))
+    order = presentation_order(weighted_order(weights, tie), lex_order(*ctx.names))
+    return rees_ideal(ctx, gens, order=order)
 
 
 def biclique_presentation(p, q, r):
@@ -125,13 +136,7 @@ class TestOnePass:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_paths(self, n, weighted):
         g = path_graph(n)
-        gens = minimal_vertex_covers(g).monomials()
-        order = None
-        if weighted:
-            gens = ascending_degree(gens)
-            fiber = default_fiber_names(len(gens))
-            order = weight_order(gens, fiber, lex_order(*g.context().names))
-        self.assert_closed(rees_ideal(g.context(), gens, order=order))
+        self.assert_closed(weighted_presentation(g) if weighted else path_presentation(n))
 
     def test_biclique_232(self):
         self.assert_closed(biclique_claimed(2, 3, 2).presentation())
@@ -160,10 +165,9 @@ class TestPackedStrip:
         self.assert_strip(cw_claimed(cameron_walker_graph((1, 1), (0,))).presentation())
 
     def test_weighted_fiber(self):
-        g = path_graph(7)
-        gens = ascending_degree(minimal_vertex_covers(g).monomials())
-        order = weight_order(gens, default_fiber_names(len(gens)), lex_order(*g.context().names))
-        self.assert_strip(rees_ideal(g.context(), gens, order=order))
+        pres = weighted_presentation(path_graph(7))
+        assert pres.order.parts[0][1].kind == "weighted"
+        self.assert_strip(pres)
 
 
 class TestHandoff:
@@ -493,20 +497,24 @@ class TestCertificate:
         assert cert.certified == "quadratic-initial"
 
     def test_weighted_route_p5(self):
-        g = path_graph(5)
-        ctx = g.context()
-        gens = ascending_degree(minimal_vertex_covers(g).monomials())
-        assert [m.degree() for m in gens] == [2, 3, 3, 3]
-        fn = tuple(f"y{j}" for j in range(1, len(gens) + 1))
-        order = weight_order(gens, fn, lex_order(*ctx.names))
-        pres = rees_ideal(ctx, gens, order=order, fiber_names=fn)
+        pres = weighted_presentation(path_graph(5))
+        assert [m.degree() for m in pres.gens] == [2, 3, 3, 3]
+        assert pres.order.parts[0][1].kind == "weighted"
         assert x_condition(pres.gb).holds
         for k in (1, 2, 3):
             degrees = [h.degree() for h in standard_monomials(pres, k).images()]
             assert degrees == sorted(degrees)
             cert = componentwise_certificate(pres, k)
-            assert cert.weighted and cert.nondecreasing and cert.linear_quotients
+            assert cert.minimal and cert.linear_quotients and cert.nondecreasing
             assert cert.certified is not None
+
+    def test_weighted_order_cw21_by_nondecreasing_quotients(self):
+        # in(J) is not quadratic here, so the second route decides
+        pres = weighted_presentation(cameron_walker_graph((2,), (1,)))
+        for k in (1, 2, 3):
+            cert = componentwise_certificate(pres, k)
+            assert not cert.quadratic
+            assert cert.certified == "nondecreasing-linear-quotients"
 
     def test_pi_soundness_is_constructor_checked(self):
         pres = path_presentation(8)
