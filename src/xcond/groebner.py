@@ -46,28 +46,32 @@ wraps.
 
 Coefficients are Fractions only at the boundary.  Each divisor is held
 in its primitive integer form (denominators cleared, content divided out,
-leading coefficient positive), S-polynomials are formed fraction-free
-from two such forms, and the reduction loop runs on ints, rescaling the
-running polynomial only when a reducer's leading coefficient does not
-divide the coefficient it cancels (never for the +-1 binomials).  An
-S-pair's remainder becomes a primitive form directly.
+leading coefficient positive).  A polynomial under reduction is a map by
+term key K (Yan's geobuckets as one dict, J. Symbolic Comput. 25, 1998):
+coeffs K -> int, exps K -> packed exponents, and one ascending list of
+the keys.  A tail term adds into its key's coefficient, a new key is
+inserted into the list, and a cancelled key stays listed at zero, skipped
+when popped.  Coefficients are multiplied in place only when a reducer's
+leading coefficient does not divide the one it cancels (never for the
++-1 binomials).  S-polynomials go fraction-free from two primitive forms
+straight into the map.
 
 A GroebnerBasis holds these entries (lm, K(lm), lc, tail) in its
 packing, and every basis stays packed: buchberger's, reduce_basis's,
 eliminate's, and GroebnerBasis.of's, which packs Polynomials.  A
 polynomial crosses the boundary through Packing only: pack_terms packs
-and sorts its terms on the way in, and polynomial builds a Polynomial
-from packed terms on the way out, once per normal_form and once per
-element of a basis whose elements are read.  A basis's initial ideal is
-likewise built on first read, unpacking only the minimal leading
-monomials that reduce_basis keeps too (_minimal_entries).  divide stays
-the Fraction textbook oracle.
+its terms into that map on the way in, and polynomial builds a
+Polynomial from packed terms on the way out, once per normal_form and
+once per element of a basis whose elements are read.  A basis's initial
+ideal is likewise built on first read, unpacking only the minimal
+leading monomials that reduce_basis keeps too (_minimal_entries).
+divide stays the Fraction textbook oracle.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
+from bisect import insort
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -300,15 +304,13 @@ class Packing(ExponentPacking):
         return sum(map(mul, compress(self.units, e), filter(None, e)))
 
     def pack_terms(self, g):
-        """(terms, den) of a polynomial g stored in any order: terms is the
-        list of (key, packed exponents, int) of g's terms, ascending by key,
-        the ints g's coefficients times den, their common denominator."""
+        """(coeffs, exps, den): _reduce's input of g times den, the lcm of g's denominators."""
         den = lcm(*(c.denominator for _, c in g.terms))
-        terms = sorted(
-            (self.key(m.exps), self.pack(m.exps), c.numerator * (den // c.denominator))
-            for m, c in g.terms
-        )
-        return terms, den
+        coeffs, exps = {}, {}
+        for m, c in g.terms:
+            k = self.key(m.exps)
+            coeffs[k], exps[k] = c.numerator * (den // c.denominator), self.pack(m.exps)
+        return coeffs, exps, den
 
     def polynomial(self, terms, den):
         """The Polynomial of packed terms (key, packed exponents, int),
@@ -318,7 +320,8 @@ class Packing(ExponentPacking):
     def form(self, g):
         """The entry (lm, K(lm), lc, tail) of a nonzero polynomial g stored
         in any order, as _entry makes it."""
-        return _entry(self.pack_terms(g)[0][::-1])
+        coeffs, exps, _ = self.pack_terms(g)
+        return _entry([(k, exps[k], coeffs[k]) for k in sorted(coeffs, reverse=True)])
 
 
 @lru_cache(maxsize=None)
@@ -378,24 +381,29 @@ def _minimal_entries(entries, guard):
     return minimal
 
 
-def _reduce(p, entries, packing):
-    """Reduce p, an ascending list of (key, packed exponents, int), by the
-    entries, tried in list order, all in the packing.
-
-    Returns (remainder, factor): remainder is a descending list of
-    (key, packed exponents, int) with no term divisible by an entry's
-    leading monomial, and factor * p - remainder lies in the ideal of the
-    entries.  Each step cancels the leading term c x^e with an entry of
-    leading coefficient gc: when gc does not divide c, p and the remainder
-    so far are first multiplied by a = gc / gcd(c, gc), and so is factor.
-    A term whose exponent has carried into a guard bit raises
-    ScaleExceeded when it leads.
+def _reduce(coeffs, exps, entries, packing):
+    """Reduce p by the entries, tried in list order, all in the packing;
+    p is the module docstring's map: coeffs K -> int (zero allowed) and
+    exps K -> packed exponents, both consumed, its keys popped from one
+    ascending list.  Returns (remainder, factor): remainder is a
+    descending list of (key, packed exponents, int) with no term
+    divisible by an entry's leading monomial, and factor * p - remainder
+    lies in the ideal of the entries.  When an entry's leading
+    coefficient gc does not divide the coefficient c it cancels, coeffs
+    (in place) and the remainder so far are first multiplied by
+    a = gc / gcd(c, gc), and so is factor.  A term whose exponent has
+    carried into a guard bit raises ScaleExceeded when it leads.
     """
     guard = packing.guard
-    remainder = []
-    factor = 1
-    while p:
-        k, e, c = p.pop()
+    keys = [*coeffs]
+    keys.sort()
+    remainder, factor = [], 1
+    while keys:
+        k = keys.pop()
+        c = coeffs.pop(k)
+        if not c:
+            continue
+        e = exps[k]
         if e & guard:
             raise ScaleExceeded(f"an exponent outgrew its {packing.width}-bit field")
         hit = find_divisor(e, entries, guard)
@@ -408,55 +416,44 @@ def _reduce(p, entries, packing):
             a = gc // g
             if a != 1:
                 factor *= a
-                p = [(k2, e2, a * c2) for k2, e2, c2 in p]
+                for k2 in coeffs:
+                    coeffs[k2] *= a
                 remainder = [(k2, e2, a * c2) for k2, e2, c2 in remainder]
             c //= g
-        q = e - ge
-        dk = k - gk
+        q, dk = e - ge, k - gk
         for k2, m, b in tail:
             k2 += dk
-            c2 = -c * b
-            i = bisect_left(p, (k2,))
-            if i < len(p) and p[i][0] == k2:
-                c2 += p[i][2]
-                if c2:
-                    p[i] = (k2, p[i][1], c2)
-                else:
-                    del p[i]
+            c2 = coeffs.get(k2)
+            if c2 is None:
+                coeffs[k2], exps[k2] = -c * b, m + q
+                insort(keys, k2)
             else:
-                p.insert(i, (k2, m + q, c2))
+                coeffs[k2] = c2 - c * b
     return remainder, factor
 
 
 def normal_form(f, basis):
     """The remainder of divide(f, basis.elements, basis.compiled()),
-    without quotients.
-
-    f, stored in any order, must fit the basis's fields, which hold every
-    exponent below 2^(width - 1).  It is packed with its denominators
-    cleared and _reduce runs on integers; the remainder comes back through
-    Packing.polynomial.
-    """
-    packing = basis.packing
-    p, den = packing.pack_terms(f)
-    remainder, factor = _reduce(p, basis.entries, packing)
-    return packing.polynomial(remainder, den * factor)
+    without quotients.  f, stored in any order, must fit the basis's
+    fields; it is packed with its denominators cleared for _reduce."""
+    *p, den = basis.packing.pack_terms(f)
+    remainder, factor = _reduce(*p, basis.entries, basis.packing)
+    return basis.packing.polynomial(remainder, den * factor)
 
 
 def _s_polynomial(fi, fj, L, key):
     """S-polynomial of two entries whose leading monomials have lcm L, of
     key K(L), kept integral: (lc_j/g) x^(L-lm_i) f_i - (lc_i/g) x^(L-lm_j) f_j
     with g = gcd(lc_i, lc_j).  It is lcm(lc_i, lc_j) times the S-polynomial
-    of the monic elements, returned as _reduce's ascending input."""
+    of the monic elements, built straight into _reduce's map (cancelled keys at 0)."""
     g = gcd(fi[2], fj[2])
-    acc = {}
+    coeffs, exps = {}, {}
     for (lm, k, _, tail), scale in ((fi, fj[2] // g), (fj, -(fi[2] // g))):
         shift, dk = L - lm, key - k
         for k2, e, c in tail:
             k2 += dk
-            hit = acc.get(k2)
-            acc[k2] = (e + shift, scale * c) if hit is None else (hit[0], hit[1] + scale * c)
-    return sorted((k, e, c) for k, (e, c) in acc.items() if c)
+            coeffs[k2], exps[k2] = coeffs.get(k2, 0) + scale * c, e + shift
+    return coeffs, exps
 
 
 def criterion_m(lcms, lm, fields):
@@ -605,7 +602,7 @@ def buchberger(ideal, order, config=None):
             raise ScaleExceeded(
                 f"S-pair budget of {cfg.pair_cap} exhausted ({len(forms)} basis elements{at})"
             )
-        remainder, _ = _reduce(_s_polynomial(forms[i], forms[j], L, k), reducers, packing)
+        remainder, _ = _reduce(*_s_polynomial(forms[i], forms[j], L, k), reducers, packing)
         if not remainder:
             continue
         degree = max(sum(unpack(e)) for _, e, _ in remainder)
@@ -628,7 +625,7 @@ def reduce_basis(gb):
     """The unique reduced basis of gb's ideal, packed as gb: minimal leading
     monomials, every tail in normal form with respect to the others, one
     primitive entry (a monic element) per minimal leading monomial,
-    descending.
+    descending; an entry whose tail is already reduced is kept as it is.
 
     gb may be any Groebner basis, buchberger's with its retired entries
     included: a retired leading monomial is a multiple of a later one, so
@@ -637,12 +634,15 @@ def reduce_basis(gb):
     """
     packing = gb.packing
     minimal = _minimal_entries(gb.entries, packing.guard)
-    # Every term of a tail, and of its reductions, lies below lm(g), so no
-    # lm(g) divides it and g may stay in the list that reduces its tail.
     reduced = []
     for lm, k, lc, tail in reversed(minimal):
-        remainder, factor = _reduce(list(reversed(tail)), minimal, packing)
-        reduced.append(_entry([(k, lm, lc * factor), *remainder]))
+        coeffs, exps = {}, {}
+        for k2, e, c in tail:
+            coeffs[k2], exps[k2] = c, e
+        # g may stay in the list: no multiple of lm(g) lies below lm(g)
+        remainder, factor = _reduce(coeffs, exps, minimal, packing)
+        same = factor == 1 and tuple(remainder) == tail
+        reduced.append((lm, k, lc, tail) if same else _entry([(k, lm, lc * factor), *remainder]))
     return replace(gb, entries=tuple(reduced))
 
 
@@ -674,7 +674,7 @@ def is_spair_closed(basis, config=None):
                 f"S-pair budget of {cfg.pair_cap} exhausted at pair {n} of "
                 f"{size * (size - 1) // 2} ({size} basis elements)"
             )
-        if _reduce(_s_polynomial(fi, fj, L, pk.key(pk.unpack(L))), entries, pk)[0]:
+        if _reduce(*_s_polynomial(fi, fj, L, pk.key(pk.unpack(L))), entries, pk)[0]:
             return False
     return True
 

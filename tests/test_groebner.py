@@ -154,9 +154,13 @@ def integer_s_polynomial(f, g, ord_):
     pk = basis.packing
     fi, fj = basis.entries
     L = pk.lcm(fi[0], fj[0])
-    packed = groebner._s_polynomial(fi, fj, L, pk.key(pk.unpack(L)))
-    assert packed == sorted(packed)
-    s = Polynomial(tuple((Monomial(pk.unpack(e)), c) for _, e, c in reversed(packed)))
+    coeffs, exps = groebner._s_polynomial(fi, fj, L, pk.key(pk.unpack(L)))
+    # one term per key, each key that of its exponents, every coefficient an int
+    assert coeffs.keys() == exps.keys()
+    assert all(pk.key(pk.unpack(e)) == k for k, e in exps.items())
+    assert all(type(c) is int for c in coeffs.values())
+    live = sorted((k for k, c in coeffs.items() if c), reverse=True)
+    s = Polynomial(tuple((Monomial(pk.unpack(exps[k])), coeffs[k]) for k in live))
     want = textbook_s_polynomial(f, g, ord_)
     assert all(type(c) is int for _, c in s.terms)
     assert s.is_zero() == want.is_zero()
@@ -199,14 +203,15 @@ class TestSPolynomial:
 
 
 def doubled_lead(s_polynomial):
-    """_s_polynomial with the coefficient of the leading term doubled."""
+    """_s_polynomial with the coefficient of the leading term, the largest
+    key's of those not held at zero, doubled."""
 
     def corrupted(*args):
-        terms = s_polynomial(*args)
-        if not terms:
-            return terms
-        *rest, (k, e, c) = terms
-        return [*rest, (k, e, 2 * c)]
+        coeffs, exps = s_polynomial(*args)
+        live = [k for k, c in coeffs.items() if c]
+        if live:
+            coeffs[max(live)] *= 2
+        return coeffs, exps
 
     return corrupted
 
@@ -339,6 +344,40 @@ class TestBuchberger:
         else:
             added = buchberger(ideal, spec).elements[len(texts) :]
             assert any(not g.is_binomial_pm1() and len(g.terms) > 1 for g in added)
+
+
+def dense_ideal(count, nvars, degree, seed):
+    """tests/test_oracle.py's dense_polys with integer coefficients, as an
+    Ideal, and the revlex order it is run under there; rebuilt here, as
+    that module is skipped without sympy."""
+    rng = random.Random(seed)
+    exps = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
+    nonzero = [v for v in range(-9, 10) if v]
+    names = tuple(f"x{i}" for i in range(1, nvars + 1))
+    ctx, spec = VarContext.make(names), revlex_order(*names)
+    polys = [
+        {Monomial(e): Fraction(rng.choice(nonzero), rng.choice((1,))) for e in exps}
+        for _ in range(count)
+    ]
+    return Ideal.make([poly_from_dict(d, compile_order(spec, ctx)) for d in polys], ctx), spec
+
+
+class TestNonUnitPopCount:
+    """tests/test_oracle.py's dense case (3 polynomials in 3 variables of
+    degree 3, seed 1) under revlex pops 19 pairs, over reducers whose
+    leading coefficients are not units.  A cap one below fails loudly; a
+    cap at the count gives the uncapped reduced basis."""
+
+    def test_cap_below_the_pop_count_fails_loudly(self):
+        ideal, spec = dense_ideal(3, 3, 3, 1)
+        assert any(entry[2] != 1 for entry in buchberger(ideal, spec).entries)
+        with pytest.raises(ScaleExceeded, match=r"^S-pair budget of 18 exhausted"):
+            reduced_groebner_basis(ideal, spec, GBConfig(pair_cap=18))
+
+    def test_cap_at_the_pop_count_gives_the_uncapped_basis(self):
+        ideal, spec = dense_ideal(3, 3, 3, 1)
+        capped = reduced_groebner_basis(ideal, spec, GBConfig(pair_cap=19))
+        assert capped == reduced_groebner_basis(ideal, spec)
 
 
 def popped_degrees(monkeypatch):
@@ -957,6 +996,11 @@ _rational_polys3 = st.dictionaries(
 )
 
 
+def _dict3(terms):
+    """A polynomial dict of _CTX3 from exponents and coefficient strings."""
+    return {Monomial(e): Fraction(c) for e, c in terms.items()}
+
+
 class TestInitialIdeal:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1000,6 +1044,37 @@ class TestQuotientFreeNormalForm:
         divisors=[{Monomial((0, 1, 0)): Fraction(2), Monomial((0, 0, 2)): Fraction(1)}],
         which=0,
     )
+    # lex: reducing x1*x3 cancels x2^3*x3^2, and the tail of x2^3 + 6*x2^2
+    # brings it back while it is listed at zero
+    @example(
+        f=_dict3({(2, 1, 0): "1/2"}),
+        divisors=[
+            _dict3({(0, 3, 2): "1", (1, 0, 1): "-2", (1, 1, 1): "2"}),
+            _dict3({(0, 3, 0): "1/2", (0, 2, 0): "3"}),
+            _dict3({(1, 0, 0): "-2", (0, 3, 1): "1"}),
+        ],
+        which=0,
+    )
+    # lex: x1*x3 cancels, and 3*x1^2*x2*x3^2 rescales by 3 while x1*x3 is
+    # still listed at zero; no leading monomial divides x1*x3
+    @example(
+        f=_dict3({(0, 1, 3): "1/3", (1, 0, 1): "2/3", (3, 1, 2): "1"}),
+        divisors=[
+            _dict3({(0, 0, 1): "-1", (1, 2, 2): "-2", (2, 1, 2): "-3/2"}),
+            _dict3({(3, 2, 2): "2"}),
+        ],
+        which=0,
+    )
+    # revlex: x1^3*x2^2 goes to the remainder, and the next term,
+    # -3*x1^3*x2*x3, meets 2*x1*x2*x3 + x1*x3^2 + 3*x1 and rescales by 2
+    @example(
+        f=_dict3({(3, 1, 3): "1/2", (3, 3, 1): "-2"}),
+        divisors=[
+            _dict3({(0, 3, 3): "1/3", (0, 0, 3): "-1"}),
+            _dict3({(1, 0, 0): "-3/2", (1, 0, 2): "-1/2", (1, 1, 1): "-1"}),
+        ],
+        which=1,
+    )
     @given(
         f=_rational_polys3,
         divisors=st.lists(_rational_polys3, max_size=3),
@@ -1015,6 +1090,37 @@ class TestQuotientFreeNormalForm:
         got = normal_form(f, basis_of(gs, ord_))
         assert got.terms == r.terms
         assert all(type(c) is Fraction for _, c in got.terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        f=_rational_polys3,
+        zeros=st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=2),
+        divisors=st.lists(_rational_polys3, max_size=3),
+        which=st.sampled_from(range(len(_ORDERS3))),
+    )
+    def test_reduce_on_its_input_map(self, f, zeros, divisors, which):
+        """_reduce on the map of f times its denominator, with keys held at
+        zero as a cancelled S-polynomial term is: the remainder is strictly
+        descending, nonzero and reduced, the factor a positive int, and
+        factor * p - remainder divides to zero."""
+        ord_ = _ORDERS3[which]
+        f = poly_from_dict(f, ord_)
+        gs = [g for g in (poly_from_dict(d, ord_) for d in divisors) if not g.is_zero()]
+        basis = basis_of(gs, ord_)
+        pk = basis.packing
+        coeffs, exps, den = pk.pack_terms(f)
+        for e in zeros:
+            coeffs.setdefault(pk.key(e), 0)
+            exps.setdefault(pk.key(e), pk.pack(e))
+        remainder, factor = groebner._reduce(coeffs, exps, basis.entries, pk)
+        keys = [k for k, _, _ in remainder]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
+        assert all(pk.key(pk.unpack(e)) == k for k, e, _ in remainder)
+        assert all(type(c) is int and c != 0 for _, _, c in remainder)
+        r = Polynomial(tuple((Monomial(pk.unpack(e)), Fraction(c)) for _, e, c in remainder))
+        assert not any(g.lm().divides(m) for m, _ in r.terms for g in gs)
+        assert type(factor) is int and factor > 0
+        assert divide(f.scale(Fraction(den * factor)).sub(r, ord_), gs, ord_)[1].is_zero()
 
 
 # ---------------------------------------------------------------------------
