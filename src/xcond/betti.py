@@ -318,11 +318,6 @@ def is_componentwise_linear(ideal, table=None):
         return False
     nvars = len(ideal.generators[0].exps)
     for d in range(min(degrees), top):
-        component = degree_component(ideal, d, nvars)
-        if len(component.generators) > GENERATOR_CAP:
-            raise ScaleExceeded(
-                f"degree-{d} component has {len(component.generators)} generators"
-            )
-        if not has_linear_resolution(component):
+        if not has_linear_resolution(degree_component(ideal, d, nvars)):
             return False
     return True

@@ -65,7 +65,6 @@ from .ring import (
 )
 from .symalg import (
     EQUIV_CAP,
-    RANK_SEED,
     admissible_path_basis,
     cycle_complex_checks,
     edge_module,
@@ -337,7 +336,7 @@ def cmd_binomial_edge(args):
 
 def cmd_cycle_complex(args):
     try:
-        rep = cycle_complex_checks(args.r, args.seed)
+        rep = cycle_complex_checks(args.r)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     return report_payload(rep), 0 if rep.ok else 1
@@ -483,7 +482,6 @@ def build_parser():
 
     sp = sub.add_parser("cycle-complex", help="length-r cycle resolution checks")
     sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=RANK_SEED)
     _add_output(sp)
 
     sp = sub.add_parser("graph-stats", help="covers, chordality, profile")

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .betti import GENERATOR_CAP, BettiTable, betti_numbers, is_componentwise_linear
+from .betti import BettiTable, betti_numbers, is_componentwise_linear
 from .groebner import (
     ExponentPacking,
     GroebnerBasis,
@@ -63,14 +63,13 @@ class ReesPresentation:
 
     gens holds the base-ring monomials in the order matching the fiber
     variables: the j-th fiber variable maps to gens[j] * t.  gb is the
-    reduced basis of the kernel under `order`, which compares the fiber
+    reduced basis of the kernel under gb.order, which compares the fiber
     block before the base block.
     """
 
     base: VarContext
     gens: tuple
     extended: VarContext
-    order: object
     gb: object
 
     def fiber_indices(self):
@@ -172,7 +171,7 @@ def rees_ideal(base_ctx, gens, order=None, fiber_names=None, config=None):
     if packing.units != contracted.packing.units[:-1]:
         raise AssertionError("the elimination key does not extend the order's key")
     gb = GroebnerBasis(extended, order, packing, contracted.entries)
-    presentation = ReesPresentation(base_ctx, gens, extended, order, gb)
+    presentation = ReesPresentation(base_ctx, gens, extended, gb)
     for g in gb.elements:
         if not kernel_member(g, gens, extended):
             raise AssertionError(f"basis element {g} does not vanish under substitution")
@@ -445,9 +444,8 @@ def componentwise_certificate(presentation, k):
     componentwise linear (Jahan & Zheng, "Ideals with linear quotients",
     J. Combin. Theory Ser. A 117, 2010).  The closed-form Betti table is
     attached whenever minimality or nondecreasing degrees validate it.  The
-    Betti oracle's verdict is attached unless the power, or one of its
-    degree components below its top generator degree, has more than
-    GENERATOR_CAP minimal generators.
+    Betti oracle alone decides its size: a power it refuses (ScaleExceeded)
+    leaves both oracle fields None, a degree component only the verdict.
     """
     xc = x_condition(presentation.gb)
     quadratic = all(m.degree() <= 2 for m in presentation.gb.initial.generators)
@@ -474,17 +472,15 @@ def componentwise_certificate(presentation, k):
 
     oracle_verdict = None
     oracle_match = None
-    # minimal images are the power's minimal generators, so their count
-    # decides the gate without building the ideal
-    power = None if minimal and len(images) > GENERATOR_CAP else MonomialIdeal.make(images)
-    if power is not None and len(power.generators) <= GENERATOR_CAP:
+    # minimal images already are the power's minimal generators
+    power = MonomialIdeal(images) if minimal else MonomialIdeal.make(images)
+    try:
         power_table = betti_numbers(power)
         if table is not None and minimal:
             oracle_match = power_table == table
-        try:
-            oracle_verdict = is_componentwise_linear(power, power_table)
-        except ScaleExceeded:
-            pass
+        oracle_verdict = is_componentwise_linear(power, power_table)
+    except ScaleExceeded:
+        pass
 
     return CertificateReport(
         k=k,

@@ -134,9 +134,6 @@ class Monomial:
             raise ArithmeticError("monomial quotient does not exist")
         return Monomial(tuple(map(sub, self.exps, other.exps)))
 
-    def lcm(self, other):
-        return Monomial(tuple(map(max, self.exps, other.exps)))
-
     def gcd(self, other):
         return Monomial(tuple(map(min, self.exps, other.exps)))
 

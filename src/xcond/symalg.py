@@ -379,7 +379,7 @@ class CycleComplexReport:
         )
 
 
-def cycle_complex_checks(r, seed=RANK_SEED):
+def cycle_complex_checks(r):
     cc = cycle_complex(r)
     key = compile_order(cc.order, cc.context)
 
@@ -403,7 +403,7 @@ def cycle_complex_checks(r, seed=RANK_SEED):
 
     det_phi1_zero = _det([list(row) for row in cc.phi1], key).is_zero()
 
-    rng = random.Random(seed)
+    rng = random.Random(RANK_SEED)
     point = [Fraction(rng.randint(2, 1000), rng.randint(1, 50)) for _ in range(r)]
     evaluated = matrix_rank([[_evaluate(p, point) for p in row] for row in cc.phi1])
     rank_by_evaluation = evaluated == r - 1

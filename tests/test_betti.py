@@ -71,7 +71,7 @@ def reference_multigraded_betti(ideal):
     tau found by testing x^(b - tau) for membership one subset at a time."""
     lcms = set()
     for g in ideal.generators:
-        lcms |= {g} | {m.lcm(g) for m in lcms}
+        lcms |= {g} | {Monomial(tuple(map(max, m.exps, g.exps))) for m in lcms}
     out = {}
     for b in lcms:
         supp = b.support()

@@ -141,7 +141,7 @@ class TestDivision:
 
 def textbook_s_polynomial(f, g, ord_):
     """x^(L - lm f) f / lc f - x^(L - lm g) g / lc g in Fractions."""
-    L = f.lm().lcm(g.lm())
+    L = Monomial(tuple(map(max, f.lm().exps, g.lm().exps)))
     return f.term_mul(L.div(f.lm()), 1 / f.lc()).sub(
         g.term_mul(L.div(g.lm()), 1 / g.lc()), ord_
     )
@@ -189,7 +189,7 @@ class TestSPolynomial:
         f = parse_polynomial("x1*y2 - x2*y1", ctx, ord_)
         g = parse_polynomial("x2*y3 - x3*y2", ctx, ord_)
         s = integer_s_polynomial(f, g, ord_)
-        L = f.lm().lcm(g.lm())
+        L = Monomial(tuple(map(max, f.lm().exps, g.lm().exps)))
         assert not s.is_zero()
         assert ord_.key(s.lm()) < ord_.key(L)
 

@@ -1,5 +1,6 @@
 """Rees presentations, the x-condition, and the quotients pipeline."""
 
+import math
 from collections import Counter
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -129,7 +130,7 @@ class TestOnePass:
 
     @staticmethod
     def assert_closed(pres):
-        again = reduced_groebner_basis(Ideal.make(pres.gb.elements, pres.extended), pres.order)
+        again = reduced_groebner_basis(Ideal.make(pres.gb.elements, pres.extended), pres.gb.order)
         assert [g.terms for g in again.elements] == [g.terms for g in pres.gb.elements]
 
     @pytest.mark.parametrize("n", [6, 7, 8])
@@ -153,7 +154,7 @@ class TestPackedStrip:
 
     @staticmethod
     def assert_strip(pres):
-        again = GroebnerBasis.of(pres.gb.elements, pres.extended, pres.order)
+        again = GroebnerBasis.of(pres.gb.elements, pres.extended, pres.gb.order)
         assert again.packing is pres.gb.packing
         assert pres.gb.entries == again.entries and pres.gb.entries
 
@@ -166,7 +167,7 @@ class TestPackedStrip:
 
     def test_weighted_fiber(self):
         pres = weighted_presentation(path_graph(7))
-        assert pres.order.parts[0][1].kind == "weighted"
+        assert pres.gb.order.parts[0][1].kind == "weighted"
         self.assert_strip(pres)
 
 
@@ -343,7 +344,9 @@ def literal_steps(images):
     every colon other than (0) and (1) is generated by variables."""
     steps, ok = [], True
     for j, h in enumerate(images, start=1):
-        gens = MonomialIdeal.make(u.lcm(h).div(h) for u in images[: j - 1]).generators
+        gens = MonomialIdeal.make(
+            Monomial(tuple(map(max, u.exps, h.exps))).div(h) for u in images[: j - 1]
+        ).generators
         steps.append((j, gens, len(gens), h.degree()))
         if not any(g.is_one() for g in gens) and not all(g.degree() == 1 for g in gens):
             ok = False
@@ -439,6 +442,31 @@ class TestCertificate:
         assert cert.linear_quotients
         assert cert.oracle_betti_match is True
 
+    def test_oracle_cap_lives_in_betti_alone(self, monkeypatch):
+        # P7, k = 2 has 22 minimal images, past the default cap of 16
+        pres = path_presentation(7)
+        cert = componentwise_certificate(pres, 2)
+        assert (cert.oracle_componentwise, cert.oracle_betti_match) == (None, None)
+        monkeypatch.setattr(betti, "GENERATOR_CAP", math.inf)
+        cert = componentwise_certificate(pres, 2)
+        assert cert.minimal
+        assert (cert.oracle_componentwise, cert.oracle_betti_match) == (True, True)
+
+    def test_component_refusal_keeps_betti_match(self):
+        # P9, k = 1: 12 generators, but its degree-5 component has 19
+        cert = componentwise_certificate(path_presentation(9), 1)
+        assert (cert.oracle_componentwise, cert.oracle_betti_match) == (None, True)
+
+    def test_oracle_minimalises_redundant_images(self):
+        # CW p=1,1 q=0, k = 2 under default fiber names: 10 images, 9 minimal
+        g = cameron_walker_graph((1, 1), (0,))
+        pres = rees_ideal(g.context(), minimal_vertex_covers(g).monomials())
+        images = standard_monomials(pres, 2).images()
+        assert (len(images), len(MonomialIdeal.make(images).generators)) == (10, 9)
+        cert = componentwise_certificate(pres, 2)
+        assert not cert.minimal
+        assert (cert.oracle_componentwise, cert.oracle_betti_match) == (True, None)
+
     @pytest.mark.parametrize(
         "graph", [path_graph(5), cameron_walker_graph((1,), (1,))], ids=["P5", "cw p=1 q=1"]
     )
@@ -499,7 +527,7 @@ class TestCertificate:
     def test_weighted_route_p5(self):
         pres = weighted_presentation(path_graph(5))
         assert [m.degree() for m in pres.gens] == [2, 3, 3, 3]
-        assert pres.order.parts[0][1].kind == "weighted"
+        assert pres.gb.order.parts[0][1].kind == "weighted"
         assert x_condition(pres.gb).holds
         for k in (1, 2, 3):
             degrees = [h.degree() for h in standard_monomials(pres, k).images()]
