@@ -62,17 +62,19 @@ eliminate's, and GroebnerBasis.of's, which packs Polynomials.  A
 polynomial crosses the boundary through Packing only: pack_terms packs
 its terms into that map on the way in, and polynomial builds a
 Polynomial from packed terms on the way out, once per normal_form and
-once per element of a basis whose elements are read.  A basis's initial
-ideal is likewise built on first read, unpacking only the minimal
-leading monomials that reduce_basis keeps too (_minimal_entries).
-divide stays the Fraction textbook oracle.
+once per element of a basis whose elements are read.  Generators may
+also arrive already written as entries (Ideal.packed), as the edge
+module and the admissible-path basis write them from the units.  A
+basis's initial ideal is likewise built on first read, unpacking only
+the minimal leading monomials that reduce_basis keeps too
+(_minimal_entries).  divide stays the Fraction textbook oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, compress, groupby
@@ -113,11 +115,14 @@ class GBConfig:
 class Ideal:
     """Generators in a context; grading, when set, is a positive weight per
     variable under which every generator is homogeneous (buchberger checks
-    it and selects pairs by degree)."""
+    it and selects pairs by degree).  packed, when set, is the basis of the
+    Packing.form of each nonzero generator, in order, which buchberger
+    installs as it is when its packing is the run's; == ignores it."""
 
     context: VarContext
     generators: tuple
     grading: "tuple | None" = None
+    packed: "GroebnerBasis | None" = field(default=None, compare=False)
 
     @staticmethod
     def make(gens, ctx, grading=None):
@@ -154,13 +159,16 @@ class GroebnerBasis:
             self.packing.polynomial(((k, lm, lc), *tail), lc) for lm, k, lc, tail in self.entries
         )
 
+    def monomials(self, entries):
+        """The leading monomials of the entries, sorted by (degree, exps)."""
+        exps = sorted((self.packing.unpack(e[0]) for e in entries), key=lambda e: (sum(e), e))
+        return tuple(map(Monomial, exps))
+
     @cached_property
     def initial(self):
         """The initial ideal, generated by the leading monomials of the
-        minimal entries sorted by (degree, exps); built on first read."""
-        minimal = _minimal_entries(self.entries, self.packing.guard)
-        exps = sorted((self.packing.unpack(e[0]) for e in minimal), key=lambda e: (sum(e), e))
-        return MonomialIdeal(tuple(map(Monomial, exps)))
+        minimal entries; built on first read."""
+        return MonomialIdeal(self.monomials(_minimal_entries(self.entries, self.packing.guard)))
 
 
 @dataclass(frozen=True)
@@ -505,20 +513,16 @@ def _coefficients(form):
 _PM1 = ((1, -1), (1,))
 
 
-def _homogeneous(g, w):
-    """Whether every term of the polynomial g has the same w-degree."""
-    return len({sum(map(mul, w, m.exps)) for m, _ in g.terms}) == 1
-
-
 def buchberger(ideal, order, config=None):
     """S-pair-closed basis of the ideal; not tail-reduced.
 
-    Elements are installed one at a time, generators first, each through
-    the Gebauer-Moeller update (see the module docstring); every popped
-    pair is reduced.  Pairs are popped by the w-degree of their lcm first,
-    w being ideal.grading, or when that is None the standard grading if
-    every generator is homogeneous for it; otherwise every w-degree is 0.
-    A grading that is not positive, or under which some generator is not
+    Elements are installed one at a time, generators first (ideal.packed's
+    entries when in the run's packing), each through the Gebauer-Moeller
+    update (see the module docstring); every popped pair is reduced.
+    Pairs are popped by the w-degree of their lcm first, w being
+    ideal.grading, or when that is None the standard grading if every
+    generator is homogeneous for it; otherwise every w-degree is 0.  A
+    grading that is not positive, or under which some generator is not
     homogeneous, raises ValueError.  When every generator is a +-1
     binomial or a single term, so must every S-pair remainder be; one that
     is not raises AssertionError.  The result holds every installed entry,
@@ -532,13 +536,16 @@ def buchberger(ideal, order, config=None):
     w = ideal.grading or (1,) * ctx.nvars
     if len(w) != ctx.nvars or not all(a > 0 for a in w):
         raise ValueError(f"grading {w} is not one positive weight per variable")
-    graded = all(_homogeneous(g, w) for g in gens)
+    # whether every term of each generator has one w-degree
+    graded = all(len({sum(map(mul, w, m.exps)) for m, _ in g.terms}) == 1 for g in gens)
     if not graded and ideal.grading is not None:
         raise ValueError(f"a generator is not homogeneous under the grading {w}")
     packing = packing_for(ord_, max_exponent(gens))
-    guard, lcm_of, key, unpack = packing.guard, packing.lcm, packing.key, packing.unpack
+    guard, lcm_of, unpack, units = packing.guard, packing.lcm, packing.unpack, packing.units
+    unit = set(w) == {1}  # the standard grading: sum(e) is the w-degree
     shift = packing.width - 1
     forms = []  # the entry of each basis element
+    lms = []  # the leading monomial of each basis element
     active = []  # indices not retired: they take new pairs
     reducers = []  # entries of the active elements, in installation order
     heap = []  # (w-degree of lcm, K(lcm), i, j, packed lcm), i < j
@@ -547,6 +554,7 @@ def buchberger(ideal, order, config=None):
         t = len(forms)
         lm_t = form[0]
         forms.append(form)
+        lms.append(lm_t)
 
         # B_t: (i, j) is redundant when lm_t divides its lcm and the lcms of
         # (i, t) and (j, t) are proper divisors of it
@@ -554,40 +562,49 @@ def buchberger(ideal, order, config=None):
             pair
             for pair in heap
             if ((pair[4] | guard) - lm_t) & guard != guard
-            or lcm_of(forms[pair[2]][0], lm_t) == pair[4]
-            or lcm_of(forms[pair[3]][0], lm_t) == pair[4]
+            or lcm_of(lms[pair[2]], lm_t) == pair[4]
+            or lcm_of(lms[pair[3]], lm_t) == pair[4]
         ]
         if len(kept) < len(heap):
             heap[:] = kept
             heapq.heapify(heap)
 
         new = {}  # packed lcm -> partner indices, ascending
+        coprime = set()  # the lcms of pairs with coprime leading monomials
+        retired = False
         above = lm_t | guard
         for i in active:
             # Packing.lcm, inline: lm_i where it exceeds lm_t, else lm_t
-            lm = forms[i][0]
+            lm = lms[i]
             lt = (above - lm) & guard  # guard bit set where lm_t_v >= lm_v
-            new.setdefault(lm ^ ((lm ^ lm_t) & (lt - (lt >> shift))), []).append(i)
+            L = lm ^ ((lm ^ lm_t) & (lt - (lt >> shift)))
+            new.setdefault(L, []).append(i)
+            if L == lm + lm_t:
+                coprime.add(L)
+            if L == lm:  # lm_t divides lm_i: i retires
+                retired = True
 
         for L in criterion_m(new, lm_t, packing):
             # product criterion: a coprime pair drops its whole lcm class, as
             # coprime leading monomials have their product as lcm; otherwise
             # F keeps the class's first pair
-            if not any(L == forms[i][0] + lm_t for i in new[L]):
+            if L not in coprime:
                 e = unpack(L)
-                d = sum(map(mul, w, e)) if graded else 0  # 0: the order's own selection
-                heapq.heappush(heap, (d, key(e), new[L][0], t, L))
+                d = 0 if not graded else sum(e) if unit else sum(map(mul, w, e))
+                heapq.heappush(heap, (d, sum(map(mul, units, e)), new[L][0], t, L))
 
         # every multiple of a retired lm is a multiple of lm_t, so the
         # retired elements also leave the reducers
-        active[:] = [i for i in active if ((forms[i][0] | guard) - lm_t) & guard != guard]
-        reducers[:] = [forms[i] for i in active]
+        if retired:
+            active[:] = [i for i in active if ((lms[i] | guard) - lm_t) & guard != guard]
+            reducers[:] = [forms[i] for i in active]
         active.append(t)
         reducers.append(form)
 
+    given = ideal.packed  # taken as it is only when written in the run's packing
+    same = given is not None and given.packing is packing
     seen = set()  # generators equal up to a scalar share one entry
-    for g in gens:
-        form = packing.form(g)
+    for form in given.entries if same else map(packing.form, gens):
         if form not in seen:
             seen.add(form)
             install(form)

@@ -30,6 +30,7 @@ from .groebner import (
     Ideal,
     MonomialIdeal,
     ScaleExceeded,
+    _minimal_entries,
     criterion_m,
     eliminate,
     field_width,
@@ -224,9 +225,14 @@ class XConditionReport:
 def x_condition(gb):
     """Every minimal generator of the initial ideal of the basis is allowed
     at most one variable of its context's base block (counted with
-    multiplicity)."""
+    multiplicity).  Read off the packed leading monomials of the minimal
+    entries, whose base fields must be 0 or one unit x_i; only the
+    violations are unpacked, sorted as gb.initial sorts its generators."""
+    packing = gb.packing
     base_idx = gb.context.block_indices(BASE_BLOCK)
-    violations = tuple(m for m in gb.initial.generators if m.degree_on(base_idx) > 1)
+    base, allowed = packing.fields(base_idx), {0, *(1 << packing.width * i for i in base_idx)}
+    minimal = _minimal_entries(gb.entries, packing.guard)
+    violations = gb.monomials(e for e in minimal if e[0] & base not in allowed)
     return XConditionReport(not violations, violations)
 
 

@@ -15,7 +15,7 @@ length-r cycle resolution complex.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import itemgetter
 
 from .betti import matrix_rank
@@ -72,18 +72,41 @@ class EdgeModulePresentation:
     sym_ideal: object
 
 
+@lru_cache(maxsize=None)
+def _pair_packing(n):
+    """pair_context(n), lex on it and the packing every basis there takes,
+    built once per n."""
+    ctx = pair_context(n)
+    order = lex_order(*ctx.names)
+    return ctx, order, packing_for(compile_order(order, ctx), 1)
+
+
+def _binomial_entry(packing, n, i, j, k=0, e=0):
+    """The entry of u * (x_i*y_j - x_j*y_i), i < j, u of key k and packed
+    exponents e: x_i*y_j leads in lex, and so does its multiple by u."""
+    units, width = packing.units, packing.width
+    lead_k, tail_k = k + units[i] + units[n + j], k + units[j] + units[n + i]
+    lead_e = e + (1 << width * i) + (1 << width * (n + j))
+    tail_e = e + (1 << width * j) + (1 << width * (n + i))
+    return (lead_e, lead_k, 1, ((tail_k, tail_e, -1),))
+
+
 def edge_module(graph):
     """Each edge a < b gives the relation x_a e_b - x_b e_a and the
     generator x_a*y_b - x_b*y_a, already sorted: x_a*y_b leads in lex as
-    a < b."""
+    a < b.  The ideal carries the generators also as packed entries,
+    written straight from the packing's units, which buchberger installs
+    as they are."""
     n = graph.n
-    ctx = pair_context(n)
-    gens = []
+    ctx, order, packing = _pair_packing(n)
+    gens, entries = [], []
     for a, b in sorted(graph.edges):
-        lead = Monomial.from_pairs(((a, 1), (n + b, 1)), 2 * n)
-        tail = Monomial.from_pairs(((b, 1), (n + a, 1)), 2 * n)
-        gens.append(Polynomial(((lead, _ONE), (tail, -_ONE))))
-    return EdgeModulePresentation(lex_order(*ctx.names), Ideal.make(gens, ctx))
+        lead, tail = [0] * (2 * n), [0] * (2 * n)
+        lead[a] = lead[n + b] = tail[b] = tail[n + a] = 1
+        gens.append(Polynomial(((Monomial(tuple(lead)), _ONE), (Monomial(tuple(tail)), -_ONE))))
+        entries.append(_binomial_entry(packing, n, a, b))
+    packed = GroebnerBasis(ctx, order, packing, tuple(entries))
+    return EdgeModulePresentation(order, Ideal(ctx, tuple(gens), packed=packed))
 
 
 # ---------------------------------------------------------------------------
@@ -93,18 +116,24 @@ def edge_module(graph):
 
 @dataclass(frozen=True)
 class AdmissiblePath:
-    """Induced path between endpoints i < j whose interior vertices all lie
-    below i or above j, tagged with the monomial multiplier it contributes
-    to the basis."""
+    """Induced path between endpoints i < j of a graph on n vertices whose
+    interior vertices all lie below i or above j.  u_pi, the monomial
+    multiplier it contributes to the basis, is built when read."""
 
     i: int
     j: int
     vertices: tuple
-    u_pi: object
+    n: int
 
     @property
     def interior(self):
         return self.vertices[1:-1]
+
+    @property
+    def u_pi(self):
+        """x_v over interior v > j times y_v over interior v < i."""
+        pairs = [(v if v > self.j else self.n + v, 1) for v in self.interior]
+        return Monomial.from_pairs(pairs, 2 * self.n)
 
 
 def admissible_paths(graph):
@@ -119,56 +148,47 @@ def admissible_paths(graph):
     walk never extends by a neighbour of an earlier trail vertex; a chord
     stays in every extension of its prefix, so nothing admissible is lost.
     In particular a detour between adjacent endpoints is never admissible.
+
+    Vertex sets are bitmasks; neighbours are tried ascending, so the paths
+    of each (i, j) come out sorted by their vertices.
     """
     n = graph.n
     if n > SEARCH_CAP:
         raise ScaleExceeded(f"path search is limited to {SEARCH_CAP} vertices")
     adj = graph.adjacency()
+    nbrs = [sorted(a) for a in adj]
+    amask = [sum(1 << w for w in a) for a in adj]
     out = []
     for i in range(n):
         for j in range(i + 1, n):
-            allowed = {v for v in range(n) if v < i or v > j}
+            allowed = (1 << i) - 1 | (1 << n) - (1 << (j + 1))
 
-            def walk(v, trail):
-                for w in sorted(adj[v]):
-                    if not adj[w].isdisjoint(trail[:-1]):
+            def walk(v, trail, before, on):
+                for w in nbrs[v]:
+                    if amask[w] & before:
                         continue
                     if w == j:
-                        interior = trail[1:]
-                        pairs = [(u, 1) for u in interior if u > j]
-                        pairs += [(n + u, 1) for u in interior if u < i]
-                        u_pi = Monomial.from_pairs(pairs, 2 * n)
-                        out.append(AdmissiblePath(i, j, trail + (j,), u_pi))
-                    elif w in allowed and w not in trail:
-                        walk(w, trail + (w,))
+                        out.append(AdmissiblePath(i, j, trail + (j,), n))
+                    elif (allowed & ~on) >> w & 1:
+                        walk(w, trail + (w,), on, on | 1 << w)
 
-            walk(i, (i,))
-    out.sort(key=lambda p: (p.i, p.j, p.vertices))
+            walk(i, (i,), 0, 1 << i)
     return tuple(out)
 
 
 def admissible_path_basis(graph):
     """The combinatorial basis u_pi * (x_i y_j - x_j y_i), one element per
     admissible path, each written straight into its packed entry
-    (lm, K(lm), 1, ((K(tail), tail, -1),)) and sorted the way a reduced
-    basis is sorted."""
+    (lm, K(lm), 1, ((K(tail), tail, -1),)) with u_pi packed from the
+    path's interior, and sorted the way a reduced basis is sorted."""
     n = graph.n
-    ctx = pair_context(n)
-    order = lex_order(*ctx.names)
-    packing = packing_for(compile_order(order, ctx), 1)
+    ctx, order, packing = _pair_packing(n)
     units, width = packing.units, packing.width
-
-    def pair(a, b):
-        """(K, packed exponents) of x_a * y_b."""
-        return units[a] + units[n + b], (1 << width * a) + (1 << width * (n + b))
-
     entries = []
     for path in admissible_paths(graph):
-        k, e = packing.key(path.u_pi.exps), packing.pack(path.u_pi.exps)
-        # x_i y_j > x_j y_i in lex as i < j, and u_pi preserves that
-        lead_k, lead_e = pair(path.i, path.j)
-        tail_k, tail_e = pair(path.j, path.i)
-        entries.append((e + lead_e, k + lead_k, 1, ((k + tail_k, e + tail_e, -1),)))
+        u_vars = [v if v > path.j else n + v for v in path.interior]
+        k, e = sum(units[v] for v in u_vars), sum(1 << width * v for v in u_vars)
+        entries.append(_binomial_entry(packing, n, path.i, path.j, k, e))
     entries.sort(key=itemgetter(1), reverse=True)
     return GroebnerBasis(ctx, order, packing, tuple(entries))
 
@@ -245,11 +265,13 @@ def equivalence_check(graph, config=None):
     # both bases take the one cached packing of lex on pair_context(n)
     basis_matches = basis == gb
 
-    # one bidegree pass: the x-part is exps[:n] and the y-part exps[n:]
+    # one bidegree pass over the reduced entries' leading monomials, the
+    # minimal generators: the x-part is exps[:n] and the y-part exps[n:]
     colon_route_linear = True
     bilinear = set()
-    for m in gb.initial.generators:
-        xs, ys = m.exps[:n], m.exps[n:]
+    for entry in gb.entries:
+        exps = gb.packing.unpack(entry[0])
+        xs, ys = exps[:n], exps[n:]
         if sum(ys) == 1:
             x_degree = sum(xs)
             colon_route_linear = colon_route_linear and x_degree <= 1

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xcond import groebner, rees
-from xcond.graphs import Graph, minimal_vertex_covers, path_graph
+from xcond.graphs import (
+    Graph,
+    all_connected_graphs,
+    connected_graph_representatives,
+    minimal_vertex_covers,
+    path_graph,
+)
 from xcond.groebner import (
     GBConfig,
     GroebnerBasis,
@@ -978,6 +985,59 @@ class TestPackedHandoff:
         assert [g.terms for g in reduce_basis(raw).elements] == want
         assert len(raw.elements) == len(raw.entries)
         return raw
+
+
+class TestPackedIntake:
+    """The edge module's ideal carries its generators also as entries,
+    which buchberger installs as they are when they are in the run's
+    packing; the run is then the one the Polynomials give, pop for pop."""
+
+    @staticmethod
+    def foreign(ideal, spec):
+        """The generators packed under revlex, and under lex with 64-bit
+        fields: neither is the run's packing, so buchberger ignores both."""
+        ctx, gens = ideal.context, ideal.generators
+        wide = groebner.order_packing(compile_order(spec, ctx), 64)
+        return (
+            GroebnerBasis.of(gens, ctx, revlex_order(*ctx.names)),
+            GroebnerBasis(ctx, spec, wide, tuple(map(wide.form, gens))),
+        )
+
+    def test_packed_entries_are_the_forms_and_give_the_same_run(self, monkeypatch):
+        """On every connected labeled graph on 2-5 vertices, every 6-vertex
+        class and ANCHOR_8."""
+        pops = popped_degrees(monkeypatch)
+        graphs = itertools.chain(
+            *(all_connected_graphs(n) for n in range(2, 6)),
+            connected_graph_representatives(6),
+            [Graph.make(*ANCHOR_8)],
+        )
+        for g in graphs:
+            em = edge_module(g)
+            ideal, spec = em.sym_ideal, em.order
+            gens = ideal.generators
+            packing = groebner.packing_for(
+                compile_order(spec, ideal.context), groebner.max_exponent(gens)
+            )
+            assert ideal.packed.packing is packing
+            assert ideal.packed.entries == tuple(map(packing.form, gens))
+            runs = []
+            variants = [replace(ideal, packed=p) for p in (None, *self.foreign(ideal, spec))]
+            for variant in (ideal, *variants):
+                start = len(pops)
+                runs.append((buchberger(variant, spec).entries, len(pops) - start))
+            assert runs[1:] == runs[:1] * 3, sorted(g.edges)
+
+    @pytest.mark.parametrize("graph", ("c5", "anchor8"))
+    def test_packed_entries_skip_the_polynomial_intake(self, graph, monkeypatch):
+        ideal, spec = sym_ideal(*{"c5": C5, "anchor8": ANCHOR_8}[graph])
+        calls = []
+        form = groebner.Packing.form
+        monkeypatch.setattr(groebner.Packing, "form", lambda pk, g: calls.append(g) or form(pk, g))
+        buchberger(ideal, spec)
+        assert calls == []
+        buchberger(replace(ideal, packed=None), spec)
+        assert calls == list(ideal.generators)
 
 
 _CTX3 = VarContext.make(("x1", "x2", "x3"))

@@ -1,9 +1,16 @@
 """Every imported name in the package and its tests is referenced."""
 
 import ast
+import dataclasses
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
+
+from xcond.graphs import path_graph
+from xcond.groebner import Ideal
+from xcond.symalg import edge_module
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "xcond").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -315,3 +322,35 @@ def test_assert_scan_flags_only_assert_statements():
         "    if not x:\n        raise AssertionError('kept under -O')\n",
     }
     assert bare_asserts(sources) == [("a", 2)]
+
+
+# ---------------------------------------------------------------------------
+# the benchmark tracer wraps package functions by name: a rename would
+# leave its spans empty without an error, so every name it wraps resolves
+# ---------------------------------------------------------------------------
+
+
+def tracer_module():
+    """perfbench/spans.py, loaded from its file as it is."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve():
+    spans = tracer_module()
+    wrapped = [target[:2] for target in spans.TARGETS] + [spans.COUNTED]
+    missing = [
+        (module, name)
+        for module, name in wrapped
+        if not callable(getattr(importlib.import_module(f"xcond.{module}"), name, None))
+    ]
+    assert missing == []
+
+
+def test_tracer_reads_ideal_generators():
+    """groebner.buchberger's span sizes its input by len(ideal.generators)."""
+    assert "generators" in {f.name for f in dataclasses.fields(Ideal)}
+    ideal = edge_module(path_graph(4)).sym_ideal
+    assert tracer_module()._gb_input((ideal,), {}) == len(ideal.generators) == 3

@@ -3,7 +3,7 @@
 import math
 from collections import Counter
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,10 +14,13 @@ from xcond.betti import betti_numbers, is_componentwise_linear
 from xcond.families import biclique_claimed, cw_claimed, fiber_names
 from xcond.graphs import (
     Graph,
+    all_connected_graphs,
     biclique_graph,
     cameron_walker_graph,
+    connected_graph_representatives,
     minimal_vertex_covers,
     path_graph,
+    peo,
 )
 from xcond.groebner import GroebnerBasis, Ideal, MonomialIdeal, eliminate, reduced_groebner_basis
 from xcond.rees import (
@@ -210,6 +213,53 @@ class TestXConditionBlocks:
         assert not report.holds
         ctx = em.sym_ideal.context
         assert [render_monomial(m, ctx) for m in report.violations] == ["x1*x4*y3"]
+
+
+class TestPackedXCondition:
+    """x_condition reads the packed leading monomials of the minimal
+    entries; its violations are the generators of gb.initial that
+    Monomial.degree_on finds of base degree above one, in their order."""
+
+    GRAPHS = {
+        **{f"P{n}": (path_graph, n) for n in range(3, 10)},
+        "cw p=1 q=1": (cameron_walker_graph, (1,), (1,)),
+        "cw p=2 q=1": (cameron_walker_graph, (2,), (1,)),
+        "cw p=1,1 q=0": (cameron_walker_graph, (1, 1), (0,)),
+        "cw p=1,1 q=1,1": (cameron_walker_graph, (1, 1), (1, 1)),
+        "biclique 2 2 2": (biclique_graph, 2, 2, 2),
+        "biclique 2 3 2": (biclique_graph, 2, 3, 2),
+    }
+
+    @staticmethod
+    def assert_reference(gb):
+        """x_condition(gb) against the Monomial reading; the number of
+        violations."""
+        base_idx = gb.context.block_indices("base")
+        want = tuple(m for m in gb.initial.generators if m.degree_on(base_idx) > 1)
+        report = x_condition(gb)
+        assert report.violations == want
+        assert report.holds == (not want)
+        return len(want)
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_rees_presentations(self, name):
+        make, *args = self.GRAPHS[name]
+        g = make(*args)
+        gens = minimal_vertex_covers(g).monomials()
+        pres = rees_ideal(g.context(), gens, fiber_names=fiber_names(g, len(gens)))
+        self.assert_reference(pres.gb)
+
+    def test_edge_modules_of_non_chordal_graphs(self):
+        graphs = chain(
+            *(all_connected_graphs(n) for n in range(2, 6)),
+            connected_graph_representatives(6),
+        )
+        counts = []
+        for g in graphs:
+            if peo(g) is None:
+                em = edge_module(g)
+                counts.append(self.assert_reference(reduced_groebner_basis(em.sym_ideal, em.order)))
+        assert counts and min(counts) >= 1 and max(counts) > 1
 
 
 class TestPathEight:

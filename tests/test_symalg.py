@@ -1,6 +1,7 @@
 """Edge modules, admissible paths, the chordality equivalence, cycle
 complexes, and the depth bound graph-stats reports."""
 
+import random
 from dataclasses import replace
 from itertools import chain, combinations, permutations
 
@@ -134,6 +135,20 @@ class TestAdmissiblePaths:
             connected_graph_representatives(6),
         )
         for g in graphs:
+            found = [(p.vertices, p.u_pi) for p in admissible_paths(g)]
+            assert found == literal_admissible(g), sorted(g.edges)
+
+    def test_definition_on_sampled_seven_and_eight_vertex_graphs(self):
+        # the literal reference is exponential, so a seeded sample of 20
+        # connected graphs: a random spanning tree under a random labeling,
+        # plus each other vertex pair with probability 0.3
+        rng = random.Random(2026)
+        for s in range(20):
+            n = 7 + s % 2
+            label = rng.sample(range(1, n + 1), n)
+            edges = {tuple(sorted((label[v], label[rng.randrange(v)]))) for v in range(1, n)}
+            edges |= {e for e in combinations(range(1, n + 1), 2) if rng.random() < 0.3}
+            g = labeled(n, sorted(edges))
             found = [(p.vertices, p.u_pi) for p in admissible_paths(g)]
             assert found == literal_admissible(g), sorted(g.edges)
 
