@@ -336,57 +336,58 @@ class QuotientStep:
 class QuotientReport:
     steps: tuple
     ok: bool
-    minimal: bool
+    generators: tuple
 
 
 def quotient_steps(images):
     """Successive colon ideals (h_1..h_{j-1}) : h_j; ok when every colon
-    that is neither zero nor the unit ideal is generated by variables, and
-    minimal when no image divides another.
+    other than the zero ideal is generated by variables.  An image that an
+    earlier one divides has the unit ideal as its colon and takes no step;
+    generators holds the images kept.  On images sorted by degree those are
+    the minimal generators of the ideal, in nondecreasing degree.
 
     Each image is packed once.  The colon is generated by the quotients
-    lcm(h_i, h_j) / h_j, and its minimal generators are the lcms that
-    criterion_m keeps, less h_j: the engine's criterion M on the new pairs
-    of an element of leading monomial h_j.  The same lcms decide
-    minimality: h_i | h_j exactly when lcm(h_i, h_j) = h_j, and h_j | h_i
-    exactly when it is h_i.
+    lcm(h_i, h_j) / h_j over the kept h_i, and its minimal generators are
+    the lcms that criterion_m keeps, less h_j: the engine's criterion M on
+    the new pairs of an element of leading monomial h_j.  The same lcms
+    decide the skip: h_i | h_j exactly when lcm(h_i, h_j) = h_j.
     """
     images = tuple(images)
     top = max((e for h in images for e in h.exps), default=0)
     fields = ExponentPacking(len(images[0].exps) if images else 0, field_width(top))
     lcm, unpack = fields.lcm, fields.unpack
-    packed = [fields.pack(h.exps) for h in images]
-    steps = []
-    ok = minimal = True
-    for j, (h, p) in enumerate(zip(images, packed)):
-        earlier = packed[:j]
-        lcms = {lcm(u, p) for u in earlier}
-        if p in lcms or not lcms.isdisjoint(earlier):
-            minimal = False
+    steps, kept, packed = [], [], []
+    ok = True
+    for j, h in enumerate(images, start=1):
+        p = fields.pack(h.exps)
+        lcms = {lcm(u, p) for u in packed}
+        if p in lcms:
+            continue
         quotients = sorted(
             (unpack(L - p) for L in criterion_m(lcms, p, fields)), key=lambda e: (sum(e), e)
         )
         colon = MonomialIdeal(tuple(map(Monomial, quotients)))
-        steps.append(QuotientStep(j + 1, colon, len(quotients), h.degree()))
-        # a unit colon is (1) alone; any other must be generated by variables
+        steps.append(QuotientStep(j, colon, len(quotients), h.degree()))
+        kept.append(h)
+        packed.append(p)
         if any(sum(q) > 1 for q in quotients):
             ok = False
-    return QuotientReport(tuple(steps), ok, minimal)
+    return QuotientReport(tuple(steps), ok, tuple(kept))
 
 
 def colon_cross_check(presentation, k):
-    """Each nontrivial colon's variable set must equal the base variables
-    x_i with x_i * w_j in the initial ideal, w_j the j-th standard fiber
-    monomial."""
+    """Each colon's variable set must equal the base variables x_i with
+    x_i * w_j in the initial ideal, w_j the standard fiber monomial of the
+    step's image."""
     basis = standard_monomials(presentation, k)
     report = quotient_steps(basis.images())
     if not report.ok:
         raise ValueError("cross-check requires a linear-quotients pipeline")
     ini = presentation.gb.initial
     extended = presentation.extended
-    for step, w in zip(report.steps, basis.monomials()):
-        if any(g.is_one() for g in step.colon.generators):
-            continue
+    monomials = basis.monomials()
+    for step in report.steps:
+        w = monomials[step.j - 1]
         lhs = {presentation.base.names[g.support()[0]] for g in step.colon.generators}
         rhs = {
             name
@@ -398,16 +399,16 @@ def colon_cross_check(presentation, k):
     return True
 
 
-def betti_from_quotients(steps, minimal=False):
+def betti_from_quotients(steps):
     """Closed-form graded Betti table from colon counts: each step of image
     degree d and colon size mu contributes C(mu, i) to position (i, i+d).
 
-    Valid when the image degrees are nondecreasing or the image sequence is
-    a minimal generating set; otherwise raises.
+    Valid for linear quotients in nondecreasing degree; decreasing image
+    degrees raise.
     """
     degrees = [s.degree for s in steps]
-    if any(a > b for a, b in zip(degrees, degrees[1:])) and not minimal:
-        raise ValueError("image degrees decrease and the sequence is not minimal")
+    if any(a > b for a, b in zip(degrees, degrees[1:])):
+        raise ValueError("image degrees decrease")
     table = {}
     for s in steps:
         for i in range(s.mu + 1):
@@ -430,7 +431,6 @@ class CertificateReport:
     linear_quotients: bool
     nondecreasing: bool
     certified: "str | None"
-    betti_route: "str | None"
     betti: "BettiTable | None"
     oracle_componentwise: "bool | None"
     oracle_betti_match: "bool | None"
@@ -439,50 +439,39 @@ class CertificateReport:
 def componentwise_certificate(presentation, k):
     """Certificate that the k-th power is componentwise linear.
 
-    Route "quadratic-initial": initial ideal generated in degree at most 2,
-    images minimal, colons linear.  Route "nondecreasing-linear-quotients",
-    tried second: images minimal, colons linear, image degrees
-    nondecreasing.  The fiber block is compared first, so the images of the
-    standard degree-k fiber monomials generate I^k; `minimal` makes them
-    its minimal generators; the colons are taken in the printed order and
-    `nondecreasing` is checked in that same order.  An ideal with linear
-    quotients over its minimal generators in nondecreasing degree is
-    componentwise linear (Jahan & Zheng, "Ideals with linear quotients",
-    J. Combin. Theory Ser. A 117, 2010).  The closed-form Betti table is
-    attached whenever minimality or nondecreasing degrees validate it.  The
-    Betti oracle alone decides its size: a power it refuses (ScaleExceeded)
-    leaves both oracle fields None, a degree component only the verdict.
+    The fiber block is compared first, so the images of the standard
+    degree-k fiber monomials generate I^k.  One colon pass runs over them
+    sorted stably by degree; it skips every image an earlier one divides,
+    so its steps run over the power's minimal generators in nondecreasing
+    degree.  When every colon is linear the power is certified: an ideal
+    with linear quotients over its minimal generators in nondecreasing
+    degree is componentwise linear (Jahan & Zheng, "Ideals with linear
+    quotients", J. Combin. Theory Ser. A 117, 2010; Herzog & Hibi,
+    Monomial Ideals, 2011, section 8.2), and the closed-form Betti table of
+    those steps is its Betti table.  The label says whether the initial
+    ideal is generated in degree at most 2.  `minimal` and `nondecreasing`
+    describe the printed images: none redundant, degrees never dropping.
+    The Betti oracle alone decides its size: a power it refuses
+    (ScaleExceeded) leaves both oracle fields None, a degree component
+    only the verdict.
     """
     xc = x_condition(presentation.gb)
     quadratic = all(m.degree() <= 2 for m in presentation.gb.initial.generators)
-    basis = standard_monomials(presentation, k)
-    images = basis.images()
-    report = quotient_steps(images)
-    minimal = report.minimal
-    degrees = [s.degree for s in report.steps]
-    nondecreasing = all(a <= b for a, b in zip(degrees, degrees[1:]))
+    images = standard_monomials(presentation, k).images()
+    report = quotient_steps(sorted(images, key=Monomial.degree))
+    degrees = [h.degree() for h in images]
 
-    certified = None
-    if quadratic and minimal and report.ok:
-        certified = "quadratic-initial"
-    elif minimal and report.ok and nondecreasing:
-        certified = "nondecreasing-linear-quotients"
-
-    betti_route = None
-    table = None
-    if report.ok and (minimal or nondecreasing):
-        table = betti_from_quotients(report.steps, minimal=minimal)
-        betti_route = (
-            "both" if minimal and nondecreasing else "minimal" if minimal else "nondecreasing"
-        )
+    certified = table = None
+    if report.ok:
+        certified = "quadratic-initial" if quadratic else "nondecreasing-linear-quotients"
+        table = betti_from_quotients(report.steps)
 
     oracle_verdict = None
     oracle_match = None
-    # minimal images already are the power's minimal generators
-    power = MonomialIdeal(images) if minimal else MonomialIdeal.make(images)
+    power = MonomialIdeal(report.generators)
     try:
         power_table = betti_numbers(power)
-        if table is not None and minimal:
+        if table is not None:
             oracle_match = power_table == table
         oracle_verdict = is_componentwise_linear(power, power_table)
     except ScaleExceeded:
@@ -492,11 +481,10 @@ def componentwise_certificate(presentation, k):
         k=k,
         x_condition=xc.holds,
         quadratic=quadratic,
-        minimal=minimal,
+        minimal=len(report.generators) == len(images),
         linear_quotients=report.ok,
-        nondecreasing=nondecreasing,
+        nondecreasing=all(a <= b for a, b in zip(degrees, degrees[1:])),
         certified=certified,
-        betti_route=betti_route,
         betti=table,
         oracle_componentwise=oracle_verdict,
         oracle_betti_match=oracle_match,

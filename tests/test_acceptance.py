@@ -303,11 +303,12 @@ def test_criterion_5_power_pipeline():
         for k in (1, 2, 3):
             images = standard_monomials(pres, k).images()
             report = quotient_steps(images)
-            assert report.minimal, (name, k)
-            assert report.ok, (name, k)
+            ordered = quotient_steps(sorted(images, key=Monomial.degree))
+            assert len(ordered.generators) == len(images), (name, k)
+            assert report.ok and ordered.ok, (name, k)
             assert colon_cross_check(pres, k), (name, k)
             if len(images) <= 16:
-                table = betti_from_quotients(report.steps, minimal=True)
+                table = betti_from_quotients(ordered.steps)
                 assert betti_numbers(MonomialIdeal.make(images)) == table, (name, k)
                 oracle_hits += 1
     elapsed = time.monotonic() - start
@@ -358,6 +359,10 @@ def test_criterion_7_nonminimal_counterexample():
         [render_monomial(m, ctx) for m in step.colon.generators]
         for step in report.steps
     ]
+    # sorted by degree, x1*x2^2 is skipped: the minimal generators remain,
+    # and their colon (x1^2) is not linear
+    ordered = quotient_steps(sorted((x1sq, x1x2sq, x2sq), key=Monomial.degree))
+    minimal = len(ordered.generators) == len(report.generators)
     ideal = MonomialIdeal.make((x1sq, x2sq))
     component = degree_component(ideal, 2, 2)
     beta14 = dict(betti_numbers(component).entries).get((1, 4), 0)
@@ -365,7 +370,8 @@ def test_criterion_7_nonminimal_counterexample():
     ok = (
         report.ok
         and colons == [[], ["x1"], ["x1"]]
-        and not report.minimal
+        and not minimal
+        and not ordered.ok
         and beta14 != 0
         and not has_linear_resolution(component)
         and not is_componentwise_linear(ideal)
@@ -378,7 +384,10 @@ def test_criterion_7_nonminimal_counterexample():
     )
     assert report.ok
     assert colons == [[], ["x1"], ["x1"]]
-    assert not report.minimal
+    assert ordered.generators == (x1sq, x2sq)
+    assert not ordered.ok
+    with pytest.raises(ValueError, match="decrease"):
+        betti_from_quotients(report.steps)
     assert beta14 != 0
     assert not has_linear_resolution(component)
     assert not is_componentwise_linear(ideal)

@@ -151,7 +151,6 @@ class TestRees:
                         "projdim": 4,
                         "regularity": 18,
                     },
-                    "betti_route": "minimal",
                     "certified": "quadratic-initial",
                     "generators": 16,
                     "k": 3,
@@ -178,7 +177,6 @@ class TestRees:
                         "projdim": 6,
                         "regularity": 12,
                     },
-                    "betti_route": "both",
                     "certified": "nondecreasing-linear-quotients",
                     "generators": 21,
                     "k": 2,
@@ -198,8 +196,7 @@ class TestRees:
         """Every field of two certificates on powers with hundreds of
         images, cheap since the colons run on packed exponents.  The Betti
         table's row 0 counts the images.  CW p=1,1 q=1,1 has no quadratic
-        initial ideal, but its images are minimal, have linear quotients and
-        nondecreasing degrees, so the second route certifies it."""
+        initial ideal, so its label is nondecreasing-linear-quotients."""
         got_code, payload = run_json(capsys, "rees", *family, "--k", k)
         assert (got_code, payload) == (code, report)
         assert sum(n for i, _, n in payload["betti"]["entries"] if i == 0) == images
@@ -352,22 +349,35 @@ class TestPowers:
         assert [r["k"] for r in payload["reports"]] == [1, 2, 3]
         assert all(r["certified"] == "quadratic-initial" for r in payload["reports"])
 
-    def test_cw_certificate_gap_stays_visible(self, capsys):
-        """The oracle calls the square of this cover ideal componentwise
-        linear, yet no route certifies it: its images are not minimal and
-        their degrees decrease.  A new route must close the gap on purpose.
-        The ideal itself is certified from linear quotients in
-        nondecreasing degree; the cube is not certified either."""
+    def test_cw_certificate_gap_closed(self, capsys):
+        """The square and the cube of this cover ideal have redundant images
+        whose printed degrees decrease.  The colon pass over the images
+        sorted by degree keeps the power's minimal generators, and their
+        quotients are linear, so every power through k = 3 is certified."""
         code, payload = run_json(capsys, "powers", "--cw", "p=1,1", "q=0", "--kmax", "3")
-        assert code == 1
+        assert code == 0
         first, square, cube = payload["reports"]
-        assert first["k"] == 1
-        assert first["certified"] == "nondecreasing-linear-quotients"
-        assert square["k"] == 2
-        assert square["certified"] is None
-        assert square["oracle_componentwise"] is True
-        assert cube["k"] == 3
-        assert cube["certified"] is None
+        assert [r["k"] for r in payload["reports"]] == [1, 2, 3]
+        assert all(r["certified"] == "nondecreasing-linear-quotients" for r in payload["reports"])
+        assert not square["minimal"] and not square["nondecreasing"]
+        assert not cube["minimal"] and not cube["nondecreasing"]
+        assert square["betti"] == {
+            "entries": [
+                [0, 4, 1], [0, 5, 3], [0, 6, 5], [1, 6, 4], [1, 7, 8], [2, 7, 1], [2, 8, 3],
+            ],
+            "projdim": 2,
+            "regularity": 6,
+        }
+        assert (square["oracle_componentwise"], square["oracle_betti_match"]) == (True, True)
+        assert cube["betti"] == {
+            "entries": [
+                [0, 6, 1], [0, 7, 3], [0, 8, 5], [0, 9, 7], [1, 8, 4], [1, 9, 8],
+                [1, 10, 12], [2, 9, 1], [2, 10, 3], [2, 11, 5],
+            ],
+            "projdim": 2,
+            "regularity": 9,
+        }
+        assert cube["oracle_betti_match"] is True
 
 
 class TestVerifyFamily:

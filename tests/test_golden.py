@@ -76,28 +76,28 @@ INPUTS = {
 EMPTY = hashlib.sha256(b"").hexdigest()
 
 GOLDEN = (
-    ("rees --path 3 --k 2", 0, "91413c1cff1d2835188f2baa3d8a7c36b33f347b4a5bddfaed7186808bc29fc0"),
-    ("rees --path 4 --k 2", 0, "bceb67fc5726341232b26279bb2f7f8d9411701aea7f5b4ed605eb895da71e5b"),
-    ("rees --path 5 --k 2", 0, "17335478364ba4bb91dbcf9b24f0342eab7cf29f807c120703e2b78177b907dc"),
-    ("rees --path 6 --k 2", 0, "71acc2817fb2aa04fff6838797d05839c9949b0d26e4a109a72aeb65de3687d4"),
-    ("rees --path 7 --k 2", 0, "8ecb3621e83aff2d2d6b4beab004aedee323e450c85005333842e7a2f4e3facf"),
-    ("rees --path 8 --k 2", 0, "bd780a4e5e7e0c34a5f8fdb71122189c3d6a06ff9743b237afaa432d6894ea54"),
-    ("rees --biclique 2 2 2 --k 1", 0, "51b8c2a99fcef8a2575ed1c2716edad89cc3a6aad6d61aaa897320bf13981e1c"),
-    ("rees --cw p=1 q=1 --k 2", 0, "77601fbb6fcb3572d0273d8982da5120ca077d1cc59261da7cbc8441969a5358"),
+    ("rees --path 3 --k 2", 0, "6fcfa7143a8577ea18c029a1192d0a8436458bb7cff948b945f1e5a84e3468a5"),
+    ("rees --path 4 --k 2", 0, "14e30ed5285960bfd3fc6e420a810af747ce487dbb32f4179a2d554924855313"),
+    ("rees --path 5 --k 2", 0, "7a20b3ac3feee8b56b4b243e34008ef8e76e644fad63c76c48fce5801de68cac"),
+    ("rees --path 6 --k 2", 0, "ee8f0e4cddf6a0cd4935cc167d7d48b80f3ef3c2994d72122ed2d1101895055d"),
+    ("rees --path 7 --k 2", 0, "8fcb3e250ebf57c16b9e4c98053de638b9d609497e23c54dff2cb99277b7e9ea"),
+    ("rees --path 8 --k 2", 0, "a0e4020ce88d5c67860ae822ddfc8f978f27f50cdc74a2256d430d3d38cbc0a4"),
+    ("rees --biclique 2 2 2 --k 1", 0, "2a8d885f335e88dbcb58e504bcf9ab8cd42ffa21c46412c223d6c5be9f409e8b"),
+    ("rees --cw p=1 q=1 --k 2", 0, "7fa191d1dcfc3a93e37f4f6cc9115254e6574bdb9c1cc303acdc73970f62d9a4"),
     ("xcond --path 8", 0, "53e84c15e8d62cd39b2fe2543a960d01d10f1167f27f193c0c91b185a2cd34c6"),
     # exit 1: the x-condition fails, violations ["y1*b*c*d"]
     ("xcond --graph star.graph", 1, "bba40f019ec2c4b04fa4a1f7464eb25ba509dd090f9aa71d9fe7c63bccbd25cd"),
-    ("rees --graph star.graph --k 1", 1, "eb8eaa619c44de802c837cc680c30d49c1509d127a6de0e61061e0a5215b4b0d"),
-    ("powers --path 6 --kmax 3", 0, "465a276aed20be1e9180c1d4a84e53056bc2628882e761fae6792960f209c22b"),
-    ("powers --cw p=2 q=1 --kmax 3", 0, "e40f4d74b36d5367f4ce72f6977747732c9a2265c8aeb07b13583e827b9e3580"),
-    ("powers --path 5 --kmax 3", 0, "733995faa1e6a4087e4b0ae000ecd0eac2410b10ab5e9696aa471fea93620d20"),
-    ("powers --path 7 --kmax 3", 0, "8c313d292268d761dff4957f3672ddfcd3511c8af75ed3680a284b7b99a3a019"),
-    ("powers --path 8 --kmax 3", 0, "35668a5c423da6255f59c0674438f6e2ea343ac94d506fd3eb9ed8d9ae6a6e7e"),
-    ("powers --cw p=1 q=1 --kmax 3", 0, "4d7522dfcf0f7320fae935b1e8b0d00b5d460f0ac6fe9f605e1acdb8f2a0ad45"),
+    ("rees --graph star.graph --k 1", 0, "f05db2d69cfb284edcd998028fa516639e00221efdca8a80f135edf48f0d19aa"),
+    ("powers --path 6 --kmax 3", 0, "b0e3748480cc14ceb67bb4608b7006f6bc3ff52860e29c47909a1a85feff2544"),
+    ("powers --cw p=2 q=1 --kmax 3", 0, "f6edc67bdbb17eec64fc6fa95db56fe4b2a169a93035e7bc27bd1c062d53275a"),
+    ("powers --path 5 --kmax 3", 0, "6926a647f4dc03b29386a1daf50b5a588e870da40c01d33a73adcdc9f693927c"),
+    ("powers --path 7 --kmax 3", 0, "9987ed2d5836d1cdcf4f166f724c02648940cf63762041897e69754d6bc42d45"),
+    ("powers --path 8 --kmax 3", 0, "6d57a719cfa299278e00488ad42a0f5acbe9916afb5e09615fec25542ba19ab7"),
+    ("powers --cw p=1 q=1 --kmax 3", 0, "ee53f14ebf2a83c3d0a42fd0b6fa6afe740743a4357e5877749f93f17bbcf30e"),
     # exit 1: k = 1 is certified, k = 2 and 3 are not
-    ("powers --cw p=1,1 q=0 --kmax 3", 1, "d6a317741f3d83225203cf3c2c9994f3fbfd22bbed6817f03a89ad4339844785"),
-    ("powers --cw p=1,1 q=1,1 --kmax 3", 0, "b18c5031318b5e49f3104e943ddfec1332536cf9cbdfc00bafb1dbe0ca88cb20"),
-    ("powers --biclique 2 2 2 --kmax 3", 0, "8e1370558a1abe0fc077a59bc5c25ebb69a9105041293e9c1897f4e2dc1f8a2b"),
+    ("powers --cw p=1,1 q=0 --kmax 3", 0, "de96f02a78542e12b11844d68031679b666c2365c551d0cefe15ad18a59e890d"),
+    ("powers --cw p=1,1 q=1,1 --kmax 3", 0, "a0155f87f93a3899a32384e91e285b16b149cb3193dc16aabcd101924c7ed051"),
+    ("powers --biclique 2 2 2 --kmax 3", 0, "df6481faf8ef34515ce1cac078f02fe88565718399f0a95208b26a2a393a3015"),
     ("verify-family --path 8", 0, "aa6fc7403a9fd7db8fbe79383fe1152647f81622fb2c86223862c7c3431fe599"),
     ("verify-family --biclique 2 3 2", 0, "558a51490020acde11093ef8e30b6621133a26369b9ec1d99a778eafe73d6701"),
     ("verify-family --cw p=1,1 q=1", 0, "6c7cfbb8dacf93062edd3c00dd4105164e68e8b3934ceee79e2780b8904d8ed0"),
@@ -121,8 +121,8 @@ GOLDEN = (
     ("cycle-complex --r 6", 0, "5aa8a60baef7f782453d5051f6d8faeb3a63169b0a47d5e506ccff70e31785fe"),
     ("cycle-complex --r 7", 0, "3b392a04f55164366b9237482a0ecbca72fe3b2786b83722b5133e77343ac9cd"),
     ("graph-stats --path 4 --pretty", 0, "b585b8da0121562d0f6a83885793fb5e1b532a0041cc4430823ea4bab5a94889"),
-    ("rees --path 6 --k 2 --pretty", 0, "4564a1163cc85bf252241b78780aeba98e98e96230eb471f94523b786eefca6c"),
-    ("powers --path 5 --kmax 2 --pretty", 0, "29a95cc8948b49ed25b0278ded6b5e6a47e1fcdad117dba14ec0df9b866f7f91"),
+    ("rees --path 6 --k 2 --pretty", 0, "f6b0aedd0f742a2df7105b5892246a83ea74df8be2fbd71503a21b8660563f3f"),
+    ("powers --path 5 --kmax 2 --pretty", 0, "db4340143b2793e3814d74645535d78347adcefb348f06e79ea036a4dcdd3c4e"),
     ("verify-family --biclique 2 3 2 --pretty", 0, "0d23cd19033a2865c89a0e3386e150bc0072cd8c5a441f416ae687e4bbbb7c28"),
     ("binomial-edge --graph c4.graph --check mg --pretty", 0, "04e09b4455532cdd84682c7edc03808e100ae31a0540febfb10b506390569f8d"),
     ("cycle-complex --r 5 --pretty", 0, "8aa742f46fae663c66229957977d284647c3380d200c5a91495a015b7ffc4a6f"),

@@ -675,8 +675,14 @@ class TestMembership:
 
 
 def quotient_colon(ideal, m):
-    """(I : m) as the last colon of the sequence (generators of I, m)."""
-    return quotient_steps(ideal.generators + (m,)).steps[-1].colon
+    """(I : m) as the last colon of the sequence (generators of I, m).  A
+    multiple of a generator takes no step: m then lies in I and its colon
+    is the unit ideal."""
+    report = quotient_steps(ideal.generators + (m,))
+    if len(report.steps) == len(ideal.generators):
+        assert ideal.contains(m)
+        return MonomialIdeal((Monomial((0,) * len(m.exps)),))
+    return report.steps[-1].colon
 
 
 def brute_force_colon(ideal, m, nvars, max_deg):

@@ -364,7 +364,13 @@ class TestQuotients:
         gens = [step.colon.generators for step in report.steps]
         assert gens == [(), (Monomial((1, 0)),), (Monomial((1, 0)),)]
         assert [step.mu for step in report.steps] == [0, 1, 1]
-        assert not report.minimal
+        # no image divides a later one, so each takes a step; sorted by
+        # degree, y^2 comes before x*y^2 and x*y^2 is skipped
+        assert report.generators == seq
+        ordered = quotient_steps(sorted(seq, key=Monomial.degree))
+        assert ordered.generators == (Monomial((2, 0)), Monomial((0, 2)))
+        assert [step.j for step in ordered.steps] == [1, 2]
+        assert not ordered.ok
 
     def test_nonlinear_colon_flagged(self):
         seq = (Monomial((2, 0, 0)), Monomial((0, 1, 2)))
@@ -376,9 +382,12 @@ class TestQuotients:
         for n in (5, 6):
             pres = path_presentation(n)
             for k in (1, 2, 3):
-                report = quotient_steps(standard_monomials(pres, k).images())
-                assert report.minimal
+                images = standard_monomials(pres, k).images()
+                report = quotient_steps(images)
+                assert report.generators == images
                 assert report.ok
+                ordered = quotient_steps(sorted(images, key=Monomial.degree))
+                assert len(ordered.generators) == len(images)
                 assert colon_cross_check(pres, k)
 
     def test_cross_check_requires_linear_quotients(self):
@@ -389,24 +398,23 @@ class TestQuotients:
 
 
 def literal_steps(images):
-    """quotient_steps by its definition on tuples: the colon of step j is
-    MonomialIdeal.make of the lcm(h_i, h_j) / h_j over i < j; ok when
-    every colon other than (0) and (1) is generated by variables."""
-    steps, ok = [], True
+    """quotient_steps by its definition on tuples: an image that an earlier
+    one divides takes no step; otherwise the colon of step j is
+    MonomialIdeal.make of the lcm(h_i, h_j) / h_j over all i < j.  ok when
+    every colon other than (0) is generated by variables.  Returns the
+    steps, ok and the images that took a step."""
+    steps, kept, ok = [], [], True
     for j, h in enumerate(images, start=1):
+        if any(u.divides(h) for u in images[: j - 1]):
+            continue
         gens = MonomialIdeal.make(
             Monomial(tuple(map(max, u.exps, h.exps))).div(h) for u in images[: j - 1]
         ).generators
         steps.append((j, gens, len(gens), h.degree()))
-        if not any(g.is_one() for g in gens) and not all(g.degree() == 1 for g in gens):
+        kept.append(h)
+        if not all(g.degree() == 1 for g in gens):
             ok = False
-    return steps, ok
-
-
-def literal_minimal(images):
-    return not any(
-        i != j and a.divides(b) for i, a in enumerate(images) for j, b in enumerate(images)
-    )
+    return steps, ok, tuple(kept)
 
 
 def _sequences(nvars):
@@ -427,16 +435,52 @@ class TestQuotientsAgainstDefinitions:
     @settings(max_examples=300, deadline=None)
     @example(images=[])  # the empty sequence
     @example(images=[Monomial((3,))])  # one variable; the colon at j = 1 is (0)
-    @example(images=[Monomial((1,)), Monomial((2,)), Monomial((2,))])  # unit colons
+    @example(images=[Monomial((1,)), Monomial((2,)), Monomial((2,))])  # skipped images
     @example(images=[Monomial(e) for e in ((2, 0), (1, 2), (0, 2), (1, 2))])  # a late repeat
     @example(images=[Monomial((1 << 16, 0)), Monomial((1, 1 << 20)), Monomial((0, 1 << 66))])
     @given(images=st.integers(1, 4).flatmap(_sequences))
     def test_matches_the_literal_definitions(self, images):
         report = quotient_steps(images)
-        steps, ok = literal_steps(images)
+        steps, ok, kept = literal_steps(images)
         assert [(s.j, s.colon.generators, s.mu, s.degree) for s in report.steps] == steps
         assert report.ok == ok
-        assert report.minimal == literal_minimal(images)
+        assert report.generators == kept
+
+
+@st.composite
+def redundant_generators(draw):
+    """A small monomial ideal (2-4 variables, up to 5 generators,
+    exponents at most 3) given as a shuffled sequence with equal images
+    and multiples of its generators mixed in."""
+    nvars = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    gens = draw(st.lists(exps.filter(any).map(Monomial), min_size=1, max_size=5))
+    repeats = draw(st.lists(st.sampled_from(gens), max_size=3))
+    factors = st.tuples(*[st.integers(0, 1)] * nvars).map(Monomial)
+    multiples = draw(st.lists(st.tuples(st.sampled_from(gens), factors), max_size=3))
+    return draw(st.permutations(gens + repeats + [g.mul(m) for g, m in multiples]))
+
+
+class TestDegreeSortedPass:
+    """The certificate's route on small ideals: the pass over the images
+    sorted by degree keeps the minimal generators, and when its colons are
+    linear the closed form and the uncapped oracle agree that the ideal is
+    componentwise linear."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(images=[Monomial((1, 2)), Monomial((2, 0)), Monomial((0, 2)), Monomial((2, 0))])
+    @given(images=redundant_generators())
+    def test_minimal_generators_and_sound_certificates(self, images):
+        report = quotient_steps(sorted(images, key=Monomial.degree))
+        ideal = MonomialIdeal.make(images)
+        assert len(report.generators) == len(ideal.generators)
+        assert set(report.generators) == set(ideal.generators)
+        if report.ok:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(betti, "GENERATOR_CAP", math.inf)
+                table = betti_numbers(ideal)
+                assert betti_from_quotients(report.steps) == table
+                assert is_componentwise_linear(ideal, table) is True
 
 
 class TestBettiFromQuotients:
@@ -451,14 +495,13 @@ class TestBettiFromQuotients:
         steps = quotient_steps((Monomial((3,)),)).steps
         assert dict(betti_from_quotients(steps).entries) == {(0, 3): 1}
 
-    def test_decreasing_degrees_need_minimal_flag(self):
+    def test_decreasing_degrees_raise(self):
+        # (x^2, x*y^2, y^2) is not minimal and its degrees dip: no table
         seq = (Monomial((2, 0)), Monomial((1, 2)), Monomial((0, 2)))
         steps = quotient_steps(seq).steps
+        assert [s.degree for s in steps] == [2, 3, 2]
         with pytest.raises(ValueError, match="decrease"):
             betti_from_quotients(steps)
-        # with the flag asserted the closed form is still produced
-        table = betti_from_quotients(steps, minimal=True)
-        assert dict(table.entries)[(0, 2)] == 2
 
     def test_oracle_equality_on_powers(self):
         for n in (5, 6):
@@ -467,8 +510,8 @@ class TestBettiFromQuotients:
                 basis = standard_monomials(pres, k)
                 if len(basis.entries) > 16:
                     continue
-                steps = quotient_steps(basis.images()).steps
-                closed = betti_from_quotients(steps, minimal=True)
+                steps = quotient_steps(sorted(basis.images(), key=Monomial.degree)).steps
+                closed = betti_from_quotients(steps)
                 oracle = betti_numbers(MonomialIdeal.make(basis.images()))
                 assert closed == oracle
 
@@ -481,9 +524,9 @@ class TestCertificate:
         images = standard_monomials(path_presentation(8), 1).images()
         power = MonomialIdeal.make(images)
         assert is_componentwise_linear(power) is True
-        report = quotient_steps(images)
-        assert report.ok and report.minimal
-        assert betti_numbers(power) == betti_from_quotients(report.steps, minimal=True)
+        report = quotient_steps(sorted(images, key=Monomial.degree))
+        assert report.ok and len(report.generators) == len(images)
+        assert betti_numbers(power) == betti_from_quotients(report.steps)
 
     def test_p6_k2(self):
         cert = componentwise_certificate(path_presentation(6), 2)
@@ -515,7 +558,29 @@ class TestCertificate:
         assert (len(images), len(MonomialIdeal.make(images).generators)) == (10, 9)
         cert = componentwise_certificate(pres, 2)
         assert not cert.minimal
-        assert (cert.oracle_componentwise, cert.oracle_betti_match) == (True, None)
+        assert cert.certified == "nondecreasing-linear-quotients"
+        assert (cert.oracle_componentwise, cert.oracle_betti_match) == (True, True)
+
+    @pytest.mark.parametrize(
+        "graph", [path_graph(5), cameron_walker_graph((1, 1), (0,))], ids=["P5", "cw p=1,1 q=0"]
+    )
+    def test_one_colon_pass_per_power(self, monkeypatch, graph):
+        """The certificate runs quotient_steps once per k, on the images
+        sorted stably by degree; CW p=1,1 q=0 has redundant images."""
+        pres = rees_ideal(graph.context(), minimal_vertex_covers(graph).monomials())
+        original = rees.quotient_steps
+        calls = []
+
+        def counted(images):
+            calls.append(tuple(images))
+            return original(images)
+
+        monkeypatch.setattr(rees, "quotient_steps", counted)
+        for k in (1, 2, 3):
+            calls.clear()
+            componentwise_certificate(pres, k)
+            images = standard_monomials(pres, k).images()
+            assert calls == [tuple(sorted(images, key=Monomial.degree))], k
 
     @pytest.mark.parametrize(
         "graph", [path_graph(5), cameron_walker_graph((1,), (1,))], ids=["P5", "cw p=1 q=1"]
@@ -562,10 +627,12 @@ class TestCertificate:
         assert builds == [pres.gb]
 
     def test_degenerate_sequence_withholds_certificate(self):
-        # quotients pass but the images are redundant and degrees dip
+        # the printed quotients pass, but the images are redundant and their
+        # degrees dip; over the minimal generators (x^2, y^2) they fail
         seq = (Monomial((2, 0)), Monomial((1, 2)), Monomial((0, 2)))
-        report = quotient_steps(seq)
-        assert report.ok and not report.minimal
+        assert quotient_steps(seq).ok
+        report = quotient_steps(sorted(seq, key=Monomial.degree))
+        assert not report.ok and len(report.generators) == 2
         ideal = MonomialIdeal.make(seq)
         table = betti_numbers(ideal)
         assert dict(table.entries)[(1, 4)] == 1
@@ -587,7 +654,7 @@ class TestCertificate:
             assert cert.certified is not None
 
     def test_weighted_order_cw21_by_nondecreasing_quotients(self):
-        # in(J) is not quadratic here, so the second route decides
+        # in(J) is not quadratic here, so the label names the quotients
         pres = weighted_presentation(cameron_walker_graph((2,), (1,)))
         for k in (1, 2, 3):
             cert = componentwise_certificate(pres, k)
