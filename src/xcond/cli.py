@@ -248,7 +248,7 @@ def report_payload(rep):
 
 def cmd_gb(args):
     ctx, spec, polys = read_ideal_file(args.ideal_file, args.order)
-    gb = reduced_groebner_basis(Ideal.make(polys, ctx), spec, gb_config(args))
+    gb = reduced_groebner_basis(Ideal.make(polys, ctx, spec), gb_config(args))
     payload = {
         "vars": list(ctx.names),
         "order": render_order_spec(spec),
@@ -319,11 +319,10 @@ def cmd_binomial_edge(args):
     if args.check is not None:
         rep = equivalence_check(g, gb_config(args))
         return report_payload(rep) | {"vertices": g.n}, 0 if rep.equivalence_ok else 1
-    em = edge_module(g)
     basis = admissible_path_basis(g)
     matches = None
     if g.n <= EQUIV_CAP:
-        matches = basis == reduced_groebner_basis(em.sym_ideal, em.order, gb_config(args))
+        matches = basis == reduced_groebner_basis(edge_module(g), gb_config(args))
     payload = {
         "vertices": g.n,
         "edges": len(g.edges),
@@ -473,9 +472,8 @@ def build_parser():
     sp.add_argument("--graph", metavar="FILE", required=True)
     sp.add_argument(
         "--check",
-        choices=("mg", "equivalence"),
-        help="chordality/x-condition equivalence for the edge module M_G "
-        "(both names run the same check)",
+        choices=("mg",),
+        help="chordality/x-condition equivalence for the edge module M_G",
     )
     _add_caps(sp)
     _add_output(sp)

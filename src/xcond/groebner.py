@@ -19,15 +19,15 @@ every pair being tested when it is popped:
 
 All of them always run; GBConfig holds only the pair and degree caps.
 Pairs are popped by (w . lcm, K(lcm), index pair), w a positive grading
-under which every generator is homogeneous: the Ideal's grading when it
-carries one, else the standard grading when it fits.  S-pair remainders
-are then homogeneous too, and the run goes degree by degree, the normal
-strategy (sugar on homogeneous input: Giovini, Mora, Niesi, Robbiano and
-Traverso, "One sugar cube, please", ISSAC 1991).  Other input has
-w . lcm = 0 and keeps the order's own selection, smallest lcm first, as
-sugar there can climb through far higher degrees.  S-polynomials are
-reduced over the list of the entries not retired, updated on each
-install; the final basis is fully tail-reduced.
+under which every generator is homogeneous, settled when the Ideal is
+made: the grading given, else the standard grading when it fits.
+S-pair remainders are then homogeneous too, and the run goes degree by
+degree, the normal strategy (sugar on homogeneous input: Giovini, Mora,
+Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC 1991).
+Other input has w . lcm = 0 and keeps the order's own selection,
+smallest lcm first, as sugar there can climb through far higher
+degrees.  S-polynomials are reduced over the list of the entries not
+retired, updated on each install; the final basis is fully tail-reduced.
 Every run is bounded by explicit resource caps; exceeding a cap raises
 ScaleExceeded rather than returning a truncated basis.
 
@@ -56,25 +56,26 @@ leading coefficient does not divide the one it cancels (never for the
 +-1 binomials).  S-polynomials go fraction-free from two primitive forms
 straight into the map.
 
-A GroebnerBasis holds these entries (lm, K(lm), lc, tail) in its
-packing, and every basis stays packed: buchberger's, reduce_basis's,
-eliminate's, and GroebnerBasis.of's, which packs Polynomials.  A
-polynomial crosses the boundary through Packing only: pack_terms packs
-its terms into that map on the way in, and polynomial builds a
-Polynomial from packed terms on the way out, once per normal_form and
-once per element of a basis whose elements are read.  Generators may
-also arrive already written as entries (Ideal.packed), as the edge
-module and the admissible-path basis write them from the units.  A
-basis's initial ideal is likewise built on first read, unpacking only
-the minimal leading monomials that reduce_basis keeps too
-(_minimal_entries).  divide stays the Fraction textbook oracle.
+An Ideal and a GroebnerBasis hold these entries (lm, K(lm), lc, tail) in
+their packing, and every basis stays packed: buchberger's, reduce_basis's,
+eliminate's, and GroebnerBasis.of's.  Ideal.make and GroebnerBasis.of pack
+Polynomials in one packer, the order's packing whose fields hold every
+input exponent; buchberger installs the Ideal's entries as they are, so
+an Ideal written straight as entries (the edge module's, from the
+packing's units) enters the one way.  A polynomial crosses the boundary
+through Packing only: pack_terms packs its terms into that map on the way
+in, and polynomial builds a Polynomial from packed terms on the way out,
+once per normal_form and once per element of a basis whose elements are
+read.  A basis's minimal entries, which reduce_basis keeps, are scanned
+once, on first read, and its initial ideal unpacks only their leading
+monomials.  divide stays the Fraction textbook oracle.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import insort
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, compress, groupby
@@ -113,20 +114,52 @@ class GBConfig:
 
 @dataclass(frozen=True)
 class Ideal:
-    """Generators in a context; grading, when set, is a positive weight per
-    variable under which every generator is homogeneous (buchberger checks
-    it and selects pairs by degree).  packed, when set, is the basis of the
-    Packing.form of each nonzero generator, in order, which buchberger
-    installs as it is when its packing is the run's; == ignores it."""
+    """Generators of a context under an order, packed once: one primitive
+    entry (Packing.form) per nonzero generator, in order, which buchberger
+    installs as it is.  grading is settled on construction, from the
+    entries: a grading given must be one positive weight per variable
+    under which every generator is homogeneous, else ValueError; with none
+    given it is the standard grading when that fits, else None (every
+    w-degree 0)."""
 
     context: VarContext
+    order: OrderSpec
+    packing: Packing
     generators: tuple
     grading: "tuple | None" = None
-    packed: "GroebnerBasis | None" = field(default=None, compare=False)
+
+    def __post_init__(self):
+        given = self.grading
+        w = given or (1,) * self.context.nvars
+        if len(w) != self.context.nvars or not all(a > 0 for a in w):
+            raise ValueError(f"grading {w} is not one positive weight per variable")
+        unpack = self.packing.unpack
+
+        def degree(e):
+            return sum(map(mul, w, unpack(e)))
+
+        # whether every term of each generator has one w-degree
+        graded = all(
+            len({degree(lm), *(degree(e) for _, e, _ in tail)}) == 1
+            for lm, _, _, tail in self.generators
+        )
+        if not graded and given is not None:
+            raise ValueError(f"a generator is not homogeneous under the grading {w}")
+        object.__setattr__(self, "grading", w if graded else None)
 
     @staticmethod
-    def make(gens, ctx, grading=None):
-        return Ideal(ctx, tuple(g for g in gens if not g.is_zero()), grading)
+    def make(polys, ctx, order, grading=None):
+        """The ideal of the polys, stored in any order, packed as
+        GroebnerBasis.of packs them."""
+        return Ideal(ctx, order, *_pack(polys, ctx, order), grading)
+
+
+def _pack(polys, ctx, order):
+    """The order's packing whose fields hold every exponent of the nonzero
+    polys, and the entry of each of them, in order."""
+    polys = [g for g in polys if not g.is_zero()]
+    packing = packing_for(compile_order(order, ctx), max_exponent(polys))
+    return packing, tuple(map(packing.form, polys))
 
 
 @dataclass(frozen=True)
@@ -144,9 +177,7 @@ class GroebnerBasis:
     def of(polys, ctx, order):
         """The basis of the nonzero polys, stored in any order, in fields
         that hold every exponent of the polys."""
-        polys = [g for g in polys if not g.is_zero()]
-        packing = packing_for(compile_order(order, ctx), max_exponent(polys))
-        return GroebnerBasis(ctx, order, packing, tuple(map(packing.form, polys)))
+        return GroebnerBasis(ctx, order, *_pack(polys, ctx, order))
 
     def compiled(self):
         return compile_order(self.order, self.context)
@@ -165,10 +196,22 @@ class GroebnerBasis:
         return tuple(map(Monomial, exps))
 
     @cached_property
+    def minimal(self):
+        """The entries, ascending by key, whose leading monomial no kept one
+        divides (a divisor has the smaller key): one per minimal leading
+        monomial, the first in entry order of those that share it; scanned
+        on first read."""
+        kept = []
+        for entry in sorted(self.entries, key=itemgetter(1)):
+            if find_divisor(entry[0], kept, self.packing.guard) is None:
+                kept.append(entry)
+        return tuple(kept)
+
+    @cached_property
     def initial(self):
         """The initial ideal, generated by the leading monomials of the
         minimal entries; built on first read."""
-        return MonomialIdeal(self.monomials(_minimal_entries(self.entries, self.packing.guard)))
+        return MonomialIdeal(self.monomials(self.minimal))
 
 
 @dataclass(frozen=True)
@@ -378,17 +421,6 @@ def find_divisor(e, entries, guard):
     return None
 
 
-def _minimal_entries(entries, guard):
-    """The entries, ascending by key, whose leading monomial no kept one
-    divides (a divisor has the smaller key): one per minimal leading
-    monomial, the first in entry order of those that share it."""
-    minimal = []
-    for entry in sorted(entries, key=itemgetter(1)):
-        if find_divisor(entry[0], minimal, guard) is None:
-            minimal.append(entry)
-    return minimal
-
-
 def _reduce(coeffs, exps, entries, packing):
     """Reduce p by the entries, tried in list order, all in the packing;
     p is the module docstring's map: coeffs K -> int (zero allowed) and
@@ -513,36 +545,23 @@ def _coefficients(form):
 _PM1 = ((1, -1), (1,))
 
 
-def buchberger(ideal, order, config=None):
-    """S-pair-closed basis of the ideal; not tail-reduced.
+def buchberger(ideal, config=None):
+    """S-pair-closed basis of the ideal under its order; not tail-reduced.
 
-    Elements are installed one at a time, generators first (ideal.packed's
-    entries when in the run's packing), each through the Gebauer-Moeller
-    update (see the module docstring); every popped pair is reduced.
-    Pairs are popped by the w-degree of their lcm first, w being
-    ideal.grading, or when that is None the standard grading if every
-    generator is homogeneous for it; otherwise every w-degree is 0.  A
-    grading that is not positive, or under which some generator is not
-    homogeneous, raises ValueError.  When every generator is a +-1
-    binomial or a single term, so must every S-pair remainder be; one that
-    is not raises AssertionError.  The result holds every installed entry,
-    retired ones included, in installation order, in the run's packing.
+    Elements are installed one at a time, the ideal's entries first, as
+    they are, each through the Gebauer-Moeller update (see the module
+    docstring); every popped pair is reduced.  Pairs are popped by the
+    w-degree of their lcm first, w the ideal's settled grading; when that
+    is None every w-degree is 0.  When every generator is a +-1 binomial
+    or a single term, so must every S-pair remainder be; one that is not
+    raises AssertionError.  The result holds every installed entry,
+    retired ones included, in installation order, in the ideal's packing.
     """
     cfg = config or GBConfig()
-    ctx = ideal.context
-    ord_ = compile_order(order, ctx)
-
-    gens = [g for g in ideal.generators if not g.is_zero()]
-    w = ideal.grading or (1,) * ctx.nvars
-    if len(w) != ctx.nvars or not all(a > 0 for a in w):
-        raise ValueError(f"grading {w} is not one positive weight per variable")
-    # whether every term of each generator has one w-degree
-    graded = all(len({sum(map(mul, w, m.exps)) for m, _ in g.terms}) == 1 for g in gens)
-    if not graded and ideal.grading is not None:
-        raise ValueError(f"a generator is not homogeneous under the grading {w}")
-    packing = packing_for(ord_, max_exponent(gens))
+    packing, w = ideal.packing, ideal.grading
+    graded = w is not None
     guard, lcm_of, unpack, units = packing.guard, packing.lcm, packing.unpack, packing.units
-    unit = set(w) == {1}  # the standard grading: sum(e) is the w-degree
+    unit = graded and set(w) == {1}  # the standard grading: sum(e) is the w-degree
     shift = packing.width - 1
     forms = []  # the entry of each basis element
     lms = []  # the leading monomial of each basis element
@@ -601,10 +620,8 @@ def buchberger(ideal, order, config=None):
         active.append(t)
         reducers.append(form)
 
-    given = ideal.packed  # taken as it is only when written in the run's packing
-    same = given is not None and given.packing is packing
     seen = set()  # generators equal up to a scalar share one entry
-    for form in given.entries if same else map(packing.form, gens):
+    for form in ideal.generators:
         if form not in seen:
             seen.add(form)
             install(form)
@@ -635,7 +652,7 @@ def buchberger(ideal, order, config=None):
             )
         install(form)
 
-    return GroebnerBasis(ctx, order, packing, tuple(forms))
+    return GroebnerBasis(ideal.context, ideal.order, packing, tuple(forms))
 
 
 def reduce_basis(gb):
@@ -646,11 +663,10 @@ def reduce_basis(gb):
 
     gb may be any Groebner basis, buchberger's with its retired entries
     included: a retired leading monomial is a multiple of a later one, so
-    _minimal_entries keeps one entry per minimal leading monomial, and the
+    gb.minimal keeps one entry per minimal leading monomial, and the
     reduced basis is unique.
     """
-    packing = gb.packing
-    minimal = _minimal_entries(gb.entries, packing.guard)
+    packing, minimal = gb.packing, gb.minimal
     reduced = []
     for lm, k, lc, tail in reversed(minimal):
         coeffs, exps = {}, {}
@@ -663,8 +679,8 @@ def reduce_basis(gb):
     return replace(gb, entries=tuple(reduced))
 
 
-def reduced_groebner_basis(ideal, order, config=None):
-    return reduce_basis(buchberger(ideal, order, config))
+def reduced_groebner_basis(ideal, config=None):
+    return reduce_basis(buchberger(ideal, config))
 
 
 def membership(f, basis):
@@ -701,10 +717,10 @@ def is_spair_closed(basis, config=None):
 # ---------------------------------------------------------------------------
 
 
-def eliminate(ideal, block, order, config=None):
+def eliminate(ideal, block, config=None):
     """The reduced basis of the contraction of the ideal to the subring
-    without the block variables, in the ideal's context and buchberger's
-    packing; requires an elimination order for the block.
+    without the block variables, in the ideal's context and packing;
+    requires the ideal's order to eliminate the block.
 
     Only the entries of buchberger's basis whose leading monomial meets
     none of the block's packed fields are reduced.  Under an elimination
@@ -714,9 +730,9 @@ def eliminate(ideal, block, order, config=None):
     """
     block = tuple(block)
     ctx = ideal.context
-    if not is_elimination_order(order, ctx, block):
+    if not is_elimination_order(ideal.order, ctx, block):
         raise ValueError("order does not eliminate the requested block")
-    raw = buchberger(ideal, order, config)
+    raw = buchberger(ideal, config)
     mask = raw.packing.fields([ctx.index(v) for v in block])
     gb = reduce_basis(replace(raw, entries=tuple(e for e in raw.entries if not e[0] & mask)))
     if any(e & mask for entry in gb.entries for _, e, _ in entry[3]):

@@ -30,7 +30,6 @@ from .groebner import (
     Ideal,
     MonomialIdeal,
     ScaleExceeded,
-    _minimal_entries,
     criterion_m,
     eliminate,
     field_width,
@@ -162,8 +161,8 @@ def rees_ideal(base_ctx, gens, order=None, fiber_names=None, config=None):
     # y_j - u_j*t is homogeneous for deg y_j = deg u_j + 1, deg x_i = 1 and
     # deg t = 1, so buchberger selects its pairs degree by degree
     grading = (*(u.degree() + 1 for u in gens), *(1,) * base_ctx.nvars, 1)
-    ideal = Ideal.make(relations, elim_ctx, grading)
-    contracted = eliminate(ideal, (ELIM_VAR,), elim_order, config)
+    ideal = Ideal.make(relations, elim_ctx, elim_order, grading)
+    contracted = eliminate(ideal, (ELIM_VAR,), config)
     # ELIM_VAR is the last field of the packing and the fields below it are
     # `extended`'s, so a t-free vector is already its vector in `extended`.
     # elim_order's matrix is one t row on top of the rows of `order`, with
@@ -225,14 +224,14 @@ class XConditionReport:
 def x_condition(gb):
     """Every minimal generator of the initial ideal of the basis is allowed
     at most one variable of its context's base block (counted with
-    multiplicity).  Read off the packed leading monomials of the minimal
-    entries, whose base fields must be 0 or one unit x_i; only the
-    violations are unpacked, sorted as gb.initial sorts its generators."""
+    multiplicity).  Read off the packed leading monomials of gb.minimal,
+    scanned once per basis, whose base fields must be 0 or one unit x_i;
+    only the violations are unpacked, sorted as gb.initial sorts its
+    generators."""
     packing = gb.packing
     base_idx = gb.context.block_indices(BASE_BLOCK)
     base, allowed = packing.fields(base_idx), {0, *(1 << packing.width * i for i in base_idx)}
-    minimal = _minimal_entries(gb.entries, packing.guard)
-    violations = gb.monomials(e for e in minimal if e[0] & base not in allowed)
+    violations = gb.monomials(e for e in gb.minimal if e[0] & base not in allowed)
     return XConditionReport(not violations, violations)
 
 

@@ -42,7 +42,6 @@ from .ring import (
 SEARCH_CAP = 10
 EQUIV_CAP = 8
 RANK_SEED = 104729
-_ONE = Fraction(1)
 
 
 def pair_context(n):
@@ -59,17 +58,6 @@ def pair_context(n):
 # ---------------------------------------------------------------------------
 # edge modules and their symmetric algebras
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EdgeModulePresentation:
-    """The ideal presenting the symmetric algebra of the edge module in
-    K[x, y] (its context is pair_context(n)), one generator per relation
-    x_i e_j - x_j e_i, its image x_i y_j - x_j y_i, and the lex order the
-    binomial-edge checks reduce it under."""
-
-    order: object
-    sym_ideal: object
 
 
 @lru_cache(maxsize=None)
@@ -92,21 +80,15 @@ def _binomial_entry(packing, n, i, j, k=0, e=0):
 
 
 def edge_module(graph):
-    """Each edge a < b gives the relation x_a e_b - x_b e_a and the
-    generator x_a*y_b - x_b*y_a, already sorted: x_a*y_b leads in lex as
-    a < b.  The ideal carries the generators also as packed entries,
-    written straight from the packing's units, which buchberger installs
-    as they are."""
+    """The ideal presenting the symmetric algebra of the edge module in
+    K[x, y], its context pair_context(n) under lex: each edge a < b gives
+    the relation x_a e_b - x_b e_a and the generator x_a*y_b - x_b*y_a,
+    written straight as its packed entry from the packing's units, as
+    x_a*y_b leads in lex."""
     n = graph.n
     ctx, order, packing = _pair_packing(n)
-    gens, entries = [], []
-    for a, b in sorted(graph.edges):
-        lead, tail = [0] * (2 * n), [0] * (2 * n)
-        lead[a] = lead[n + b] = tail[b] = tail[n + a] = 1
-        gens.append(Polynomial(((Monomial(tuple(lead)), _ONE), (Monomial(tuple(tail)), -_ONE))))
-        entries.append(_binomial_entry(packing, n, a, b))
-    packed = GroebnerBasis(ctx, order, packing, tuple(entries))
-    return EdgeModulePresentation(order, Ideal(ctx, tuple(gens), packed=packed))
+    entries = tuple(_binomial_entry(packing, n, a, b) for a, b in sorted(graph.edges))
+    return Ideal(ctx, order, packing, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +232,10 @@ def equivalence_check(graph, config=None):
         working = graph
     labeling = tuple(graph.vertices[v] for v in order_used)
 
-    presentation = edge_module(working)
-    ctx = presentation.sym_ideal.context
+    ideal = edge_module(working)
+    ctx = ideal.context
     n = working.n
-    gb = reduced_groebner_basis(presentation.sym_ideal, presentation.order, config)
+    gb = reduced_groebner_basis(ideal, config)
     xc = x_condition(gb)
 
     basis = admissible_path_basis(working)

@@ -15,6 +15,7 @@ the comparison stays exact set equality against fixed strings.
 import random
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -458,18 +459,15 @@ def _order_axiom_violations():
 
 def _fixed_ideals():
     t1 = VarContext.make(("a", "b", "c"))
-    lex3 = lex_order("a", "b", "c")
-    toy1 = (
+    toy1 = Ideal.make(
+        [parse_polynomial(s, t1) for s in ("a^2 - b", "a*b - c", "b^2 - a*c")],
         t1,
-        lex3,
-        tuple(parse_polynomial(s, t1) for s in ("a^2 - b", "a*b - c", "b^2 - a*c")),
+        lex_order("a", "b", "c"),
     )
-    toy2 = (
+    toy2 = Ideal.make(
+        [parse_polynomial(s, t1) for s in ("a^2*b - c^2", "a*c - b^2", "b*c - a")],
         t1,
         revlex_order("a", "b", "c"),
-        tuple(
-            parse_polynomial(s, t1) for s in ("a^2*b - c^2", "a*c - b^2", "b*c - a")
-        ),
     )
     c4 = Graph.make(
         ("v1", "v2", "v3", "v4"),
@@ -477,27 +475,26 @@ def _fixed_ideals():
     )
     from xcond.symalg import edge_module
 
-    em = edge_module(c4)
     p5 = path_claimed(5)
     b222 = biclique_claimed(2, 2, 2)
     return [
         toy1,
         toy2,
-        (em.sym_ideal.context, em.order, em.sym_ideal.generators),
-        (p5.extended, p5.order, p5.distinct_polynomials()),
-        (b222.extended, b222.order, b222.distinct_polynomials()),
+        edge_module(c4),
+        Ideal.make(p5.distinct_polynomials(), p5.extended, p5.order),
+        Ideal.make(b222.distinct_polynomials(), b222.extended, b222.order),
     ]
 
 
 def _uniqueness_mismatches():
     mismatches = 0
-    for idx, (ctx, spec, gens) in enumerate(_fixed_ideals()):
-        base = reduced_groebner_basis(Ideal.make(gens, ctx), spec)
+    for idx, ideal in enumerate(_fixed_ideals()):
+        base = reduced_groebner_basis(ideal)
         rng = random.Random(1000 + idx)
         for _ in range(100):
-            shuffled = list(gens)
+            shuffled = list(ideal.generators)
             rng.shuffle(shuffled)
-            if reduced_groebner_basis(Ideal.make(shuffled, ctx), spec) != base:
+            if reduced_groebner_basis(replace(ideal, generators=tuple(shuffled))) != base:
                 mismatches += 1
     return mismatches
 

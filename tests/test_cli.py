@@ -431,6 +431,15 @@ class TestBinomialEdge:
         assert payload["violations"] == ["x1*x4*y3"]
         assert payload["equivalence_ok"] and payload["routes_agree"]
 
+    def test_check_takes_only_mg(self, capsys, c4_file):
+        """--check equivalence was an alias of --check mg; argparse now
+        refuses it as an invalid choice, exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            main(["binomial-edge", "--graph", c4_file, "--check", "equivalence"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "invalid choice: 'equivalence'" in captured.err
+
     def test_basis_listing(self, capsys, c4_file):
         code, payload = run_json(capsys, "binomial-edge", "--graph", c4_file)
         assert code == 0

@@ -55,7 +55,7 @@ from xcond.rees import (
     quotient_steps,
     rees_ideal,
 )
-from xcond.symalg import edge_module, equivalence_check
+from xcond.symalg import edge_module, equivalence_check, pair_context
 
 
 # (1 + x3 + x2^3 + x1*x3^2, 1 + x2*x3^2 + x1*x2, x1^3), as in tests/test_oracle.py
@@ -239,7 +239,7 @@ class TestBuchberger:
         ord_spec = lex_order("x1", "x2", "x3")
         ord_ = compile_order(ord_spec, ctx3)
         gens = [parse_polynomial(s, ctx3, ord_) for s in ("x2", "x1*x3")]
-        gb = reduce_basis(buchberger(Ideal.make(gens, ctx3), ord_spec))
+        gb = reduce_basis(buchberger(Ideal.make(gens, ctx3, ord_spec)))
         assert set(gb.elements) == set(gens)
 
     def test_path3_binomial_edge_ideal(self):
@@ -250,7 +250,7 @@ class TestBuchberger:
             parse_polynomial("x1*y2 - x2*y1", ctx, ord_),
             parse_polynomial("x2*y3 - x3*y2", ctx, ord_),
         ]
-        gb = reduce_basis(buchberger(Ideal.make(gens, ctx), spec))
+        gb = reduce_basis(buchberger(Ideal.make(gens, ctx, spec)))
         assert set(gb.elements) == set(gens)
 
     def test_textbook_lex_basis(self, ctx2):
@@ -261,7 +261,7 @@ class TestBuchberger:
             parse_polynomial("x1^2 - x2", ctx2, ord_),
             parse_polynomial("x1*x2 - x1", ctx2, ord_),
         ]
-        gb = reduce_basis(buchberger(Ideal.make(gens, ctx2), spec))
+        gb = reduce_basis(buchberger(Ideal.make(gens, ctx2, spec)))
         expected = {
             parse_polynomial("x1^2 - x2", ctx2, ord_),
             parse_polynomial("x1*x2 - x1", ctx2, ord_),
@@ -277,7 +277,7 @@ class TestBuchberger:
             parse_polynomial("x2*x3 - x1", ctx3, ord_),
             parse_polynomial("x1*x3 - x2", ctx3, ord_),
         ]
-        gb = buchberger(Ideal.make(gens, ctx3), spec)
+        gb = buchberger(Ideal.make(gens, ctx3, spec))
         assert is_spair_closed(gb)
 
     def test_spair_check_caps_reduced_pairs_only(self, ctx3):
@@ -304,10 +304,10 @@ class TestBuchberger:
             parse_polynomial("x1*x2 + x3^2", ctx3, ord_),
         ]
         with pytest.raises(ScaleExceeded):
-            buchberger(Ideal.make(gens, ctx3), spec, GBConfig(pair_cap=1))
+            buchberger(Ideal.make(gens, ctx3, spec), GBConfig(pair_cap=1))
 
     def test_empty_ideal(self, ctx3):
-        gb = buchberger(Ideal.make([], ctx3), lex_order("x1", "x2", "x3"))
+        gb = buchberger(Ideal.make([], ctx3, lex_order("x1", "x2", "x3")))
         assert gb.elements == ()
 
     def test_degree_cap_raises(self, ctx3):
@@ -321,7 +321,7 @@ class TestBuchberger:
             match=r"^degree budget of 40 exceeded "
             r"\(element of degree 41; 40 pairs popped, 41 basis elements\)$",
         ):
-            buchberger(Ideal.make(gens, ctx3), spec)
+            buchberger(Ideal.make(gens, ctx3, spec))
 
     def test_binomial_purity(self, ctx3, monkeypatch):
         """+-1 binomial generators switch the purity check on: an S-pair
@@ -329,12 +329,12 @@ class TestBuchberger:
         spec = lex_order("x1", "x2", "x3")
         ord_ = compile_order(spec, ctx3)
         toric = [parse_polynomial(f, ctx3, ord_) for f in ("x1*x2 - x3^2", "x1^2 - x2*x3")]
-        gb = buchberger(Ideal.make(toric, ctx3), spec)
+        gb = buchberger(Ideal.make(toric, ctx3, spec))
         assert len(gb.elements) > 2
         assert all(g.is_binomial_pm1() for g in gb.elements)
         monkeypatch.setattr(groebner, "_s_polynomial", doubled_lead(groebner._s_polynomial))
         with pytest.raises(AssertionError, match="^binomial purity violated"):
-            buchberger(Ideal.make(toric, ctx3), spec)
+            buchberger(Ideal.make(toric, ctx3, spec))
 
     @pytest.mark.parametrize("name", sorted(PURITY_SWITCH))
     def test_purity_check_follows_generators(self, name, ctx3, monkeypatch):
@@ -343,19 +343,19 @@ class TestBuchberger:
         texts, checked = PURITY_SWITCH[name]
         spec = lex_order("x1", "x2", "x3")
         ord_ = compile_order(spec, ctx3)
-        ideal = Ideal.make([parse_polynomial(f, ctx3, ord_) for f in texts], ctx3)
+        ideal = Ideal.make([parse_polynomial(f, ctx3, ord_) for f in texts], ctx3, spec)
         monkeypatch.setattr(groebner, "_s_polynomial", doubled_lead(groebner._s_polynomial))
         if checked:
             with pytest.raises(AssertionError, match="^binomial purity violated"):
-                buchberger(ideal, spec)
+                buchberger(ideal)
         else:
-            added = buchberger(ideal, spec).elements[len(texts) :]
+            added = buchberger(ideal).elements[len(texts) :]
             assert any(not g.is_binomial_pm1() and len(g.terms) > 1 for g in added)
 
 
 def dense_ideal(count, nvars, degree, seed):
     """tests/test_oracle.py's dense_polys with integer coefficients, as an
-    Ideal, and the revlex order it is run under there; rebuilt here, as
+    Ideal under the revlex order it is run under there; rebuilt here, as
     that module is skipped without sympy."""
     rng = random.Random(seed)
     exps = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
@@ -366,7 +366,7 @@ def dense_ideal(count, nvars, degree, seed):
         {Monomial(e): Fraction(rng.choice(nonzero), rng.choice((1,))) for e in exps}
         for _ in range(count)
     ]
-    return Ideal.make([poly_from_dict(d, compile_order(spec, ctx)) for d in polys], ctx), spec
+    return Ideal.make([poly_from_dict(d, compile_order(spec, ctx)) for d in polys], ctx, spec)
 
 
 class TestNonUnitPopCount:
@@ -376,15 +376,15 @@ class TestNonUnitPopCount:
     cap at the count gives the uncapped reduced basis."""
 
     def test_cap_below_the_pop_count_fails_loudly(self):
-        ideal, spec = dense_ideal(3, 3, 3, 1)
-        assert any(entry[2] != 1 for entry in buchberger(ideal, spec).entries)
+        ideal = dense_ideal(3, 3, 3, 1)
+        assert any(entry[2] != 1 for entry in buchberger(ideal).entries)
         with pytest.raises(ScaleExceeded, match=r"^S-pair budget of 18 exhausted"):
-            reduced_groebner_basis(ideal, spec, GBConfig(pair_cap=18))
+            reduced_groebner_basis(ideal, GBConfig(pair_cap=18))
 
     def test_cap_at_the_pop_count_gives_the_uncapped_basis(self):
-        ideal, spec = dense_ideal(3, 3, 3, 1)
-        capped = reduced_groebner_basis(ideal, spec, GBConfig(pair_cap=19))
-        assert capped == reduced_groebner_basis(ideal, spec)
+        ideal = dense_ideal(3, 3, 3, 1)
+        capped = reduced_groebner_basis(ideal, GBConfig(pair_cap=19))
+        assert capped == reduced_groebner_basis(ideal)
 
 
 def popped_degrees(monkeypatch):
@@ -414,8 +414,7 @@ ANCHOR_8 = (
 
 def sym_ideal(vertices, edges):
     """Sym(M_G) of the graph under lex: quadrics x_a*y_b - x_b*y_a."""
-    em = edge_module(Graph.make(vertices, edges))
-    return em.sym_ideal, em.order
+    return edge_module(Graph.make(vertices, edges))
 
 
 def counted_polynomials(monkeypatch):
@@ -436,9 +435,9 @@ class TestPolynomialsOnRead:
     of its elements, once."""
 
     def test_reduced_basis(self, monkeypatch):
-        ideal, spec = sym_ideal(*C5)
+        ideal = sym_ideal(*C5)
         calls = counted_polynomials(monkeypatch)
-        gb = reduced_groebner_basis(ideal, spec)
+        gb = reduced_groebner_basis(ideal)
         assert calls == []
         assert len(gb.elements) == len(calls) == len(gb.entries) > 1
         assert gb.elements and len(calls) == len(gb.entries)
@@ -461,37 +460,38 @@ class TestGradedSelection:
         assert degrees == sorted(degrees) and degrees[0] > 0
 
     def test_standard_grading_of_homogeneous_input(self, monkeypatch):
-        ideal, spec = sym_ideal(*C5)
-        assert ideal.grading is None
+        ideal = sym_ideal(*C5)
+        assert ideal.grading == (1,) * ideal.context.nvars
         degrees = popped_degrees(monkeypatch)
-        buchberger(ideal, spec)
+        buchberger(ideal)
         assert len(degrees) > 1
         assert degrees == sorted(degrees) and degrees[0] >= 3
 
     def test_inhomogeneous_input_keeps_the_order_selection(self, monkeypatch):
-        ideal, spec = system("katsura3")
+        ideal = system("katsura3")
+        assert ideal.grading is None
         degrees = popped_degrees(monkeypatch)
-        buchberger(ideal, spec)
+        buchberger(ideal)
         assert degrees and set(degrees) == {0}
 
     def test_grading_gives_the_ungraded_basis(self, ctx3):
         spec = lex_order("x1", "x2", "x3")
         ord_ = compile_order(spec, ctx3)
         gens = [parse_polynomial(f, ctx3, ord_) for f in ("x1*x2 - x3", "x1^2 - x2^2")]
-        graded = reduced_groebner_basis(Ideal.make(gens, ctx3, (1, 1, 2)), spec)
-        assert graded == reduced_groebner_basis(Ideal.make(gens, ctx3), spec)
+        graded = reduced_groebner_basis(Ideal.make(gens, ctx3, spec, (1, 1, 2)))
+        assert graded == reduced_groebner_basis(Ideal.make(gens, ctx3, spec))
         assert len(graded.elements) > 2
 
     @pytest.mark.parametrize("grading", ((1, 0, 1), (2, -1, 1), (1, 1)))
     def test_grading_without_one_positive_weight_per_variable_raises(self, ctx3, grading):
         gens = [parse_polynomial("x1 - x3", ctx3)]
         with pytest.raises(ValueError, match="is not one positive weight per variable"):
-            buchberger(Ideal.make(gens, ctx3, grading), lex_order("x1", "x2", "x3"))
+            Ideal.make(gens, ctx3, lex_order("x1", "x2", "x3"), grading)
 
     def test_generator_inhomogeneous_under_the_grading_raises(self, ctx3):
         gens = [parse_polynomial(f, ctx3) for f in ("x1 - x3", "x1*x2 - x3")]
         with pytest.raises(ValueError, match="^a generator is not homogeneous"):
-            buchberger(Ideal.make(gens, ctx3, (1, 1, 1)), lex_order("x1", "x2", "x3"))
+            Ideal.make(gens, ctx3, lex_order("x1", "x2", "x3"), (1, 1, 1))
 
 
 class TestReduceBasis:
@@ -502,7 +502,7 @@ class TestReduceBasis:
             parse_polynomial("x1^2 - x2", ctx2, ord_),
             parse_polynomial("x1*x2 - x1", ctx2, ord_),
         ]
-        gb = reduce_basis(buchberger(Ideal.make(gens, ctx2), spec))
+        gb = reduce_basis(buchberger(Ideal.make(gens, ctx2, spec)))
         assert reduce_basis(gb).elements == gb.elements
 
     def test_reduced_invariants(self, ctx3):
@@ -513,7 +513,7 @@ class TestReduceBasis:
             parse_polynomial("x2^2 - x1*x3", ctx3, ord_),
             parse_polynomial("x1*x2 + x3^2", ctx3, ord_),
         ]
-        gb = reduce_basis(buchberger(Ideal.make(gens, ctx3), spec))
+        gb = reduce_basis(buchberger(Ideal.make(gens, ctx3, spec)))
         lms = [g.lm() for g in gb.elements]
         for a, b in itertools.permutations(lms, 2):
             assert not a.divides(b)
@@ -530,13 +530,13 @@ class TestReduceBasis:
             parse_polynomial("x2*x3 - x1", ctx3, ord_),
             parse_polynomial("x1^2 - x2", ctx3, ord_),
         ]
-        baseline = reduce_basis(buchberger(Ideal.make(gens, ctx3), spec)).elements
+        baseline = reduce_basis(buchberger(Ideal.make(gens, ctx3, spec))).elements
         rng = random.Random(7)
         for _ in range(20):
             shuffled = gens[:]
             rng.shuffle(shuffled)
             scaled = [g.scale(Fraction(rng.randint(1, 9), rng.randint(1, 9))) for g in shuffled]
-            again = reduce_basis(buchberger(Ideal.make(scaled, ctx3), spec)).elements
+            again = reduce_basis(buchberger(Ideal.make(scaled, ctx3, spec))).elements
             assert again == baseline
 
 
@@ -553,7 +553,7 @@ class TestEliminate:
             parse_polynomial("y1 - x1*x3*_t", ctx, ord_),
             parse_polynomial("y2 - x2*_t", ctx, ord_),
         ]
-        contracted = eliminate(Ideal.make(gens, ctx), ("_t",), spec)
+        contracted = eliminate(Ideal.make(gens, ctx, spec), ("_t",))
         assert len(contracted.elements) == 1
         g = contracted.elements[0]
         assert g == parse_polynomial("x2*y1 - x1*x3*y2", ctx, ord_)
@@ -567,14 +567,14 @@ class TestEliminate:
         )
         ord_ = compile_order(spec, ctx)
         gens = [parse_polynomial("x2*y1 - x1*y2", ctx, ord_)]
-        contracted = eliminate(Ideal.make(gens, ctx), ("_t",), spec)
+        contracted = eliminate(Ideal.make(gens, ctx, spec), ("_t",))
         assert contracted.elements == tuple(gens)
 
     def test_eliminate_everything(self, ctx2):
         spec = lex_order("x1", "x2")
         ord_ = compile_order(spec, ctx2)
         gens = [parse_polynomial("x1 - x2", ctx2, ord_)]
-        contracted = eliminate(Ideal.make(gens, ctx2), ("x1", "x2"), spec)
+        contracted = eliminate(Ideal.make(gens, ctx2, spec), ("x1", "x2"))
         assert contracted.elements == ()
 
     @pytest.mark.parametrize(
@@ -599,7 +599,7 @@ class TestEliminate:
         spec = lex_order(*ranking)
         ord_ = compile_order(spec, ctx)
         gens = [parse_polynomial(t, ctx, ord_) for t in texts]
-        contracted = eliminate(Ideal.make(gens, ctx), block, spec)
+        contracted = eliminate(Ideal.make(gens, ctx, spec), block)
         assert [g.terms for g in contracted.elements] == [
             parse_polynomial(t, ctx, ord_).terms for t in want
         ]
@@ -610,7 +610,7 @@ class TestEliminate:
         monkeypatch.setattr(groebner, "is_elimination_order", lambda *args: True)
         gens = [parse_polynomial("x1 - x2", ctx2)]
         with pytest.raises(AssertionError, match="^elimination order produced a mixed tail$"):
-            eliminate(Ideal.make(gens, ctx2), ("x2",), lex_order("x1", "x2"))
+            eliminate(Ideal.make(gens, ctx2, lex_order("x1", "x2")), ("x2",))
 
     @pytest.mark.parametrize("case", ("p6", "katsura3"))
     def test_matches_the_block_free_part_of_the_full_reduced_basis(self, case, monkeypatch):
@@ -626,19 +626,19 @@ class TestEliminate:
 
             monkeypatch.setattr(rees, "eliminate", recording)
             path_kernel(6, monkeypatch)
-            ((ideal, block, spec, config),) = calls
+            ((ideal, block, config),) = calls
         else:
             names, _, texts = SYSTEMS["katsura3"]
             ctx = VarContext.make(names, blocks=(("e", names[:2]), ("r", names[2:])))
             spec = block_order(("e", revlex_order(*names[:2])), ("r", revlex_order(*names[2:])))
             ord_ = compile_order(spec, ctx)
-            ideal = Ideal.make([parse_polynomial(t, ctx, ord_) for t in texts], ctx)
+            ideal = Ideal.make([parse_polynomial(t, ctx, ord_) for t in texts], ctx, spec)
             block, config = names[:2], None
-        full = reduce_basis(buchberger(ideal, spec, config)).elements
+        full = reduce_basis(buchberger(ideal, config)).elements
         idx = [ideal.context.index(v) for v in block]
         want = [g.terms for g in full if not any(g.lm().exps[i] for i in idx)]
         assert 1 < len(want) < len(full)
-        assert [g.terms for g in eliminate(ideal, block, spec, config).elements] == want
+        assert [g.terms for g in eliminate(ideal, block, config).elements] == want
 
     def test_non_elimination_order_rejected(self, p3_rees_ctx):
         ctx = p3_rees_ctx
@@ -648,7 +648,7 @@ class TestEliminate:
             ("base", lex_order("x1", "x2", "x3")),
         )
         with pytest.raises(ValueError):
-            eliminate(Ideal.make([], ctx), ("_t",), spec)
+            eliminate(Ideal.make([], ctx, spec), ("_t",))
 
 
 class TestMembership:
@@ -659,7 +659,7 @@ class TestMembership:
             parse_polynomial("x1*x2 - x3", ctx3, ord_),
             parse_polynomial("x2*x3 - x1", ctx3, ord_),
         ]
-        gb = reduce_basis(buchberger(Ideal.make(gens, ctx3), spec))
+        gb = reduce_basis(buchberger(Ideal.make(gens, ctx3, spec)))
         combo = gens[0].mul(parse_polynomial("x3 + 2", ctx3, ord_), ord_).add(
             gens[1].mul(parse_polynomial("x1*x2 - 1/3", ctx3, ord_), ord_), ord_
         )
@@ -670,7 +670,7 @@ class TestMembership:
         spec = lex_order("x1", "x2", "x3")
         ord_ = compile_order(spec, ctx3)
         gens = [parse_polynomial("x1*x2 - x3", ctx3, ord_)]
-        gb = reduce_basis(buchberger(Ideal.make(gens, ctx3), spec))
+        gb = reduce_basis(buchberger(Ideal.make(gens, ctx3, spec)))
         assert not membership(parse_polynomial("1", ctx3, ord_), gb)
 
 
@@ -778,7 +778,7 @@ class TestForeignTermOrder:
         )
 
     def test_no_uncancelled_duplicates(self):
-        gb = reduced_groebner_basis(Ideal.make(self.gens, self.ctx), self.spec)
+        gb = reduced_groebner_basis(Ideal.make(self.gens, self.ctx, self.spec))
         for g in gb.elements:
             monos = [m for m, _ in g.terms]
             assert len(monos) == len(set(monos))
@@ -791,12 +791,12 @@ class TestForeignTermOrder:
         """Polynomial equality ignores storage order, so the terms are
         compared: results come sorted under the working order."""
         for compute in (buchberger, reduced_groebner_basis):
-            a = compute(Ideal.make(self.gens, self.ctx), self.spec)
-            b = compute(Ideal.make(self.presorted(self.gens), self.ctx), self.spec)
+            a = compute(Ideal.make(self.gens, self.ctx, self.spec))
+            b = compute(Ideal.make(self.presorted(self.gens), self.ctx, self.spec))
             assert [g.terms for g in a.elements] == [g.terms for g in b.elements]
 
     def test_basis_elements_sorted_under_another_order(self):
-        gb = buchberger(Ideal.make(self.gens, self.ctx), self.spec)
+        gb = buchberger(Ideal.make(self.gens, self.ctx, self.spec))
         lex_ = compile_order(lex_order("a", "b", "c"), self.ctx)
         foreign = tuple(poly_from_dict(dict(g.terms), lex_) for g in gb.elements)
         assert [g.terms for g in foreign] != [g.terms for g in gb.elements]
@@ -817,15 +817,15 @@ class TestForeignTermOrder:
             assert membership(q, repacked) == want.is_zero()
 
     def test_permutation_stability(self):
-        base = reduced_groebner_basis(Ideal.make(self.gens, self.ctx), self.spec)
+        base = reduced_groebner_basis(Ideal.make(self.gens, self.ctx, self.spec))
         rng = random.Random(7)
         for _ in range(25):
             sh = list(self.gens)
             rng.shuffle(sh)
-            assert reduced_groebner_basis(Ideal.make(sh, self.ctx), self.spec) == base
+            assert reduced_groebner_basis(Ideal.make(sh, self.ctx, self.spec)) == base
 
     def test_membership_resorts_the_query(self):
-        gb = reduced_groebner_basis(Ideal.make(self.gens, self.ctx), self.spec)
+        gb = reduced_groebner_basis(Ideal.make(self.gens, self.ctx, self.spec))
         q = parse_polynomial("b*c - a", self.ctx)
         assert membership(q, gb)
 
@@ -863,7 +863,7 @@ def system(name):
     ctx = VarContext.make(names)
     spec = make_order(*names)
     ord_ = compile_order(spec, ctx)
-    return Ideal.make([parse_polynomial(t, ctx, ord_) for t in texts], ctx), spec
+    return Ideal.make([parse_polynomial(t, ctx, ord_) for t in texts], ctx, spec)
 
 
 # The pruning depends on the order in which generators are installed (F
@@ -874,7 +874,7 @@ ARRANGEMENTS = ("given", "reversed")
 
 def arranged(ideal, arrangement):
     gens = ideal.generators
-    return Ideal.make(gens if arrangement == "given" else gens[::-1], ideal.context, ideal.grading)
+    return replace(ideal, generators=gens if arrangement == "given" else gens[::-1])
 
 
 def path_kernel(n, monkeypatch, arrangement="given"):
@@ -899,8 +899,7 @@ class TestEngineInvariants:
     @pytest.mark.parametrize("arrangement", ARRANGEMENTS)
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_raw_output_is_spair_closed_on_systems(self, name, arrangement):
-        ideal, spec = system(name)
-        gb = buchberger(arranged(ideal, arrangement), spec)
+        gb = buchberger(arranged(system(name), arrangement))
         assert is_spair_closed(gb)
 
     @pytest.mark.parametrize("arrangement", ARRANGEMENTS)
@@ -912,9 +911,9 @@ class TestEngineInvariants:
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_arrangement_does_not_change_reduced_basis_on_systems(self, name):
-        ideal, spec = system(name)
+        ideal = system(name)
         bases = [
-            [g.terms for g in reduced_groebner_basis(arranged(ideal, a), spec).elements]
+            [g.terms for g in reduced_groebner_basis(arranged(ideal, a)).elements]
             for a in ARRANGEMENTS
         ]
         assert len(bases[0]) > 1
@@ -931,12 +930,12 @@ class TestEngineInvariants:
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_pair_cap_never_truncates(self, name):
         """Each cap either raises or returns the uncapped basis."""
-        ideal, spec = system(name)
-        full = buchberger(ideal, spec)
+        ideal = system(name)
+        full = buchberger(ideal)
         cap = 1
         while True:
             try:
-                capped = buchberger(ideal, spec, GBConfig(pair_cap=cap))
+                capped = buchberger(ideal, GBConfig(pair_cap=cap))
             except ScaleExceeded:
                 cap += 1
                 continue
@@ -959,8 +958,7 @@ class TestPackedHandoff:
     @pytest.mark.parametrize("arrangement", ARRANGEMENTS)
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_systems(self, name, arrangement):
-        ideal, spec = system(name)
-        raw = self.assert_handoff(arranged(ideal, arrangement), spec)
+        raw = self.assert_handoff(arranged(system(name), arrangement))
         if arrangement == "reversed":
             # a retired element: the raw basis holds a non-minimal lm
             lms = [g.lm() for g in raw.elements]
@@ -968,7 +966,7 @@ class TestPackedHandoff:
 
     @pytest.mark.parametrize("graph", ("c5", "anchor8"))
     def test_sym_ideals(self, graph):
-        self.assert_handoff(*sym_ideal(*{"c5": C5, "anchor8": ANCHOR_8}[graph]))
+        self.assert_handoff(sym_ideal(*{"c5": C5, "anchor8": ANCHOR_8}[graph]))
 
     @pytest.mark.parametrize("n", (6, 7, 8))
     def test_path_eliminations(self, n, monkeypatch):
@@ -984,30 +982,27 @@ class TestPackedHandoff:
         assert [g.terms for g in pres.gb.elements] == want
 
     @staticmethod
-    def assert_handoff(ideal, spec):
-        raw = buchberger(ideal, spec)
+    def assert_handoff(ideal):
+        raw = buchberger(ideal)
         want = [g.terms for g in polynomial_route(raw).elements]
-        assert [g.terms for g in reduced_groebner_basis(ideal, spec).elements] == want
+        assert [g.terms for g in reduced_groebner_basis(ideal).elements] == want
         assert [g.terms for g in reduce_basis(raw).elements] == want
         assert len(raw.elements) == len(raw.entries)
         return raw
 
 
-class TestPackedIntake:
-    """The edge module's ideal carries its generators also as entries,
-    which buchberger installs as they are when they are in the run's
-    packing; the run is then the one the Polynomials give, pop for pop."""
+def textbook_binomials(graph):
+    """pair_context(n) and x_a*y_b - x_b*y_a over the edges a < b of the
+    graph, parsed from text."""
+    ctx = pair_context(graph.n)
+    texts = (f"x{a + 1}*y{b + 1} - x{b + 1}*y{a + 1}" for a, b in sorted(graph.edges))
+    return ctx, [parse_polynomial(t, ctx) for t in texts]
 
-    @staticmethod
-    def foreign(ideal, spec):
-        """The generators packed under revlex, and under lex with 64-bit
-        fields: neither is the run's packing, so buchberger ignores both."""
-        ctx, gens = ideal.context, ideal.generators
-        wide = groebner.order_packing(compile_order(spec, ctx), 64)
-        return (
-            GroebnerBasis.of(gens, ctx, revlex_order(*ctx.names)),
-            GroebnerBasis(ctx, spec, wide, tuple(map(wide.form, gens))),
-        )
+
+class TestPackedIntake:
+    """The edge module writes its ideal straight as entries, which equal
+    the textbook binomials packed by Ideal.make; buchberger installs
+    either as it is, and the run is the same, pop for pop."""
 
     def test_packed_entries_are_the_forms_and_give_the_same_run(self, monkeypatch):
         """On every connected labeled graph on 2-5 vertices, every 6-vertex
@@ -1019,31 +1014,45 @@ class TestPackedIntake:
             [Graph.make(*ANCHOR_8)],
         )
         for g in graphs:
-            em = edge_module(g)
-            ideal, spec = em.sym_ideal, em.order
-            gens = ideal.generators
-            packing = groebner.packing_for(
-                compile_order(spec, ideal.context), groebner.max_exponent(gens)
-            )
-            assert ideal.packed.packing is packing
-            assert ideal.packed.entries == tuple(map(packing.form, gens))
+            ideal = edge_module(g)
+            ctx, gens = textbook_binomials(g)
+            textbook = Ideal.make(gens, ctx, lex_order(*ctx.names))
+            assert ideal.packing is textbook.packing
+            assert ideal.generators == tuple(map(textbook.packing.form, gens))
+            assert ideal == textbook
             runs = []
-            variants = [replace(ideal, packed=p) for p in (None, *self.foreign(ideal, spec))]
-            for variant in (ideal, *variants):
+            for variant in (ideal, textbook):
                 start = len(pops)
-                runs.append((buchberger(variant, spec).entries, len(pops) - start))
-            assert runs[1:] == runs[:1] * 3, sorted(g.edges)
+                runs.append((buchberger(variant).entries, len(pops) - start))
+            assert runs[1] == runs[0], sorted(g.edges)
 
     @pytest.mark.parametrize("graph", ("c5", "anchor8"))
     def test_packed_entries_skip_the_polynomial_intake(self, graph, monkeypatch):
-        ideal, spec = sym_ideal(*{"c5": C5, "anchor8": ANCHOR_8}[graph])
+        """Packing.form runs once per generator in Ideal.make, and never in
+        edge_module or buchberger."""
+        g = Graph.make(*{"c5": C5, "anchor8": ANCHOR_8}[graph])
+        ctx, gens = textbook_binomials(g)
         calls = []
         form = groebner.Packing.form
-        monkeypatch.setattr(groebner.Packing, "form", lambda pk, g: calls.append(g) or form(pk, g))
-        buchberger(ideal, spec)
+        monkeypatch.setattr(groebner.Packing, "form", lambda pk, f: calls.append(f) or form(pk, f))
+        buchberger(edge_module(g))
         assert calls == []
-        buchberger(replace(ideal, packed=None), spec)
-        assert calls == list(ideal.generators)
+        textbook = Ideal.make(gens, ctx, lex_order(*ctx.names))
+        assert calls == gens
+        buchberger(textbook)
+        assert calls == gens
+
+    def test_grading_that_does_not_fit_the_entries_raises(self):
+        """The edge module's entries are checked as Ideal.make's are:
+        x1*y2 - x2*y1 is not homogeneous when x1 alone weighs 2, and is
+        when every x weighs 2 and every y 1."""
+        ideal = edge_module(Graph.make(*C5))
+        w = (2, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+        with pytest.raises(ValueError, match="^a generator is not homogeneous"):
+            replace(ideal, grading=w)
+        with pytest.raises(ValueError, match="is not one positive weight per variable"):
+            replace(ideal, grading=(1,) * 9)
+        assert replace(ideal, grading=(2,) * 5 + (1,) * 5).grading == (2,) * 5 + (1,) * 5
 
 
 _CTX3 = VarContext.make(("x1", "x2", "x3"))
@@ -1303,7 +1312,7 @@ class TestPackedExponents:
             parse_polynomial("x1*x2 - 1", ctx2, order),
         ]
         config = GBConfig(degree_cap=1 << 52)
-        gb = reduced_groebner_basis(Ideal.make(gens, ctx2), spec, config)
+        gb = reduced_groebner_basis(Ideal.make(gens, ctx2, spec), config)
         assert [render_polynomial(g, ctx2) for g in gb.elements] == [
             f"x2 - x1^{big}",
             f"x1^{big + 1} - 1",

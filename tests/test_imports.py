@@ -5,9 +5,11 @@ import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from xcond import cli
 from xcond.graphs import path_graph
 from xcond.groebner import Ideal
 from xcond.symalg import edge_module
@@ -349,8 +351,42 @@ def test_tracer_targets_resolve():
     assert missing == []
 
 
+def test_tracer_runs_the_cli(tmp_path, capsys):
+    """A traced pass in miniature: under the tracer, gb, rees and
+    binomial-edge --check mg run through cli.main; every
+    groebner.buchberger span is sized by its op's generator count, the
+    Rees kernel checks find nothing and no span raised."""
+    spans = tracer_module()
+    ideal = tmp_path / "toy.ideal"
+    ideal.write_text("vars: a, b, c\nrevlex[a>b>c]\na*c - b^2\nb*c - a\n")
+    c4 = tmp_path / "c4.graph"
+    c4.write_text("v1 v2\nv2 v3\nv3 v4\nv1 v4\n")
+    ops = (  # argv, generator count
+        (["gb", str(ideal)], 2),
+        (["rees", "--path", "5", "--k", "1"], 4),  # one y_j - u_j*t per minimal cover
+        (["binomial-edge", "--graph", str(c4), "--check", "mg"], 4),  # one per edge
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for i, (argv, _) in enumerate(ops):
+            tracer.op = i
+            assert cli.main(argv) == 0, argv
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    recorded = tracer.spans
+    buchberger = [s for s in recorded if s[spans.NAME] == "groebner.buchberger"]
+    sizes = [(s[spans.OP], s[spans.IN_SIZE]) for s in buchberger]
+    assert [op for op, _ in sizes] == [0, 1, 2]
+    assert [size for _, size in sizes] == [count for _, count in ops]
+    labelled = [SimpleNamespace(label=" ".join(argv), kernel_size=None) for argv, _ in ops]
+    assert spans.kernel_checks(recorded, labelled) == []
+    assert [s for s in recorded if s[spans.OUT_SIZE] == spans.RAISED] == []
+
+
 def test_tracer_reads_ideal_generators():
     """groebner.buchberger's span sizes its input by len(ideal.generators)."""
     assert "generators" in {f.name for f in dataclasses.fields(Ideal)}
-    ideal = edge_module(path_graph(4)).sym_ideal
+    ideal = edge_module(path_graph(4))
     assert tracer_module()._gb_input((ideal,), {}) == len(ideal.generators) == 3

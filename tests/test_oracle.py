@@ -96,9 +96,9 @@ def test_reduced_basis_matches_sympy(case, make_order, sympy_order):
     spec = make_order(*names)
     ord_ = compile_order(spec, ctx)
     ideal = Ideal.make(
-        [poly_from_dict({Monomial(e): c for e, c in p.items()}, ord_) for p in polys], ctx
+        [poly_from_dict({Monomial(e): c for e, c in p.items()}, ord_) for p in polys], ctx, spec
     )
-    ours = reduced_groebner_basis(ideal, spec, UNCAPPED).elements
+    ours = reduced_groebner_basis(ideal, UNCAPPED).elements
     key = ord_.exps_key
     assert xcond_basis(ours, key) == sympy_basis(polys, names, sympy_order, key)
 
@@ -207,7 +207,7 @@ def assert_text_input_matches_sympy(names, make_order, sympy_order, texts):
     spec = make_order(*names)
     ord_ = compile_order(spec, ctx)
     gens = [parse_polynomial(t, ctx, ord_) for t in texts]
-    ours = reduced_groebner_basis(Ideal.make(gens, ctx), spec).elements
+    ours = reduced_groebner_basis(Ideal.make(gens, ctx, spec)).elements
     polys = [{m.exps: c for m, c in g.terms} for g in gens]
     key = ord_.exps_key
     assert len(ours) > 2
@@ -249,9 +249,9 @@ def test_dense_reduced_basis_matches_sympy(count, nvars, degree, seed, denominat
     spec = revlex_order(*names)
     ord_ = compile_order(spec, ctx)
     ideal = Ideal.make(
-        [poly_from_dict({Monomial(e): c for e, c in p.items()}, ord_) for p in polys], ctx
+        [poly_from_dict({Monomial(e): c for e, c in p.items()}, ord_) for p in polys], ctx, spec
     )
-    ours = reduced_groebner_basis(ideal, spec).elements
+    ours = reduced_groebner_basis(ideal).elements
     key = ord_.exps_key
     assert len(ours) > count
     assert xcond_basis(ours, key) == sympy_basis(polys, names, "grevlex", key)
@@ -282,9 +282,9 @@ def test_lex_basis_with_large_exponents_matches_sympy():
     spec = lex_order(*names)
     ord_ = compile_order(spec, ctx)
     ideal = Ideal.make(
-        [poly_from_dict({Monomial(e): c for e, c in p.items()}, ord_) for p in polys], ctx
+        [poly_from_dict({Monomial(e): c for e, c in p.items()}, ord_) for p in polys], ctx, spec
     )
-    ours = reduced_groebner_basis(ideal, spec).elements
+    ours = reduced_groebner_basis(ideal).elements
     key = ord_.exps_key
     assert max(max(m.exps) for g in ours for m, _ in g.terms) == 22
     assert xcond_basis(ours, key) == sympy_basis(polys, names, "lex", key)

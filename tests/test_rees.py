@@ -133,7 +133,7 @@ class TestOnePass:
 
     @staticmethod
     def assert_closed(pres):
-        again = reduced_groebner_basis(Ideal.make(pres.gb.elements, pres.extended), pres.gb.order)
+        again = reduced_groebner_basis(Ideal.make(pres.gb.elements, pres.extended, pres.gb.order))
         assert [g.terms for g in again.elements] == [g.terms for g in pres.gb.elements]
 
     @pytest.mark.parametrize("n", [6, 7, 8])
@@ -208,10 +208,10 @@ class TestXConditionBlocks:
     def test_four_cycle_symmetric_algebra(self):
         names = ("v1", "v2", "v3", "v4")
         g = Graph.make(names, [("v1", "v2"), ("v2", "v3"), ("v3", "v4"), ("v1", "v4")])
-        em = edge_module(g)
-        report = x_condition(reduced_groebner_basis(em.sym_ideal, em.order))
+        ideal = edge_module(g)
+        report = x_condition(reduced_groebner_basis(ideal))
         assert not report.holds
-        ctx = em.sym_ideal.context
+        ctx = ideal.context
         assert [render_monomial(m, ctx) for m in report.violations] == ["x1*x4*y3"]
 
 
@@ -257,8 +257,7 @@ class TestPackedXCondition:
         counts = []
         for g in graphs:
             if peo(g) is None:
-                em = edge_module(g)
-                counts.append(self.assert_reference(reduced_groebner_basis(em.sym_ideal, em.order)))
+                counts.append(self.assert_reference(reduced_groebner_basis(edge_module(g))))
         assert counts and min(counts) >= 1 and max(counts) > 1
 
 
@@ -625,6 +624,26 @@ class TestCertificate:
             componentwise_certificate(pres, k)
         x_condition(pres.gb)
         assert builds == [pres.gb]
+
+    def test_one_minimal_entries_scan_per_basis(self, monkeypatch):
+        """The certificates of every k and x_condition read the minimal
+        entries of the one basis, scanned once."""
+        original = GroebnerBasis.minimal.func
+        scans = []
+
+        def counted(gb):
+            scans.append(gb)
+            return original(gb)
+
+        minimal = cached_property(counted)
+        minimal.__set_name__(GroebnerBasis, "minimal")
+        monkeypatch.setattr(GroebnerBasis, "minimal", minimal)
+        pres = path_presentation(5)
+        scans.clear()
+        for k in (1, 2, 3):
+            componentwise_certificate(pres, k)
+        x_condition(pres.gb)
+        assert scans == [pres.gb]
 
     def test_degenerate_sequence_withholds_certificate(self):
         # the printed quotients pass, but the images are redundant and their

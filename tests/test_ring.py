@@ -158,7 +158,7 @@ class TestNestedBlockOrder:
             compile_order(spec, _CTX_PQ)
         gens = [parse_polynomial(f, _CTX_PQ) for f in ("a - c", "b - d^2")]
         with pytest.raises(ValueError):
-            eliminate(Ideal.make(gens, _CTX_PQ), ("a", "b"), spec)
+            eliminate(Ideal.make(gens, _CTX_PQ, spec), ("a", "b"))
 
     def test_block_in_the_one_block_of_a_context(self):
         ctx = VarContext.make(("a", "b"))
