@@ -295,7 +295,8 @@ def degree_component(ideal, d, nvars):
             continue
         for extra in itertools.combinations_with_replacement(range(nvars), room):
             slice_gens.add(g.mul(Monomial.from_pairs([(i, 1) for i in extra], nvars)))
-    return MonomialIdeal.make(slice_gens)
+    # distinct monomials of one degree never divide each other: the slice is minimal
+    return MonomialIdeal(tuple(sorted(slice_gens, key=lambda m: m.exps)))
 
 
 def is_componentwise_linear(ideal, table=None):

@@ -148,6 +148,29 @@ class _Catalogue:
             )
         self.elements.append(ClaimedElement(poly, lead, tag))
 
+    def locate(self, cover, what):
+        """The 1-based position of cover in the cover list."""
+        pos = self.index_of.get(frozenset(cover))
+        if pos is None:
+            raise AssertionError(f"{what} is not a minimal cover")
+        return pos
+
+    def move(self, tag, what, r, lead_base, cover, tail_base):
+        """Emit y_r lead_base - y_r' tail_base, cover being u_r' with r < r'."""
+        rp = self.locate(cover, f"{what} image")
+        if not r < rp:
+            raise AssertionError(f"{what} must move down the cover list")
+        self.emit(tag, [r], lead_base, [rp], tail_base)
+
+    def trade(self, tag, what, r0, r1, cover0, cover1, tail_base):
+        """Emit y_r0 y_r1 - y_r'0 y_r'1 tail_base, cover0 and cover1 being
+        u_r'0 and u_r'1 with r'0 > r0 > r1 > r'1."""
+        rp0 = self.locate(cover0, f"{what} image")
+        rp1 = self.locate(cover1, f"{what} image")
+        if not rp0 > r0 > r1 > rp1:
+            raise AssertionError(f"{what} order violated")
+        self.emit(tag, [r0, r1], [], [rp0, rp1], tail_base)
+
     def claim(self, initials=None):
         """The frozen claim; its catalogued initials default to the
         designated ones, in emission order."""
@@ -162,13 +185,6 @@ class _Catalogue:
             tuple(self.elements),
             tuple(dict.fromkeys(initials)),
         )
-
-
-def _locate(index_of, target, described):
-    pos = index_of.get(frozenset(target))
-    if pos is None:
-        raise AssertionError(f"{described} is not a minimal cover")
-    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +249,7 @@ def path_claimed(n):
     if n < 3:
         raise ValueError("need a path on at least three vertices")
     cat = _Catalogue(path_graph(n))
-    sets, index_of, s = cat.sets, cat.index_of, len(cat.gens)
+    sets, s = cat.sets, len(cat.gens)
 
     # has reads x_i by its 1-based name; emit and monomial take x_i's
     # 0-based base index i - 1
@@ -246,25 +262,17 @@ def path_claimed(n):
         cj = sets[j - 1]
         for i in range(1, n - 2):
             if has(cj, i - 1) and has(cj, i) and not has(cj, i + 3):
-                k = _locate(index_of, cj - {i - 1} | {i}, "single-step image")
-                if not j < k:
-                    raise AssertionError("single step must move down the cover list")
-                cat.emit("path-1", [j], [i], [k], [i - 1])
+                cat.move("path-1", "single step", j, [i], cj - {i - 1} | {i}, [i - 1])
         if has(cj, n - 2) and has(cj, n - 1):
-            k = _locate(index_of, cj - {n - 2} | {n - 1}, "end-step image")
-            if not j < k:
-                raise AssertionError("end step must move down the cover list")
-            cat.emit("path-1", [j], [n - 1], [k], [n - 2])
+            cat.move("path-1", "end step", j, [n - 1], cj - {n - 2} | {n - 1}, [n - 2])
 
     # double step: x_{i+1} y_j -> x_i x_{i+2} y_k merges two cover vertices
     for j in range(1, s + 1):
         cj = sets[j - 1]
         for i in range(1, n - 1):
             if has(cj, i - 1) and has(cj, i) and has(cj, i + 2) and has(cj, i + 3):
-                k = _locate(index_of, cj - {i - 1, i + 1} | {i}, "double-step image")
-                if not j < k:
-                    raise AssertionError("double step must move down the cover list")
-                cat.emit("path-2", [j], [i], [k], [i - 1, i + 1])
+                gone = {i - 1, i + 1}
+                cat.move("path-2", "double step", j, [i], cj - gone | {i}, sorted(gone))
 
     # prefix exchange: y_j y_k -> y_a y_b trades the covers' prefixes at x_{i-1}
     for j, k in combinations(range(1, s + 1), 2):
@@ -282,8 +290,8 @@ def path_claimed(n):
             wk = {t for t in ck if t >= i}
             if cj != vj | {i - 2, i - 1} | wj or ck != vk | {i - 2} | wk:
                 raise AssertionError("prefix exchange met an unexpected cover shape")
-            a = _locate(index_of, vj | {i - 2} | wk, "prefix exchange image")
-            b = _locate(index_of, vk | {i - 2, i - 1} | wj, "prefix exchange image")
+            a = cat.locate(vj | {i - 2} | wk, "prefix exchange image")
+            b = cat.locate(vk | {i - 2, i - 1} | wj, "prefix exchange image")
             if not (j < a and j < b):
                 raise AssertionError("prefix exchange must move down the cover list")
             cat.emit("path-3", [j, k], [], [a, b], [])
@@ -300,8 +308,8 @@ def path_claimed(n):
             wk = {t for t in ck if t >= i + 1}
             if cj != vj | {i - 1, i} | wj or ck != vk | {i - 2, i - 1} | wk:
                 raise AssertionError("straddle met an unexpected cover shape")
-            a = _locate(index_of, vj | {i - 1} | wk, "straddle image")
-            b = _locate(index_of, vk | {i - 2, i} | wj, "straddle image")
+            a = cat.locate(vj | {i - 1} | wk, "straddle image")
+            b = cat.locate(vk | {i - 2, i} | wj, "straddle image")
             if not (j < a and k < b):
                 raise AssertionError("straddle must move down the cover list")
             cat.emit("path-4", [j, k], [], [a, b], [i - 1])
@@ -318,8 +326,8 @@ def path_claimed(n):
             wk = {t for t in ck if t >= i + 2}
             if cj != vj | {i - 2, i - 1} | wj or ck != vk | {i - 1, i} | wk:
                 raise AssertionError("straddle met an unexpected cover shape")
-            a = _locate(index_of, vj | {i - 2, i} | wk, "straddle image")
-            b = _locate(index_of, vk | {i - 1} | wj, "straddle image")
+            a = cat.locate(vj | {i - 2, i} | wk, "straddle image")
+            b = cat.locate(vk | {i - 1} | wj, "straddle image")
             if not (j < a and k < b):
                 raise AssertionError("straddle must move down the cover list")
             cat.emit("path-5", [j, k], [], [a, b], [i - 1])
@@ -386,7 +394,7 @@ def cw_claimed(graph):
     _, p, q = graph.family
     n, m = len(p), len(q)
     cat = _Catalogue(graph, revlex_order)
-    base, sets, index_of, s = cat.base, cat.sets, cat.index_of, len(cat.gens)
+    base, sets, s = cat.base, cat.sets, len(cat.gens)
 
     xi = {i: base.index(f"xi{i}") for i in range(1, n + 1)}
     zeta = {j: base.index(f"zeta{j}") for j in range(1, m + 1)}
@@ -427,13 +435,10 @@ def cw_claimed(graph):
         for i in range(1, n + 1):
             if xi[i] in cov:
                 continue
-            w0 = w0_for(cov, i)
-            if not (leaves[i] <= cov and w0 <= cov):
+            gone = leaves[i] | w0_for(cov, i)
+            if not gone <= cov:
                 raise AssertionError("leaf swap expects the leaves and slack present")
-            rp = _locate(index_of, cov - leaves[i] - w0 | {xi[i]}, "leaf swap image")
-            if not r < rp:
-                raise AssertionError("leaf swap must move down the cover list")
-            cat.emit("cw-1", [r], [xi[i]], [rp], sorted(leaves[i] | w0))
+            cat.move("cw-1", "leaf swap", r, [xi[i]], cov - gone | {xi[i]}, sorted(gone))
 
     # triangle swap: zeta_j enters, its b-corners leave
     for r in range(1, s + 1):
@@ -444,23 +449,18 @@ def cw_claimed(graph):
             bset = frozenset(bvar[(j, k)] for k in range(1, q[j - 1] + 1))
             if not bset <= cov:
                 raise AssertionError("triangle swap expects the b-corners present")
-            rp = _locate(index_of, cov - bset | {zeta[j]}, "triangle swap image")
-            if not r < rp:
-                raise AssertionError("triangle swap must move down the cover list")
-            cat.emit("cw-2", [r], [zeta[j]], [rp], sorted(bset))
+            cat.move("cw-2", "triangle swap", r, [zeta[j]], cov - bset | {zeta[j]}, sorted(bset))
 
     # corner swap: c replaces b inside one pendant triangle
     for r in range(1, s + 1):
         cov = sets[r - 1]
-        for jk in bvar:
-            if cvar[jk] in cov:
+        for jk, b in bvar.items():
+            c = cvar[jk]
+            if c in cov:
                 continue
-            if bvar[jk] not in cov:
+            if b not in cov:
                 raise AssertionError("corner swap expects the b-corner present")
-            rp = _locate(index_of, cov - {bvar[jk]} | {cvar[jk]}, "corner swap image")
-            if not r < rp:
-                raise AssertionError("corner swap must move down the cover list")
-            cat.emit("cw-3", [r], [cvar[jk]], [rp], [bvar[jk]])
+            cat.move("cw-3", "corner swap", r, [c], cov - {b} | {c}, [b])
 
     # paired leaf swap: xi_i changes sides between two covers
     for i in range(1, n + 1):
@@ -472,36 +472,26 @@ def cw_claimed(graph):
                 cov1 = sets[r1 - 1]
                 if xi[i] not in cov1:
                     continue
-                w0 = w0_for(cov0, i)
-                rp0 = _locate(
-                    index_of, cov0 - leaves[i] - w0 | {xi[i]}, "paired leaf image"
-                )
                 if leaves[i] & cov1:
                     raise AssertionError("paired leaf swap expects bare leaves")
-                rp1 = _locate(index_of, cov1 - {xi[i]} | leaves[i], "paired leaf image")
-                if not rp0 > r0 > r1 > rp1:
-                    raise AssertionError("paired leaf swap order violated")
-                cat.emit("cw-4", [r0, r1], [], [rp0, rp1], sorted(w0))
+                w0 = w0_for(cov0, i)
+                image0 = cov0 - leaves[i] - w0 | {xi[i]}
+                image1 = cov1 - {xi[i]} | leaves[i]
+                cat.trade("cw-4", "paired leaf swap", r0, r1, image0, image1, sorted(w0))
 
     # paired corner swap: two covers trade b and c inside one triangle
-    for jk in bvar:
+    for jk, b in bvar.items():
+        c, z = cvar[jk], zeta[jk[0]]
         for r0 in range(1, s + 1):
             cov0 = sets[r0 - 1]
-            if zeta[jk[0]] not in cov0 or bvar[jk] not in cov0:
+            if z not in cov0 or b not in cov0:
                 continue
             for r1 in range(1, r0):
                 cov1 = sets[r1 - 1]
-                if zeta[jk[0]] not in cov1 or cvar[jk] not in cov1:
+                if z not in cov1 or c not in cov1:
                     continue
-                rp0 = _locate(
-                    index_of, cov0 - {bvar[jk]} | {cvar[jk]}, "paired corner image"
-                )
-                rp1 = _locate(
-                    index_of, cov1 - {cvar[jk]} | {bvar[jk]}, "paired corner image"
-                )
-                if not rp0 > r0 > r1 > rp1:
-                    raise AssertionError("paired corner swap order violated")
-                cat.emit("cw-5", [r0, r1], [], [rp0, rp1], [])
+                image0, image1 = cov0 - {b} | {c}, cov1 - {c} | {b}
+                cat.trade("cw-5", "paired corner swap", r0, r1, image0, image1, [])
 
     # paired triangle swap on the all-xi stratum: zeta_j trades places with
     # the other cover's whole b/c selection
@@ -521,15 +511,9 @@ def cw_claimed(graph):
                 if cov0 & bcj != bcj:
                     raise AssertionError("triangle trade expects every corner present")
                 sel1 = cov1 & bcj
-                rp0 = _locate(
-                    index_of, cov0 - bcj | {zeta[j]} | sel1, "triangle trade image"
-                )
-                rp1 = _locate(
-                    index_of, cov1 - {zeta[j]} - sel1 | bcj, "triangle trade image"
-                )
-                if not rp0 > r0 > r1 > rp1:
-                    raise AssertionError("paired triangle swap order violated")
-                cat.emit("cw-6", [r0, r1], [], [rp0, rp1], [])
+                image0 = cov0 - bcj | {zeta[j]} | sel1
+                image1 = cov1 - {zeta[j]} - sel1 | bcj
+                cat.trade("cw-6", "paired triangle swap", r0, r1, image0, image1, [])
     return cat.claim()
 
 
@@ -573,6 +557,14 @@ class VerificationReport:
         )
 
 
+def _compare(want, got, render):
+    """want == got as sets, and the renderings of what only want, then only got, holds."""
+    want_set, got_set = set(want), set(got)
+    missing = tuple(render(u) for u in want if u not in got_set)
+    extra = tuple(render(u) for u in got if u not in want_set)
+    return want_set == got_set, missing, extra
+
+
 def verify_claim(claim, config=None):
     """Check a claim against the Rees presentation its own data fix, the
     kernel basis computed from scratch under config's caps."""
@@ -589,24 +581,14 @@ def verify_claim(claim, config=None):
     claimed = GroebnerBasis.of(polys, ext, claim.order)
     spair_ok = is_spair_closed(claimed, config)
 
-    claimed_ini = MonomialIdeal.make(claim.claimed_initials)
-    true_ini = presentation.gb.initial
-    claimed_gens = set(claimed_ini.generators)
-    true_gens = set(true_ini.generators)
-    initial_match = claimed_gens == true_gens
-    initial_missing = tuple(
-        render_monomial(u, ext) for u in true_ini.generators if u not in claimed_gens
+    initial_match, initial_missing, initial_extra = _compare(
+        presentation.gb.initial.generators,
+        MonomialIdeal.make(claim.claimed_initials).generators,
+        lambda u: render_monomial(u, ext),
     )
-    initial_extra = tuple(
-        render_monomial(u, ext) for u in claimed_ini.generators if u not in true_gens
+    reduced_match, missing, extra = _compare(
+        basis, reduce_basis(claimed).elements, lambda g: render_polynomial(g, ext)
     )
-
-    reduced = reduce_basis(claimed)
-    rset = set(reduced.elements)
-    cset = set(basis)
-    reduced_match = rset == cset
-    missing = tuple(render_polynomial(g, ext) for g in basis if g not in rset)
-    extra = tuple(render_polynomial(g, ext) for g in reduced.elements if g not in cset)
 
     return VerificationReport(
         len(polys),

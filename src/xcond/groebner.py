@@ -588,7 +588,7 @@ def buchberger(ideal, config=None):
             heap[:] = kept
             heapq.heapify(heap)
 
-        new = {}  # packed lcm -> partner indices, ascending
+        new = {}  # packed lcm -> its first partner index
         coprime = set()  # the lcms of pairs with coprime leading monomials
         retired = False
         above = lm_t | guard
@@ -597,7 +597,7 @@ def buchberger(ideal, config=None):
             lm = lms[i]
             lt = (above - lm) & guard  # guard bit set where lm_t_v >= lm_v
             L = lm ^ ((lm ^ lm_t) & (lt - (lt >> shift)))
-            new.setdefault(L, []).append(i)
+            new.setdefault(L, i)
             if L == lm + lm_t:
                 coprime.add(L)
             if L == lm:  # lm_t divides lm_i: i retires
@@ -610,7 +610,7 @@ def buchberger(ideal, config=None):
             if L not in coprime:
                 e = unpack(L)
                 d = 0 if not graded else sum(e) if unit else sum(map(mul, w, e))
-                heapq.heappush(heap, (d, sum(map(mul, units, e)), new[L][0], t, L))
+                heapq.heappush(heap, (d, sum(map(mul, units, e)), new[L], t, L))
 
         # every multiple of a retired lm is a multiple of lm_t, so the
         # retired elements also leave the reducers

@@ -6,6 +6,7 @@ import hashlib
 import pytest
 
 from xcond.families import (
+    _Catalogue,
     biclique_claimed,
     biclique_fiber_names,
     cw_claimed,
@@ -348,6 +349,35 @@ class TestBigCameronWalker:
             ("cw-5", "y94*y107 - y90*y111"),
             ("cw-5", "y94*y107 - y93*y108"),
         ]
+
+
+class TestCatalogueRefusals:
+    """On P4 the covers are u1 = x1*x3, u2 = x2*x3, u3 = x2*x4 (0-based
+    base indices {0, 2}, {1, 2}, {1, 3})."""
+
+    @pytest.fixture
+    def cat(self):
+        return _Catalogue(path_graph(4))
+
+    def test_locate_refuses_a_set_that_is_not_a_minimal_cover(self, cat):
+        assert cat.locate({1, 2}, "u2") == 2
+        with pytest.raises(AssertionError, match="not a minimal cover"):
+            cat.locate({0, 2, 3}, "x1*x3*x4")
+
+    def test_move_refuses_a_cover_higher_in_the_list(self, cat):
+        cat.move("path-1", "single step", 1, [1], {1, 2}, [0])
+        assert [render_polynomial(e.polynomial, cat.ext) for e in cat.elements] == [
+            "y1*x2 - y2*x1"
+        ]
+        with pytest.raises(AssertionError, match="must move down the cover list"):
+            cat.move("path-1", "upward step", 3, [0], {0, 2}, [3])
+        assert len(cat.elements) == 1
+
+    def test_trade_refuses_indices_out_of_order(self, cat):
+        # r'0 = 1 is not above r0 = 2
+        with pytest.raises(AssertionError, match="order violated"):
+            cat.trade("cw-5", "misordered trade", 2, 1, {0, 2}, {1, 3}, [])
+        assert cat.elements == []
 
 
 class TestVerifyClaim:
