@@ -9,8 +9,9 @@ every pair being tested when it is popped:
   lcm(i, t).  It compares the colon quotients lcm(i, t) / lm(t): a kept
   quotient that is one variable x_v enters a mask of guard bits, which
   drops every later quotient that x_v divides with one add and one and,
-  and only the other kept quotients are scanned.  Criterion F keeps one
-  pair per lcm;
+  and only the other kept quotients are scanned.  A kept pair with such
+  a quotient takes lm(t)'s w-degree and key plus x_v's, with no unpack.
+  Criterion F keeps one pair per lcm;
 - the product criterion drops a pair whose leading monomials are coprime,
   and with F its whole lcm class;
 - B_t drops a queued pair (i, j) when lm(t) divides lcm(i, j) and differs
@@ -54,7 +55,10 @@ inserted into the list, and a cancelled key stays listed at zero, skipped
 when popped.  Coefficients are multiplied in place only when a reducer's
 leading coefficient does not divide the one it cancels (never for the
 +-1 binomials).  S-polynomials go fraction-free from two primitive forms
-straight into the map.
+straight into the map.  S-pairs take one of two reduction routes,
+selected by purity: on +-1 binomials and single terms, whose S-pair
+remainders are such elements too, _pm1_remainder walks the
+S-polynomial's at most two terms down the reducers with no map.
 
 An Ideal and a GroebnerBasis hold these entries (lm, K(lm), lc, tail) in
 their packing, and every basis stays packed: buchberger's, reduce_basis's,
@@ -496,6 +500,38 @@ def _s_polynomial(fi, fj, L, key):
     return coeffs, exps
 
 
+def _pm1_remainder(fi, fj, L, key, entries, packing):
+    """_reduce(*_s_polynomial(fi, fj, L, key), entries, packing)'s remainder
+    on +-1 binomials and single terms: the S-polynomial's at most two terms
+    walk down the entries, the larger key first, each moving to its
+    reducer's shifted tail with its coefficient or vanishing."""
+    guard = packing.guard
+    live = []  # at most two terms (key, packed exponents, int), ascending by key
+    for (lm, k, _, tail), c in ((fi, -1), (fj, 1)):
+        for tk, te, _ in tail:
+            live.append((tk + key - k, te + L - lm, c))
+    if len(live) == 2 and live[0][0] == live[1][0]:
+        return []
+    live.sort()
+    remainder = []
+    while live:
+        k, e, c = live.pop()
+        if e & guard:
+            raise ScaleExceeded(f"an exponent outgrew its {packing.width}-bit field")
+        hit = find_divisor(e, entries, guard)
+        if hit is None:
+            remainder.append((k, e, c))
+        elif hit[3]:
+            ge, gk, _, ((tk, te, _),) = hit
+            k += tk - gk
+            if live and live[0][0] == k:  # the two terms meet
+                c += live[0][2]
+                live[:] = [(k, live[0][1], c)] if c else []
+            else:
+                insort(live, (k, e + te - ge, c))
+    return remainder
+
+
 def criterion_m(lcms, lm, fields):
     """The packed lcms, ascending, that no other one properly divides:
     criterion M over the new pairs of an element whose leading monomial
@@ -519,13 +555,15 @@ def criterion_m(lcms, lm, fields):
         if (q + fill) & linear:
             continue
         above = q | guard
-        if any((above - p) & guard == guard for p in scan):
-            continue
-        if q & ones and not q & (q - 1):
-            linear |= q << (width - 1)
+        for p in scan:
+            if (above - p) & guard == guard:
+                break
         else:
-            scan.append(q)
-        kept.append(L)
+            if q & ones and not q & (q - 1):
+                linear |= q << (width - 1)
+            else:
+                scan.append(q)
+            kept.append(L)
     return kept
 
 
@@ -553,16 +591,19 @@ def buchberger(ideal, config=None):
     docstring); every popped pair is reduced.  Pairs are popped by the
     w-degree of their lcm first, w the ideal's settled grading; when that
     is None every w-degree is 0.  When every generator is a +-1 binomial
-    or a single term, so must every S-pair remainder be; one that is not
+    or a single term, pairs are reduced by _pm1_remainder, and every
+    S-pair remainder must be such an element too; one that is not
     raises AssertionError.  The result holds every installed entry,
     retired ones included, in installation order, in the ideal's packing.
     """
     cfg = config or GBConfig()
     packing, w = ideal.packing, ideal.grading
     graded = w is not None
+    w = w or (0,) * packing.nvars  # every w-degree 0 when ungraded
     guard, lcm_of, unpack, units = packing.guard, packing.lcm, packing.unpack, packing.units
     unit = graded and set(w) == {1}  # the standard grading: sum(e) is the w-degree
-    shift = packing.width - 1
+    width, shift = packing.width, packing.width - 1
+    ones = guard >> shift  # the low bit of every field
     forms = []  # the entry of each basis element
     lms = []  # the leading monomial of each basis element
     active = []  # indices not retired: they take new pairs
@@ -603,14 +644,20 @@ def buchberger(ideal, config=None):
             if L == lm:  # lm_t divides lm_i: i retires
                 retired = True
 
+        d_t = sum(map(mul, w, unpack(lm_t)))
         for L in criterion_m(new, lm_t, packing):
             # product criterion: a coprime pair drops its whole lcm class, as
             # coprime leading monomials have their product as lcm; otherwise
             # F keeps the class's first pair
             if L not in coprime:
-                e = unpack(L)
-                d = 0 if not graded else sum(e) if unit else sum(map(mul, w, e))
-                heapq.heappush(heap, (d, sum(map(mul, units, e)), new[L], t, L))
+                q = L - lm_t  # the colon quotient: K and w-degree add over it
+                if q & ones and not q & (q - 1):  # one variable x_v
+                    v = (q.bit_length() - 1) // width
+                    d, key = d_t + w[v], form[1] + units[v]
+                else:
+                    e = unpack(L)
+                    d, key = sum(e) if unit else sum(map(mul, w, e)), sum(map(mul, units, e))
+                heapq.heappush(heap, (d, key, new[L], t, L))
 
         # every multiple of a retired lm is a multiple of lm_t, so the
         # retired elements also leave the reducers
@@ -636,10 +683,14 @@ def buchberger(ideal, config=None):
             raise ScaleExceeded(
                 f"S-pair budget of {cfg.pair_cap} exhausted ({len(forms)} basis elements{at})"
             )
-        remainder, _ = _reduce(*_s_polynomial(forms[i], forms[j], L, k), reducers, packing)
+        if pure:
+            remainder = _pm1_remainder(forms[i], forms[j], L, k, reducers, packing)
+        else:
+            remainder, _ = _reduce(*_s_polynomial(forms[i], forms[j], L, k), reducers, packing)
         if not remainder:
             continue
-        degree = max(sum(unpack(e)) for _, e, _ in remainder)
+        # a homogeneous remainder has its pair's degree
+        degree = d if unit else max(sum(unpack(e)) for _, e, _ in remainder)
         if degree > cfg.degree_cap:
             raise ScaleExceeded(
                 f"degree budget of {cfg.degree_cap} exceeded (element of degree {degree}; "

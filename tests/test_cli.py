@@ -39,10 +39,13 @@ def run_module(*argv):
     )
 
 
+C4 = "v1 v2\nv2 v3\nv3 v4\nv1 v4\n"
+
+
 @pytest.fixture
 def c4_file(tmp_path):
     p = tmp_path / "c4.graph"
-    p.write_text("v1 v2\nv2 v3\nv3 v4\nv1 v4\n")
+    p.write_text(C4)
     return str(p)
 
 
@@ -250,12 +253,24 @@ u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 + 2*u4^2 - u0
 """
 
 
+# the fixed eight-vertex graph of the edge-sweep benchmark workload
+ANCHOR_8 = "".join(
+    f"v{a + 1} v{b + 1}\n"
+    for a, b in (
+        (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7),
+        (1, 2), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3),
+    )
+)
+
+
 class TestPairCap:
     """The Gebauer-Moeller pruning and the pair selection fix how many
     S-pairs a run pops: 154 for the graded elimination behind P8, 342
     behind P9, and 107 and 28 for the inhomogeneous cyclic-5 and katsura-4
-    under revlex, which keep the order's own selection.  A cap one below
-    fails loudly; a cap at the count gives the full answer."""
+    under revlex, which keep the order's own selection.  On the Sym side,
+    the edge module's basis pops 255 on the edge-sweep anchor graph and 8
+    on the 4-cycle.  A cap one below fails loudly; a cap at the count
+    gives the full answer."""
 
     def test_cap_below_the_pop_count_fails_loudly(self, capsys):
         code, out, err = run_cli(capsys, "rees", "--path", "8", "--k", "2", "--pair-cap", "153")
@@ -300,6 +315,24 @@ class TestPairCap:
         code, out, err = run_cli(capsys, *argv, "--pair-cap", str(cap))
         assert (code, out) == (1, "")
         assert err == f"cap exceeded: S-pair budget of {cap} exhausted ({got})\n"
+
+    @pytest.mark.parametrize("check", [(), ("--check", "mg")], ids=("listing", "mg"))
+    @pytest.mark.parametrize(
+        "graph, pops, got",
+        [(ANCHOR_8, 255, "49 basis elements, degree 5"), (C4, 8, "6 basis elements, degree 4")],
+        ids=("anchor8", "c4"),
+    )
+    def test_sym_pop_count(self, capsys, tmp_path, check, graph, pops, got):
+        """binomial-edge pops as many pairs with or without --check mg."""
+        f = tmp_path / "input.graph"
+        f.write_text(graph)
+        argv = ["binomial-edge", "--graph", str(f), *check]
+        code, out, err = run_cli(capsys, *argv, "--pair-cap", str(pops - 1))
+        assert (code, out) == (1, "")
+        assert err == f"cap exceeded: S-pair budget of {pops - 1} exhausted ({got})\n"
+        code, capped = run_json(capsys, *argv, "--pair-cap", str(pops))
+        assert code == 0
+        assert capped == run_json(capsys, *argv)[1]
 
 
 class TestXcondCommand:

@@ -2,8 +2,10 @@
 
 import itertools
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -223,6 +225,30 @@ def doubled_lead(s_polynomial):
     return corrupted
 
 
+def doubled_walk_lead(walk):
+    """_pm1_remainder with the coefficient of its remainder's leading term
+    doubled: the corruption doubled_lead makes, on the walk that pure runs
+    take instead of _s_polynomial."""
+
+    def corrupted(*args):
+        remainder = walk(*args)
+        if remainder:
+            k, e, c = remainder[0]
+            remainder[0] = (k, e, 2 * c)
+        return remainder
+
+    return corrupted
+
+
+def corrupt_leads(monkeypatch, pure):
+    """Double the leading coefficient of every S-pair on the route a run
+    on pure (+-1 binomial) generators or on other generators takes."""
+    if pure:
+        monkeypatch.setattr(groebner, "_pm1_remainder", doubled_walk_lead(groebner._pm1_remainder))
+    else:
+        monkeypatch.setattr(groebner, "_s_polynomial", doubled_lead(groebner._s_polynomial))
+
+
 # generators -> whether Buchberger checks binomial purity on them
 PURITY_SWITCH = {
     "pm1 binomials": (("x1*x2 - x3^2", "x1^2 - x2*x3"), True),
@@ -332,7 +358,7 @@ class TestBuchberger:
         gb = buchberger(Ideal.make(toric, ctx3, spec))
         assert len(gb.elements) > 2
         assert all(g.is_binomial_pm1() for g in gb.elements)
-        monkeypatch.setattr(groebner, "_s_polynomial", doubled_lead(groebner._s_polynomial))
+        corrupt_leads(monkeypatch, pure=True)
         with pytest.raises(AssertionError, match="^binomial purity violated"):
             buchberger(Ideal.make(toric, ctx3, spec))
 
@@ -344,7 +370,7 @@ class TestBuchberger:
         spec = lex_order("x1", "x2", "x3")
         ord_ = compile_order(spec, ctx3)
         ideal = Ideal.make([parse_polynomial(f, ctx3, ord_) for f in texts], ctx3, spec)
-        monkeypatch.setattr(groebner, "_s_polynomial", doubled_lead(groebner._s_polynomial))
+        corrupt_leads(monkeypatch, pure=checked)
         if checked:
             with pytest.raises(AssertionError, match="^binomial purity violated"):
                 buchberger(ideal)
@@ -857,9 +883,36 @@ SYSTEMS = {
     ),
 }
 
+# the inhomogeneous systems of the gb-dense benchmark workload: every pair
+# has w-degree 0 and is popped in the order's own selection
+DENSE_SYSTEMS = {
+    "cyclic5": (
+        ("x1", "x2", "x3", "x4", "x5"),
+        revlex_order,
+        (
+            "x1 + x2 + x3 + x4 + x5",
+            "x1*x2 + x2*x3 + x3*x4 + x4*x5 + x5*x1",
+            "x1*x2*x3 + x2*x3*x4 + x3*x4*x5 + x4*x5*x1 + x5*x1*x2",
+            "x1*x2*x3*x4 + x2*x3*x4*x5 + x3*x4*x5*x1 + x4*x5*x1*x2 + x5*x1*x2*x3",
+            "x1*x2*x3*x4*x5 - 1",
+        ),
+    ),
+    "katsura4": (
+        ("u0", "u1", "u2", "u3", "u4"),
+        revlex_order,
+        (
+            "u0 + 2*u1 + 2*u2 + 2*u3 + 2*u4 - 1",
+            "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 + 2*u4^2 - u0",
+            "2*u0*u1 + 2*u1*u2 + 2*u2*u3 + 2*u3*u4 - u1",
+            "2*u0*u2 + u1^2 + 2*u1*u3 + 2*u2*u4 - u2",
+            "2*u0*u3 + 2*u1*u2 + 2*u1*u4 - u3",
+        ),
+    ),
+}
+
 
 def system(name):
-    names, make_order, texts = SYSTEMS[name]
+    names, make_order, texts = {**SYSTEMS, **DENSE_SYSTEMS}[name]
     ctx = VarContext.make(names)
     spec = make_order(*names)
     ord_ = compile_order(spec, ctx)
@@ -1053,6 +1106,149 @@ class TestPackedIntake:
         with pytest.raises(ValueError, match="is not one positive weight per variable"):
             replace(ideal, grading=(1,) * 9)
         assert replace(ideal, grading=(2,) * 5 + (1,) * 5).grading == (2,) * 5 + (1,) * 5
+
+
+def lex_ideal(texts, names=("x1", "x2", "x3")):
+    ctx = VarContext.make(names)
+    spec = lex_order(*names)
+    ord_ = compile_order(spec, ctx)
+    return Ideal.make([parse_polynomial(t, ctx, ord_) for t in texts], ctx, spec)
+
+
+def p8_elimination():
+    g = path_graph(8)
+    rees_ideal(g.context(), minimal_vertex_covers(g).monomials())
+
+
+# runs that call buchberger through its module, where a test can wrap it
+RUNS = {
+    "p8 elimination": p8_elimination,
+    "sym c5": lambda: groebner.buchberger(sym_ideal(*C5)),
+    "sym anchor8": lambda: groebner.buchberger(sym_ideal(*ANCHOR_8)),
+    "toric pair": lambda: groebner.buchberger(lex_ideal(PURITY_SWITCH["pm1 binomials"][0])),
+    "toric pair and x2^3": lambda: groebner.buchberger(
+        lex_ideal(PURITY_SWITCH["with a single term"][0])
+    ),
+    # every pair with the constant 1 is coprime: no pair is popped
+    "(1, x1 - x2)": lambda: groebner.buchberger(lex_ideal(("1", "x1 - x2"), ("x1", "x2"))),
+    # one pair, whose walk drops x2 on the single term x2 and leaves -1
+    "(x1 - 1, x1 - x2, x2)": lambda: groebner.buchberger(
+        lex_ideal(("x1 - 1", "x1 - x2", "x2"), ("x1", "x2"))
+    ),
+    "cyclic5": lambda: groebner.buchberger(system("cyclic5")),
+    "katsura4": lambda: groebner.buchberger(system("katsura4")),
+}
+
+
+def recorded_runs(monkeypatch):
+    """The (ideal, raw basis) of every buchberger run from then on."""
+    runs = []
+    run = groebner.buchberger
+
+    def recording(ideal, *args, **kwargs):
+        gb = run(ideal, *args, **kwargs)
+        runs.append((ideal, gb))
+        return gb
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    return runs
+
+
+def compared_walks(monkeypatch):
+    """Every S-pair reduced by _pm1_remainder from then on is also reduced
+    by the reference _reduce(*_s_polynomial(...)): the two must give one
+    remainder, with factor 1, or raise ScaleExceeded with one message.
+    Returns the lcms of the pairs compared."""
+    walk = groebner._pm1_remainder
+    compared = []
+
+    def both(fi, fj, L, key, entries, packing):
+        compared.append(L)
+        s = groebner._s_polynomial(fi, fj, L, key)
+        try:
+            want = groebner._reduce(*s, entries, packing)
+        except ScaleExceeded as exc:
+            with pytest.raises(ScaleExceeded, match=f"^{re.escape(str(exc))}$"):
+                walk(fi, fj, L, key, entries, packing)
+            raise
+        got = walk(fi, fj, L, key, entries, packing)
+        assert (got, 1) == want
+        return got
+
+    monkeypatch.setattr(groebner, "_pm1_remainder", both)
+    return compared
+
+
+class TestPm1Walk:
+    """A run on +-1 binomials and single terms reduces its S-pairs by two
+    monomial walks, which give the reference reduction's remainder."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "p8 elimination",
+            "sym c5",
+            "sym anchor8",
+            "toric pair",
+            "toric pair and x2^3",
+            "(1, x1 - x2)",
+            "(x1 - 1, x1 - x2, x2)",
+        ],
+    )
+    def test_matches_the_reference_on_every_pop(self, case, monkeypatch):
+        pops = popped_degrees(monkeypatch)
+        compared = compared_walks(monkeypatch)
+        RUNS[case]()
+        assert len(compared) == len(pops)
+        assert pops or case == "(1, x1 - x2)"
+
+    def test_walk_into_a_guard_bit_raises(self, ctx2, monkeypatch):
+        """As test_guard_overflow_raises: the pair (x1 - x2^4, x1^2) walks
+        x1*x2^4 -> x2^8, which carries into x2's guard bit in 4-bit fields."""
+        compared = compared_walks(monkeypatch)
+        order = compile_order(lex_order("x1", "x2"), ctx2)
+        pk = groebner.Packing(order, 4)
+        gens = [parse_polynomial(f, ctx2, order) for f in ("x1 - x2^4", "x1^2")]
+        narrow = Ideal(ctx2, order.spec, pk, tuple(map(pk.form, gens)))
+        with pytest.raises(ScaleExceeded, match="^an exponent outgrew its 4-bit field$"):
+            buchberger(narrow)
+        assert compared == [pk.pack((2, 0))]
+
+
+class TestPushedPairs:
+    """Every pushed pair (d, K, i, j, L) carries the w-degree and the key
+    of its lcm, whether read off the colon quotient L - lm_j, when that is
+    one variable, or off L unpacked."""
+
+    @pytest.mark.parametrize(
+        "case, grading",
+        [
+            ("p8 elimination", "weighted"),
+            ("sym anchor8", "standard"),
+            ("cyclic5", None),
+            ("katsura4", None),
+        ],
+    )
+    def test_degree_and_key_of_the_lcm(self, case, grading, monkeypatch):
+        pushed = []
+        heappush = groebner.heapq.heappush
+
+        def recording(heap, item):
+            pushed.append(item)
+            heappush(heap, item)
+
+        monkeypatch.setattr(groebner.heapq, "heappush", recording)
+        runs = recorded_runs(monkeypatch)
+        RUNS[case]()
+        ((ideal, raw),) = runs
+        w, pk = ideal.grading, raw.packing
+        assert (None if w is None else "standard" if set(w) == {1} else "weighted") == grading
+        for d, key, _, j, L in pushed:
+            e = pk.unpack(L)
+            assert d == (sum(map(mul, w, e)) if w else 0)
+            assert key == sum(map(mul, pk.units, e))
+        linear = sum(sum(pk.unpack(L - raw.entries[j][0])) == 1 for *_, j, L in pushed)
+        assert 0 < linear < len(pushed)
 
 
 _CTX3 = VarContext.make(("x1", "x2", "x3"))
